@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
@@ -81,60 +82,50 @@ class CanonicalGraph:
     def successors(self, a: Any) -> frozenset:
         return self._succ[a]
 
+    @cached_property
+    def ranking(self) -> Tuple[Dict[Any, int], Tuple[Any, ...]]:
+        """One Kahn pass over the reversed edges, done once per graph: the rank
+        of each vertex that reaches no cycle (0 without successors, else 1 +
+        the largest rank of a successor), and those vertices successors-first."""
+        preds: Dict[Any, List[Any]] = {v: [] for v in self.vertices}
+        pending: Dict[Any, int] = {}
+        for v, succ in self.succ:
+            pending[v] = len(succ)
+            for w in succ:
+                preds[w].append(v)
+        order = [v for v in self.vertices if not pending[v]]
+        rank = dict.fromkeys(order, 0)
+        for w in order:  # grows while it is walked: a queue
+            for v in preds[w]:
+                pending[v] -= 1
+                if not pending[v]:
+                    rank[v] = 1 + max(rank[x] for x in self._succ[v])
+                    order.append(v)
+        return rank, tuple(order)
+
     def find_cycle(self) -> Optional[List[Any]]:
-        """A vertex cycle if one exists, by deterministic DFS; else None."""
-        color: Dict[Any, int] = {}  # 0 absent, 1 on stack, 2 done
-        parent: Dict[Any, Any] = {}
-        for root in self.vertices:
-            if color.get(root):
-                continue
-            stack = [(root, iter(sorted(self.successors(root), key=element_key)))]
-            color[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, 0)
-                    if c == 1:
-                        cycle = [node]
-                        while cycle[-1] != nxt:
-                            cycle.append(parent[cycle[-1]])
-                        cycle.reverse()
-                        return cycle
-                    if c == 0:
-                        color[nxt] = 1
-                        parent[nxt] = node
-                        stack.append((nxt, iter(sorted(self.successors(nxt),
-                                                       key=element_key))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-        return None
+        """A vertex cycle if one exists, else None: the walk from the first
+        unranked vertex that steps to the least unranked successor (by
+        ``element_key``) until a vertex repeats."""
+        if self.is_acyclic():
+            return None
+        rank = self.ranking[0]
+        walk: Dict[Any, int] = {}  # vertex -> step at which the walk reached it
+        v = next(v for v in self.vertices if v not in rank)
+        while v not in walk:
+            walk[v] = len(walk)
+            v = min((w for w in self.successors(v) if w not in rank), key=element_key)
+        return list(walk)[walk[v]:]
 
     def is_acyclic(self) -> bool:
-        return self.find_cycle() is None
+        return len(self.ranking[1]) == len(self.vertices)
 
     def topological_order(self) -> List[Any]:
         """Vertices ordered successors-first; raises on a cycle."""
         cycle = self.find_cycle()
         if cycle is not None:
             raise ValueError(f"graph has a cycle through {cycle[0]!r}")
-        seen: Dict[Any, bool] = {}
-        order: List[Any] = []
-
-        def visit(node):
-            if node in seen:
-                return
-            seen[node] = True
-            for nxt in sorted(self.successors(node), key=element_key):
-                visit(nxt)
-            order.append(node)
-
-        for v in self.vertices:
-            visit(v)
-        return order
+        return list(self.ranking[1])
 
 
 def _require_same_functor(a: Coalgebra, b) -> None:

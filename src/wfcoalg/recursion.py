@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .errors import CapExceeded, FunctorMismatch, NotWellFounded
+from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
+                     NotWellFounded)
 from .finset import Carrier, FinMap, all_maps
-from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, RFunctor,
-                      eval_map, eval_obj, preserves_inverse_images)
+from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
+                      eval_obj, preserves_inverse_images)
 from .coalgebra import Algebra, Coalgebra, canonical_graph
-from .wellfounded import is_wellfounded
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
@@ -31,40 +31,42 @@ def hylo(coalg: Coalgebra, alg: Algebra) -> FinMap:
     """The unique morphism h with h = e . Fh . alpha, for well-founded input."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
-    _require_wellfounded(coalg)
-    h = _evaluate(coalg, lambda value, _a: alg.apply(value))
-    result = FinMap(coalg.carrier, alg.carrier,
-                    tuple(h[a] for a in coalg.carrier))
-    for a in coalg.carrier:  # post-hoc soundness check of the square
-        assert result(a) == alg.apply(eval_map(coalg.functor, result, coalg.alpha(a)))
-    return result
+    return _evaluate(coalg, alg.carrier, lambda value, _a: alg.apply(value))
 
 
 def para_hylo(coalg: Coalgebra, target: Carrier,
               e: Callable[[FValue, Any], Any]) -> FinMap:
     """The unique solution of h(a) = e(Fh(alpha(a)), a), for well-founded input."""
-    _require_wellfounded(coalg)
-    h = _evaluate(coalg, e)
-    result = FinMap(coalg.carrier, target, tuple(h[a] for a in coalg.carrier))
-    for a in coalg.carrier:
-        assert result(a) == e(eval_map(coalg.functor, result, coalg.alpha(a)), a)
-    return result
+    return _evaluate(coalg, target, e)
 
 
-def _require_wellfounded(coalg: Coalgebra) -> None:
-    if not is_wellfounded(coalg):
-        cycle = canonical_graph(coalg).find_cycle()
+def _evaluate(coalg: Coalgebra, target: Carrier,
+              step: Callable[[FValue, Any], Any]) -> FinMap:
+    h, cycle = _fold(coalg, step)
+    if cycle is not None:
         raise NotWellFounded(
             f"no termination certificate: {cycle[0]!r} lies on a cycle "
             f"of the canonical graph ({' -> '.join(map(repr, cycle))})")
+    result = FinMap(coalg.carrier, target, tuple(h[a] for a in coalg.carrier))
+    for a in coalg.carrier:  # post-hoc soundness check of the square
+        if result(a) != step(eval_map(coalg.functor, result, coalg.alpha(a)), a):
+            raise InternalConsistencyError(
+                f"the evaluated map does not satisfy its equation at {a!r}")
+    return result
 
 
-def _evaluate(coalg: Coalgebra, step: Callable[[FValue, Any], Any]) -> Dict[Any, Any]:
-    """Memoized evaluation in successors-first order of the canonical graph."""
+def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
+          ) -> Tuple[Optional[Dict[Any, Any]], Optional[List[Any]]]:
+    """h(a) = step(Fh(alpha(a)), a) for every state, memoized in the
+    successors-first order of the rank pass over the canonical graph; or
+    the graph's cycle witness when some state is unranked."""
+    graph = canonical_graph(coalg)
+    if not graph.is_acyclic():
+        return None, graph.find_cycle()
     h: Dict[Any, Any] = {}
-    for a in canonical_graph(coalg).topological_order():
+    for a in graph.ranking[1]:
         h[a] = step(eval_map(coalg.functor, h.__getitem__, coalg.alpha(a)), a)
-    return h
+    return h, None
 
 
 # --- initial-algebra chain ----------------------------------------------------
@@ -147,19 +149,11 @@ class UnfoldResult:
 
 def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
     """Unfold each state to its closed term when the canonical graph is acyclic."""
-    graph = canonical_graph(coalg)
-    cycle = graph.find_cycle()
-    complete = not _mentions_r(coalg.functor)
+    h, cycle = _fold(coalg, lambda value, _a: value)
+    complete = preserves_inverse_images(coalg.functor)
     if cycle is not None:
         return UnfoldResult(None, tuple(cycle), complete)
-    h: Dict[Any, Term] = {}
-    for a in graph.topological_order():
-        h[a] = eval_map(coalg.functor, h.__getitem__, coalg.alpha(a))
     return UnfoldResult(tuple((a, h[a]) for a in coalg.carrier), None, complete)
-
-
-def _mentions_r(expr: FunctorExpr) -> bool:
-    return not preserves_inverse_images(expr)
 
 
 # --- brute-force morphism search and oracles -----------------------------------

@@ -2,51 +2,64 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Dict
 
 from .errors import InternalConsistencyError, NotAHomomorphism, NotWellFounded
-from .finset import FinMap, Subobject
+from .finset import Carrier, FinMap, Subobject
 from .coalgebra import (Coalgebra, canonical_graph, induced_subcoalgebra,
-                        is_coalgebra_hom, next_time)
+                        is_coalgebra_hom)
+
+
+class RankChain(Sequence):
+    """The Kleene chain of next-time from the empty set, read off the ranks:
+    stage i is {a : rank(a) < i}, and the last two stages are the
+    well-founded part.  A stage is built when it is read."""
+
+    def __init__(self, carrier: Carrier, rank: Dict[Any, int]):
+        self._carrier, self._rank = carrier, rank
+        self._len = max(rank.values()) + 3 if rank else 2
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        stage = range(self._len)[i]  # as for a tuple: -1 is the last, IndexError
+        return Subobject(self._carrier,
+                         frozenset(a for a, r in self._rank.items() if r < stage))
 
 
 @dataclass(frozen=True)
 class WfPartResult:
     """Least fixed point of next-time with its iteration trace."""
 
+    coalgebra: Coalgebra
     part: Subobject
-    structure: Coalgebra
-    chain: tuple  # of Subobject; strictly increasing, last two equal
+    chain: RankChain = field(compare=False)  # strictly increasing, last two equal
+
+    @cached_property
+    def structure(self) -> Coalgebra:
+        """The part as a subcoalgebra, built on first access."""
+        structure = induced_subcoalgebra(self.coalgebra, self.part)
+        if structure is None:
+            raise InternalConsistencyError("the well-founded part is not a subcoalgebra")
+        return structure
 
 
 def wf_part(coalg: Coalgebra) -> WfPartResult:
-    """Iterate next-time from the empty subset up to its least fixed point."""
-    current = Subobject.empty(coalg.carrier)
-    chain: List[Subobject] = [current]
-    while True:
-        nxt = next_time(coalg, current)
-        chain.append(nxt)
-        if nxt == current:
-            break
-        current = nxt
-    structure = induced_subcoalgebra(coalg, current)
-    assert structure is not None  # fixed points are subcoalgebras
-    return WfPartResult(current, structure, tuple(chain))
+    """The least fixed point of next-time: the states that one rank pass over
+    the canonical graph ranks, with the chain of stages up to it."""
+    rank = canonical_graph(coalg).ranking[0]
+    return WfPartResult(coalg, Subobject(coalg.carrier, frozenset(rank)),
+                        RankChain(coalg.carrier, rank))
 
 
 def is_wellfounded(coalg: Coalgebra) -> bool:
-    """Is the full subset the only fixed point of next-time?
-
-    Cross-checked against acyclicity of the canonical graph; the two
-    verdicts agree for every functor of the grammar.
-    """
-    by_fixpoint = wf_part(coalg).part.is_full()
-    by_graph = canonical_graph(coalg).is_acyclic()
-    if by_fixpoint != by_graph:
-        raise InternalConsistencyError(
-            f"fixed-point verdict {by_fixpoint} vs graph verdict {by_graph}")
-    return by_fixpoint
+    """Is the full subset the only fixed point of next-time, that is, does the
+    rank pass over the canonical graph rank every state?"""
+    return wf_part(coalg).part.is_full()
 
 
 def coreflect(f: FinMap, src: Coalgebra, dst: Coalgebra) -> FinMap:

@@ -110,6 +110,18 @@ class TestHylo:
         assert code == EXIT_USAGE
         assert "no termination certificate" in text and "cycle" in text
 
+    def test_cycle_witness_line(self, tmp_path):
+        # a and b are well-founded and come first; c reaches the cycle e <-> d
+        p = tmp_path / "cyclic.txt"
+        p.write_text("carrier A = a b c d e\ncarrier B = z\nfunctor = P(X)\n"
+                     "coalgebra G : A\n  a -> {b}\n  b -> {}\n  c -> {b, e}\n"
+                     "  d -> {e}\n  e -> {d}\n"
+                     "algebra K : B\n  {} -> z\n  {z} -> z\n")
+        code, text = run("hylo", str(p))
+        assert code == EXIT_USAGE
+        assert text == ("error: no termination certificate: 'e' lies on a "
+                        "cycle of the canonical graph ('e' -> 'd')\n")
+
 
 class TestOracles:
     def test_parametric_fails_on_r(self):

@@ -1,0 +1,219 @@
+"""The rank pass over the canonical graph against brute-force references,
+and the recursion entry points that rely on it."""
+
+import os
+import random
+import subprocess
+import sys
+from typing import Any, Dict, List, Optional
+
+import pytest
+
+import wfcoalg
+from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
+                     InjVal, InternalConsistencyError, Subobject,
+                     canonical_graph, element_key, hylo, is_wellfounded,
+                     next_time, para_hylo, unfold_to_mu, wf_part)
+from wfcoalg import coalgebra as coalgebra_module
+from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
+                           predecessor, quicksort, r_coalgebra)
+
+from generators import random_instance
+
+
+# --- test-only references -------------------------------------------------------
+
+def kleene_chain(coalg: Coalgebra) -> List[Subobject]:
+    """next-time iterated from the empty set until two stages agree."""
+    current = Subobject.empty(coalg.carrier)
+    chain = [current]
+    while True:
+        nxt = next_time(coalg, current)
+        chain.append(nxt)
+        if nxt == current:
+            return chain
+        current = nxt
+
+
+def dfs_cycle(graph: CanonicalGraph) -> Optional[List[Any]]:
+    """The first cycle met by a depth-first search from each vertex in
+    vertex order, successors taken in ``element_key`` order."""
+    color: Dict[Any, int] = {}  # 0 absent, 1 on stack, 2 done
+    parent: Dict[Any, Any] = {}
+    for root in graph.vertices:
+        if color.get(root):
+            continue
+        stack = [(root, iter(sorted(graph.successors(root), key=element_key)))]
+        color[root] = 1
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                c = color.get(nxt, 0)
+                if c == 1:
+                    cycle = [node]
+                    while cycle[-1] != nxt:
+                        cycle.append(parent[cycle[-1]])
+                    cycle.reverse()
+                    return cycle
+                if c == 0:
+                    color[nxt] = 1
+                    parent[nxt] = node
+                    stack.append((nxt, iter(sorted(graph.successors(nxt),
+                                                   key=element_key))))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return None
+
+
+def instances():
+    yield from (graph_g(), r_coalgebra(), automaton(), predecessor(6),
+                fibonacci_coalgebra(6))
+    rng = random.Random(131)
+    for _ in range(300):
+        yield random_instance(rng, depth=2, max_size=6)
+
+
+def random_digraph(rng: random.Random) -> CanonicalGraph:
+    n = rng.randint(1, 12)
+    density = rng.choice((0.05, 0.1, 0.2, 0.35))
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    return CanonicalGraph(Carrier(tuple(vertices)), tuple(
+        (v, frozenset(w for w in range(n) if rng.random() < density))
+        for v in vertices))
+
+
+# --- the pass against the references --------------------------------------------
+
+def test_wf_part_and_chain_match_kleene_iteration():
+    for c in instances():
+        result = wf_part(c)
+        reference = kleene_chain(c)
+        assert len(result.chain) == len(reference)
+        assert list(result.chain) == reference
+        assert result.chain[-1] == result.chain[-2] == result.part
+        assert result.part == reference[-1]
+
+
+def test_verdict_matches_both_references():
+    for c in instances():
+        expected = kleene_chain(c)[-1].is_full()
+        assert is_wellfounded(c) == expected
+        assert (dfs_cycle(canonical_graph(c)) is None) == expected
+
+
+def test_cycle_witness_matches_depth_first_search():
+    graphs = [canonical_graph(c) for c in instances()]
+    rng = random.Random(137)
+    graphs += [random_digraph(rng) for _ in range(600)]
+    cyclic = 0
+    for graph in graphs:
+        witness = graph.find_cycle()
+        assert witness == dfs_cycle(graph)
+        if witness is not None:
+            cyclic += 1
+            assert all(b in graph.successors(a)
+                       for a, b in zip(witness, witness[1:] + witness[:1]))
+    assert 100 < cyclic < len(graphs) - 100
+
+
+def test_topological_order_puts_successors_first():
+    rng = random.Random(139)
+    graphs = [canonical_graph(c) for c in instances()]
+    graphs += [random_digraph(rng) for _ in range(300)]
+    for graph in graphs:
+        if not graph.is_acyclic():
+            with pytest.raises(ValueError, match="cycle"):
+                graph.topological_order()
+            continue
+        order = graph.topological_order()
+        assert sorted(order, key=element_key) == \
+            sorted(graph.vertices, key=element_key)
+        position = {a: i for i, a in enumerate(order)}
+        for a in order:
+            assert all(position[b] < position[a] for b in graph.successors(a))
+
+
+# --- recursion on the pass --------------------------------------------------------
+
+def reversed_predecessor(n: int) -> Coalgebra:
+    c = predecessor(n)
+    carrier = Carrier(tuple(reversed(c.carrier.elements)))
+    return Coalgebra.from_dict(c.functor, carrier,
+                               {a: c.alpha(a) for a in c.carrier})
+
+
+def successor_count(v, _a=None):
+    return 0 if v.index == 1 else v.value.element + 1
+
+
+def test_deep_reversed_chain_needs_no_recursion():
+    n = 5000
+    c = reversed_predecessor(n)
+    counts = Carrier(tuple(range(n + 1)))
+    h = hylo(c, Algebra(c.functor, counts, successor_count))
+    assert all(h(a) == a for a in c.carrier)
+    p = para_hylo(c, counts, successor_count)
+    assert all(p(a) == a for a in c.carrier)
+    unfolded = unfold_to_mu(c)
+    assert unfolded.cycle is None and unfolded.complete
+    assert len(unfolded.mapping) == n + 1
+    assert unfolded.as_dict()[0] == InjVal(1, ConstVal("u0"))
+
+
+def test_hylo_computes_each_support_once(monkeypatch):
+    coalg, alg = quicksort(("a", "b", "c"), 5)
+    real = coalgebra_module.support
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(coalgebra_module, "support", counting)
+    h = hylo(coalg, alg)
+    assert h(("c", "a", "b")) == ("a", "b", "c")
+    assert len(coalg.carrier) == 364
+    assert len(calls) == len(coalg.carrier)
+
+
+FICKLE_SCRIPT = """
+from wfcoalg import Carrier, InternalConsistencyError, para_hylo
+from wfcoalg.demos import predecessor
+
+calls = []
+
+def fickle(value, state):  # 0 on its first call, 1 on every later one
+    calls.append(state)
+    return 0 if len(calls) == 1 else 1
+
+try:
+    para_hylo(predecessor(0), Carrier((0, 1)), fickle)
+except InternalConsistencyError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_square_check_catches_an_inconsistent_step():
+    calls = []
+
+    def fickle(value, state):  # 0 on its first call, 1 on every later one
+        calls.append(state)
+        return 0 if len(calls) == 1 else 1
+
+    with pytest.raises(InternalConsistencyError):
+        para_hylo(predecessor(0), Carrier((0, 1)), fickle)
+    assert calls == [0, 0]
+
+
+def test_square_check_survives_optimized_python():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wfcoalg.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", FICKLE_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised: ")
