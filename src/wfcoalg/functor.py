@@ -321,7 +321,8 @@ def check_value(expr: FunctorExpr, x: Carrier, v: FValue) -> None:
     elif isinstance(expr, PowFin):
         if not isinstance(v, SetVal):
             raise MalformedValue(f"{v!r} is not a set value")
-        if v != SetVal.of(v.items):
+        keys = [c.key() for c in v.items]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise MalformedValue(f"{v!r} is not in canonical set order")
         for c in v.items:
             check_value(expr.arg, x, c)

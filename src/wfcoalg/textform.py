@@ -24,12 +24,17 @@ A document holds one functor, named carriers, and named pointwise tables::
       b -> {}
       c -> {d}
       d -> {c}
+
+Each table section compiles one value reader for its functor and carrier, a
+closure per functor node that looks tokens up in prebuilt tables.  Errors give
+the document's line and column; a repeated table row is an error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import length_hint
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import WfcoalgError
@@ -47,123 +52,99 @@ class ParseError(WfcoalgError):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str  # 'name', 'int', 'punct'
-    text: str
-    line: int
-    col: int
-
-
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9']*|\d+|->|[()\[\]{}^*+,:@=]|\S")
+_TAG_RE = re.compile(r"in(\d+)")
+_NAME_RE = re.compile(r"[A-Za-z_]")  # the first character of a name token
 
 
-def _tokenize(text: str, line_offset: int = 1) -> List[Token]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=line_offset):
-        body = line.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(body):
-            t = m.group()
-            if t.isdigit():
-                kind = "int"
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9']*", t):
-                kind = "name"
-            else:
-                kind = "punct"
-            tokens.append(Token(kind, t, lineno, m.start() + 1))
-    return tokens
+def _scan(text: str) -> List[str]:
+    """The tokens of ``text`` as plain strings, ``#`` comments dropped."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    return _TOKEN_RE.findall(text)
 
 
-class _Cursor:
-    def __init__(self, tokens: List[Token], line: int = 1):
-        self.tokens = tokens
-        self.pos = 0
-        self.last_line = line
-
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.last_line, 1)
-        self.pos += 1
-        self.last_line = tok.line
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+def _locate(text: str, line: int, col: int, k: int) -> Tuple[int, int]:
+    """Line and column of the k-th token of ``text``, whose first character
+    sits at (line, col) of the document; only error paths rescan."""
+    for ln, body in enumerate(text.splitlines(), start=line):
+        for m in _TOKEN_RE.finditer(body.split("#", 1)[0]):
+            if not k:
+                return ln, m.start() + (col if ln == line else 1)
+            k -= 1
+    return line, col
 
 
 # --- functor expressions ------------------------------------------------------
 
 def parse_functor(text: str, carriers: Dict[str, Carrier],
-                  line: int = 1) -> FunctorExpr:
-    cur = _Cursor(_tokenize(text, line), line)
-    expr = _parse_sum(cur, carriers)
-    if not cur.done():
-        tok = cur.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+                  line: int = 1, col: int = 1) -> FunctorExpr:
+    """Parse a functor expression that starts at (line, col) of a document."""
+    toks = _scan(text) + [None]  # None past the last token
+    pos = 0
+
+    def fail(message: str, k: int):
+        raise ParseError(message, *_locate(text, line, col, k))
+
+    def take() -> str:
+        nonlocal pos
+        if toks[pos] is None:
+            raise ParseError("unexpected end of input",
+                             _locate(text, line, col, pos - 1)[0], 1)
+        pos += 1
+        return toks[pos - 1]
+
+    def expect(want: str) -> None:
+        if take() != want:
+            fail(f"expected {want!r}, found {toks[pos - 1]!r}", pos - 1)
+
+    def chain(op: str, operand, node):
+        parts = [operand()]
+        while toks[pos] == op:
+            take()
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
+
+    def sum_() -> FunctorExpr:  # a sum of products of exponents
+        return chain("+", lambda: chain("*", exp, Prod), Sum)
+
+    def exp() -> FunctorExpr:
+        base = atom()
+        while toks[pos] == "^":
+            take()
+            tok = take()
+            if not _NAME_RE.match(tok) or tok not in carriers:
+                fail(f"unknown alphabet {tok!r}", pos - 1)
+            base = Exp(carriers[tok], base)
+        return base
+
+    def atom() -> FunctorExpr:
+        tok = take()
+        if tok == "X":
+            return Id()
+        if tok == "R":
+            return RFunctor()
+        if tok == "P":
+            expect("(")
+            inner = sum_()
+            expect(")")
+            return PowFin(inner)
+        if tok.isdigit():
+            return Const(Carrier(tuple(f"u{i}" for i in range(int(tok)))))
+        if tok == "(":
+            inner = sum_()
+            expect(")")
+            return inner
+        if _NAME_RE.match(tok):
+            if tok not in carriers:
+                fail(f"unknown carrier {tok!r}", pos - 1)
+            return Const(carriers[tok])
+        fail(f"unexpected {tok!r}", pos - 1)
+
+    expr = sum_()
+    if toks[pos] is not None:
+        fail(f"trailing input {toks[pos]!r}", pos)
     return expr
-
-
-def _parse_sum(cur, carriers) -> FunctorExpr:
-    parts = [_parse_prod(cur, carriers)]
-    while cur.peek() and cur.peek().text == "+":
-        cur.next()
-        parts.append(_parse_prod(cur, carriers))
-    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
-
-
-def _parse_prod(cur, carriers) -> FunctorExpr:
-    parts = [_parse_exp(cur, carriers)]
-    while cur.peek() and cur.peek().text == "*":
-        cur.next()
-        parts.append(_parse_exp(cur, carriers))
-    return parts[0] if len(parts) == 1 else Prod(tuple(parts))
-
-
-def _parse_exp(cur, carriers) -> FunctorExpr:
-    base = _parse_atom(cur, carriers)
-    while cur.peek() and cur.peek().text == "^":
-        cur.next()
-        tok = cur.next()
-        if tok.kind != "name" or tok.text not in carriers:
-            raise ParseError(f"unknown alphabet {tok.text!r}", tok.line, tok.col)
-        base = Exp(carriers[tok.text], base)
-    return base
-
-
-def _parse_atom(cur, carriers) -> FunctorExpr:
-    tok = cur.next()
-    if tok.text == "X":
-        return Id()
-    if tok.text == "R":
-        return RFunctor()
-    if tok.text == "P":
-        cur.expect("(")
-        inner = _parse_sum(cur, carriers)
-        cur.expect(")")
-        return PowFin(inner)
-    if tok.kind == "int":
-        n = int(tok.text)
-        return Const(Carrier(tuple(f"u{i}" for i in range(n))))
-    if tok.kind == "name":
-        if tok.text not in carriers:
-            raise ParseError(f"unknown carrier {tok.text!r}", tok.line, tok.col)
-        return Const(carriers[tok.text])
-    if tok.text == "(":
-        inner = _parse_sum(cur, carriers)
-        cur.expect(")")
-        return inner
-    raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
 
 def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
@@ -200,101 +181,142 @@ def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
 
 def parse_value(expr: FunctorExpr, carrier: Carrier, text: str,
                 line: int = 1) -> FValue:
-    cur = _Cursor(_tokenize(text, line), line)
-    v = _parse_val(cur, expr, carrier)
-    if not cur.done():
-        tok = cur.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return v
+    """Parse one value of F(carrier) that starts on the given line."""
+    return _read(_compile(expr, carrier), text, line, 1)
 
 
-def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
-    if isinstance(expr, Const):
-        tok = cur.next()
-        if tok.text not in expr.values:
-            raise ParseError(f"{tok.text!r} is not a constant atom here",
-                             tok.line, tok.col)
-        return ConstVal(tok.text)
-    if isinstance(expr, Id):
-        tok = cur.next()
-        if tok.text not in carrier:
-            raise ParseError(f"{tok.text!r} is not a carrier element",
-                             tok.line, tok.col)
-        return IdVal(tok.text)
-    if isinstance(expr, Sum):
-        tok = cur.next()
-        m = re.fullmatch(r"in(\d+)", tok.text)
-        if not m or not int(m.group(1)) < len(expr.parts):
-            raise ParseError(f"expected an injection tag, found {tok.text!r}",
-                             tok.line, tok.col)
-        i = int(m.group(1))
-        return InjVal(i, _parse_val(cur, expr.parts[i], carrier))
-    if isinstance(expr, Prod):
-        cur.expect("(")
-        items = []
-        for i, part in enumerate(expr.parts):
-            if i:
-                cur.expect(",")
-            items.append(_parse_val(cur, part, carrier))
-        cur.expect(")")
-        return TupleVal(tuple(items))
-    if isinstance(expr, Exp):
-        cur.expect("[")
-        entries: Dict[Any, FValue] = {}
-        first = True
-        while True:
-            tok = cur.peek()
-            if tok is not None and tok.text == "]":
-                cur.next()
-                break
-            if not first:
-                cur.expect(",")
-            first = False
-            letter = cur.next()
-            if letter.text not in expr.alphabet:
-                raise ParseError(f"{letter.text!r} is not in the alphabet",
-                                 letter.line, letter.col)
-            cur.expect(":")
-            entries[letter.text] = _parse_val(cur, expr.arg, carrier)
-        missing = [s for s in expr.alphabet if s not in entries]
-        if missing:
-            raise ParseError(f"missing alphabet entry {missing[0]!r}",
-                             cur.last_line, 1)
-        return FuncVal(tuple((s, entries[s]) for s in expr.alphabet))
-    if isinstance(expr, PowFin):
-        cur.expect("{")
-        items = []
-        first = True
-        while True:
-            tok = cur.peek()
-            if tok is not None and tok.text == "}":
-                cur.next()
-                break
-            if not first:
-                cur.expect(",")
-            first = False
-            items.append(_parse_val(cur, expr.arg, carrier))
-        return SetVal.of(items)
-    if isinstance(expr, RFunctor):
-        tok = cur.next()
-        if tok.text == "d":
-            return RPoint()
-        if tok.text == "(":
-            x = cur.next()
-            cur.expect(",")
-            y = cur.next()
-            cur.expect(")")
-            for t in (x, y):
-                if t.text not in carrier:
-                    raise ParseError(f"{t.text!r} is not a carrier element",
-                                     t.line, t.col)
-            if x.text == y.text:
-                raise ParseError("R pair components must be distinct",
-                                 x.line, x.col)
-            return RPair(x.text, y.text)
-        raise ParseError(f"expected 'd' or a pair, found {tok.text!r}",
-                         tok.line, tok.col)
-    raise TypeError(f"unknown functor node {expr!r}")
+class _Reject(Exception):
+    """A reader's error at the token ``back`` tokens before the last one taken."""
+
+    def __init__(self, message: str, back: int = 0):
+        super().__init__(message)
+        self.back = back
+
+
+def _read(reader, text: str, line: int, col: int) -> FValue:
+    toks = _scan(text)
+    it = iter(toks)
+    nxt = it.__next__
+    try:
+        value = reader(nxt(), nxt)
+        if length_hint(it):
+            raise _Reject(f"trailing input {toks[-length_hint(it)]!r}", back=-1)
+    except StopIteration:
+        raise ParseError("unexpected end of input",
+                         _locate(text, line, col, len(toks) - 1)[0], 1) from None
+    except _Reject as bad:
+        k = len(toks) - length_hint(it) - 1 - bad.back
+        raise ParseError(str(bad), *_locate(text, line, col, k)) from None
+    return value
+
+
+def _want(want: str, tok: str) -> None:
+    if tok != want:
+        raise _Reject(f"expected {want!r}, found {tok!r}")
+
+
+def _compile(expr: FunctorExpr, carrier: Carrier):
+    """The reader of F(carrier) values, one closure per functor node:
+    ``read(tok, nxt)`` gets the value's first token and takes the rest from
+    ``nxt``.  Carrier elements, constant atoms and alphabet letters are
+    looked up by token text."""
+    return _node(expr, {a: IdVal(a) for a in carrier})
+
+
+def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
+    if isinstance(expr, (Const, Id)):
+        if isinstance(expr, Const):
+            table = {a: ConstVal(a) for a in expr.values}
+            what = "{!r} is not a constant atom here"
+        else:
+            table = ids
+            what = "{!r} is not a carrier element"
+
+        def read(tok, nxt):
+            v = table.get(tok)
+            if v is None:
+                raise _Reject(what.format(tok))
+            return v
+    elif isinstance(expr, Sum):
+        tags = {f"in{i}": (i, _node(p, ids)) for i, p in enumerate(expr.parts)}
+
+        def read(tok, nxt):
+            tag = tags.get(tok)
+            if tag is None:
+                m = _TAG_RE.fullmatch(tok)  # "in01" also names in1
+                tag = m and tags.get(f"in{int(m.group(1))}")
+                if not tag:
+                    raise _Reject(f"expected an injection tag, found {tok!r}")
+            return InjVal(tag[0], tag[1](nxt(), nxt))
+    elif isinstance(expr, Prod):
+        parts = [_node(p, ids) for p in expr.parts]
+
+        def read(tok, nxt):
+            _want("(", tok)
+            items = []
+            for i, part in enumerate(parts):
+                if i:
+                    _want(",", nxt())
+                items.append(part(nxt(), nxt))
+            _want(")", nxt())
+            return TupleVal(tuple(items))
+    elif isinstance(expr, Exp):
+        letters = expr.alphabet.elements
+        known = frozenset(letters)
+        arg = _node(expr.arg, ids)
+
+        def read(tok, nxt):
+            _want("[", tok)
+            entries: Dict[Any, FValue] = {}
+            tok = nxt()
+            while tok != "]":
+                if entries:
+                    _want(",", tok)
+                    tok = nxt()
+                if tok not in known:
+                    raise _Reject(f"{tok!r} is not in the alphabet")
+                _want(":", nxt())
+                entries[tok] = arg(nxt(), nxt)
+                tok = nxt()
+            if len(entries) < len(letters):
+                missing = next(s for s in letters if s not in entries)
+                raise _Reject(f"missing alphabet entry {missing!r}")
+            return FuncVal(tuple((s, entries[s]) for s in letters))
+    elif isinstance(expr, PowFin):
+        arg = _node(expr.arg, ids)
+
+        def read(tok, nxt):
+            _want("{", tok)
+            items = []
+            tok = nxt()
+            while tok != "}":
+                if items:
+                    _want(",", tok)
+                    tok = nxt()
+                items.append(arg(tok, nxt))
+                tok = nxt()
+            return SetVal.of(items)
+    elif isinstance(expr, RFunctor):
+        point = RPoint()
+
+        def read(tok, nxt):
+            if tok == "d":
+                return point
+            if tok != "(":
+                raise _Reject(f"expected 'd' or a pair, found {tok!r}")
+            x = nxt()
+            _want(",", nxt())
+            y = nxt()
+            _want(")", nxt())
+            for z, back in ((x, 3), (y, 1)):
+                if z not in ids:
+                    raise _Reject(f"{z!r} is not a carrier element", back)
+            if x == y:
+                raise _Reject("R pair components must be distinct", 3)
+            return RPair(x, y)
+    else:
+        raise TypeError(f"unknown functor node {expr!r}")
+    return read
 
 
 def render_value(expr: FunctorExpr, v: FValue) -> str:
@@ -382,7 +404,6 @@ def parse_spec(text: str) -> SpecDocument:
             sections.append((m.group(1), i, stripped, []))
 
     functor_text = None
-    functor_line = 0
     carriers: Dict[str, Carrier] = {}
     doc_description = []
     deferred = []  # non-carrier sections, handled after carriers are known
@@ -406,7 +427,7 @@ def parse_spec(text: str) -> SpecDocument:
             if functor_text is not None:
                 raise ParseError("duplicate functor section", lineno, 1)
             functor_text = m.group(1).strip()
-            functor_line = lineno
+            functor_at = (lineno, m.start(1) + 1)
         elif kind == "description":
             doc_description.append(header.partition("description")[2].strip())
         else:
@@ -414,90 +435,68 @@ def parse_spec(text: str) -> SpecDocument:
 
     if functor_text is None:
         raise ParseError("document has no functor section", len(lines) or 1, 1)
-    functor = parse_functor(functor_text, carriers, functor_line)
+    functor = parse_functor(functor_text, carriers, *functor_at)
 
     doc = SpecDocument(functor_text, functor, carriers,
                        description=" ".join(doc_description))
 
     for kind, lineno, header, body in deferred:
-        if kind == "coalgebra":
-            name, carrier = _named_over(header, lineno, carriers, "coalgebra")
-            table = {}
-            for bl, btext in body:
-                lhs, rhs = _split_arrow(btext, bl)
-                elem = lhs.strip()
-                if elem not in carrier:
-                    raise ParseError(f"{elem!r} is not in the carrier", bl, 1)
-                table[elem] = parse_value(functor, carrier, rhs, bl)
-            missing = [a for a in carrier if a not in table]
-            if missing:
-                raise ParseError(
-                    f"coalgebra {name!r} table misses {missing[0]!r}", lineno, 1)
-            doc.coalgebras[name] = Coalgebra.from_dict(functor, carrier, table)
-        elif kind == "algebra":
-            name, carrier = _named_over(header, lineno, carriers, "algebra")
-            table = {}
-            for bl, btext in body:
-                lhs, rhs = _split_arrow(btext, bl)
-                value = parse_value(functor, carrier, lhs, bl)
-                elem = rhs.strip()
-                if elem not in carrier:
-                    raise ParseError(f"{elem!r} is not in the carrier", bl, 1)
-                table[value] = elem
-            try:
-                doc.algebras[name] = Algebra.from_table(functor, carrier, table)
-            except ValueError as exc:
-                raise ParseError(f"algebra {name!r}: {exc}", lineno, 1) from exc
-        elif kind == "paralgebra":
-            m = re.fullmatch(r"paralgebra\s+(\w+)\s*:\s*(\w+)\s*@\s*(\w+)", header)
-            if not m:
-                raise ParseError(
-                    "expected 'paralgebra NAME : TARGET @ SOURCE'", lineno, 1)
-            name, target_name, source_name = m.groups()
-            for n in (target_name, source_name):
-                if n not in carriers:
-                    raise ParseError(f"unknown carrier {n!r}", lineno, 1)
-            target, source = carriers[target_name], carriers[source_name]
-            table: Dict[Tuple[FValue, Any], Any] = {}
-            for bl, btext in body:
-                lhs, rhs = _split_arrow(btext, bl)
+        shape = ((r"(\w+)\s*@\s*(\w+)", "TARGET @ SOURCE") if kind == "paralgebra"
+                 else (r"(\w+)", "CARRIER"))
+        m = re.fullmatch(rf"{kind}\s+(\w+)\s*:\s*{shape[0]}", header)
+        if not m:
+            raise ParseError(f"expected '{kind} NAME : {shape[1]}'", lineno, 1)
+        name, *over = m.groups()
+        for n in over:
+            if n not in carriers:
+                raise ParseError(f"unknown carrier {n!r}", lineno, 1)
+        target, source = carriers[over[0]], carriers[over[-1]]
+        read = _compile(functor, target)
+        table: Dict[Any, Any] = {}
+        for bl, btext in body:
+            lhs, arrow, rhs = btext.partition("->")
+            if not arrow:
+                raise ParseError("expected 'lhs -> rhs'", bl, 1)
+            if kind == "coalgebra":
+                key = _element(lhs, target, "the carrier", bl)
+                value = _read(read, rhs, bl, len(lhs) + 3)
+            elif kind == "algebra":
+                key = _read(read, lhs, bl, 1)
+                value = _element(rhs, target, "the carrier", bl)
+            else:
                 if "@" not in lhs:
                     raise ParseError("expected 'value @ element -> result'", bl, 1)
                 vtext, _, atext = lhs.rpartition("@")
-                value = parse_value(functor, target, vtext, bl)
-                a = atext.strip()
-                if a not in source:
-                    raise ParseError(f"{a!r} is not in the source carrier", bl, 1)
-                x = rhs.strip()
-                if x not in target:
-                    raise ParseError(f"{x!r} is not in the target carrier", bl, 1)
-                table[(value, a)] = x
-            for w in eval_obj(functor, target):
-                for a in source:
-                    if (w, a) not in table:
-                        raise ParseError(
-                            f"paralgebra {name!r} table is not total", lineno, 1)
+                key = (_read(read, vtext, bl, 1),
+                       _element(atext, source, "the source carrier", bl))
+                value = _element(rhs, target, "the target carrier", bl)
+            if key in table:
+                raise ParseError(f"duplicate row for {lhs.strip()!r}", bl, 1)
+            table[key] = value
+        if kind == "coalgebra":
+            missing = [a for a in target if a not in table]
+            if missing:
+                raise ParseError(
+                    f"coalgebra {name!r} table misses {missing[0]!r}", lineno, 1)
+            doc.coalgebras[name] = Coalgebra.from_dict(functor, target, table)
+        elif kind == "algebra":
+            try:
+                doc.algebras[name] = Algebra.from_table(functor, target, table)
+            except ValueError as exc:
+                raise ParseError(f"algebra {name!r}: {exc}", lineno, 1) from exc
+        else:  # the rows are distinct members of F(target) x source
+            if len(table) < len(eval_obj(functor, target)) * len(source):
+                raise ParseError(f"paralgebra {name!r} table is not total", lineno, 1)
             doc.paralgebras[name] = ParAlgebra(target, source, table)
 
     return doc
 
 
-def _named_over(header: str, lineno: int, carriers: Dict[str, Carrier],
-                what: str) -> Tuple[str, Carrier]:
-    m = re.fullmatch(rf"{what}\s+(\w+)\s*:\s*(\w+)", header)
-    if not m:
-        raise ParseError(f"expected '{what} NAME : CARRIER'", lineno, 1)
-    name, carrier_name = m.groups()
-    if carrier_name not in carriers:
-        raise ParseError(f"unknown carrier {carrier_name!r}", lineno, 1)
-    return name, carriers[carrier_name]
-
-
-def _split_arrow(text: str, lineno: int) -> Tuple[str, str]:
-    if "->" not in text:
-        raise ParseError("expected 'lhs -> rhs'", lineno, 1)
-    lhs, _, rhs = text.partition("->")
-    return lhs, rhs
+def _element(text: str, carrier: Carrier, where: str, lineno: int) -> str:
+    x = text.strip()
+    if x not in carrier:
+        raise ParseError(f"{x!r} is not in {where}", lineno, 1)
+    return x
 
 
 def render_spec(doc: SpecDocument) -> str:

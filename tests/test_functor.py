@@ -92,6 +92,79 @@ class TestEvalMap:
             check_value(Id(), Carrier((0,)), IdVal(99))
 
 
+
+def _disorder(rng, v):
+    """v with the items of each set shuffled and, now and then, one repeated."""
+    if isinstance(v, SetVal):
+        items = [_disorder(rng, c) for c in v.items]
+        if items and rng.random() < 0.3:
+            items.append(rng.choice(items))
+        if rng.random() < 0.5:
+            rng.shuffle(items)
+        return SetVal(tuple(items))
+    if isinstance(v, InjVal):
+        return InjVal(v.index, _disorder(rng, v.value))
+    if isinstance(v, TupleVal):
+        return TupleVal(tuple(_disorder(rng, c) for c in v.items))
+    if isinstance(v, FuncVal):
+        return FuncVal(tuple((s, _disorder(rng, c)) for s, c in v.entries))
+    return v
+
+
+def _canonical(v):
+    """The former set-order test, v == SetVal.of(v.items), at every set of v."""
+    if isinstance(v, SetVal):
+        return v == SetVal.of(v.items) and all(map(_canonical, v.items))
+    if isinstance(v, InjVal):
+        return _canonical(v.value)
+    if isinstance(v, (TupleVal, FuncVal)):
+        items = v.items if isinstance(v, TupleVal) else [c for _, c in v.entries]
+        return all(map(_canonical, items))
+    return True
+
+
+class TestCheckValue:
+    """check_value's set-order test (keys strictly increase) rejects exactly
+    the values that are not their own canonical SetVal.of."""
+
+    def agrees(self, f, x, v):
+        try:
+            check_value(f, x, v)
+            accepted = True
+        except MalformedValue:
+            accepted = False
+        assert accepted == _canonical(v), v
+        return accepted
+
+    def test_random_disordered_values(self):
+        rng = random.Random(11)
+        counts = {True: 0, False: 0}
+        for _ in range(300):
+            f = bounded_functor(rng, 2, 3, size_cap=512)
+            x = Carrier((0, 1, 2))
+            values = eval_obj(f, x)
+            for v in rng.sample(values, min(5, len(values))):
+                counts[self.agrees(f, x, v)] += 1
+                counts[self.agrees(f, x, _disorder(rng, v))] += 1
+        assert counts[True] > 500 and counts[False] > 100
+
+    def test_hand_made_orders(self):
+        x = Carrier(("a", "b", "c"))
+        a, b, c = (IdVal(e) for e in x)
+        pp = PowFin(PowFin(Id()))
+        cases = [(PowFin(Id()), SetVal((a, b, c)), True),
+                 (PowFin(Id()), SetVal((b, a)), False),
+                 (PowFin(Id()), SetVal((a, a)), False),
+                 (PowFin(Id()), SetVal((a, c, b)), False),
+                 (pp, SetVal.of([SetVal((a, b)), SetVal(()), SetVal((a,))]), True),
+                 (pp, SetVal((SetVal((b, a)),)), False),
+                 (pp, SetVal((SetVal((a,)), SetVal((a,)))), False),
+                 (PowFin(Prod((Id(), Id()))),
+                  SetVal((TupleVal((b, a)), TupleVal((a, b)))), False)]
+        for f, v, ok in cases:
+            assert self.agrees(f, x, v) == ok, v
+
+
 class TestSupport:
     def test_r_point_has_empty_support(self):
         assert support(RFunctor(), Carrier((0, 1)), RPoint()).is_empty()

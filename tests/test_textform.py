@@ -91,7 +91,40 @@ class TestValueSyntax:
             assert parse_value(expr, a, render_value(expr, v)) == v
 
 
+R_DOC = "carrier A = a b\ncarrier B = x y\nfunctor = R\n"
+P_DOC = "carrier A = a b\nfunctor = P(X)\n"
+TABLE_ERRORS = [
+    (P_DOC + "coalgebra G A\n", "line 3, column 1: expected 'coalgebra NAME : CARRIER'"),
+    (P_DOC + "coalgebra G : Z\n", "line 3, column 1: unknown carrier 'Z'"),
+    (P_DOC + "coalgebra G : A\n  a {}\n", "line 4, column 1: expected 'lhs -> rhs'"),
+    (P_DOC + "coalgebra G : A\n  c -> {}\n", "line 4, column 1: 'c' is not in the carrier"),
+    (P_DOC + "coalgebra G : A\n  a -> {}\n",
+     "line 3, column 1: coalgebra 'G' table misses 'b'"),
+    (P_DOC + "algebra E : A\n  {} -> c\n", "line 4, column 1: 'c' is not in the carrier"),
+    (P_DOC + "algebra E : A\n  {} -> a\n  {a} -> a\n",
+     "line 3, column 1: algebra 'E': algebra table is not total; "
+     "missing SetVal(items=(IdVal(element='b'),))"),
+    (R_DOC + "paralgebra E : B\n",
+     "line 4, column 1: expected 'paralgebra NAME : TARGET @ SOURCE'"),
+    (R_DOC + "paralgebra E : B @ Z\n", "line 4, column 1: unknown carrier 'Z'"),
+    (R_DOC + "paralgebra E : B @ A\n  d -> x\n",
+     "line 5, column 1: expected 'value @ element -> result'"),
+    (R_DOC + "paralgebra E : B @ A\n  d @ c -> x\n",
+     "line 5, column 1: 'c' is not in the source carrier"),
+    (R_DOC + "paralgebra E : B @ A\n  d @ a -> z\n",
+     "line 5, column 1: 'z' is not in the target carrier"),
+    (R_DOC + "paralgebra E : B @ A\n  d @ a -> x\n  d @ b -> x\n  (x, y) @ a -> y\n",
+     "line 4, column 1: paralgebra 'E' table is not total"),
+]
+
+
 class TestSpecDocuments:
+    @pytest.mark.parametrize("doc, message", TABLE_ERRORS)
+    def test_table_section_errors(self, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(doc)
+        assert str(exc.value) == message
+
     def test_graph_document(self):
         doc = parse_spec(GRAPH_DOC)
         g = doc.the_coalgebra(None)
@@ -149,6 +182,54 @@ class TestSpecDocuments:
                        "coalgebra G : A\n"
                        "  a -> {z}\n")
         assert exc.value.line == 4
+
+    def test_value_error_column_is_line_relative(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("carrier A = a\n"
+                       "functor = P(X)\n"
+                       "coalgebra G : A\n"
+                       "  a -> {z}\n")
+        assert (exc.value.line, exc.value.col) == (4, 9)
+        assert str(exc.value) == "line 4, column 9: 'z' is not a carrier element"
+
+    def test_functor_error_column_is_line_relative(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("carrier A = a\n"
+                       "functor =  X + P(Q)\n")
+        assert (exc.value.line, exc.value.col) == (2, 18)
+        assert "unknown carrier 'Q'" in str(exc.value)
+
+    def test_duplicate_coalgebra_row(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("carrier A = a b\n"
+                       "functor = P(X)\n"
+                       "coalgebra G : A\n"
+                       "  a -> {b}\n"
+                       "  b -> {}\n"
+                       "  a -> {}\n")
+        assert str(exc.value) == "line 6, column 1: duplicate row for 'a'"
+
+    def test_duplicate_algebra_row(self):
+        # {b, a} is the same value as {a, b}
+        with pytest.raises(ParseError) as exc:
+            parse_spec("carrier A = a b\n"
+                       "functor = P(X)\n"
+                       "algebra E : A\n"
+                       "  {} -> a\n"
+                       "  {a} -> a\n"
+                       "  {a, b} -> b\n"
+                       "  {b} -> b\n"
+                       "  {b, a} -> a\n")
+        assert str(exc.value) == "line 8, column 1: duplicate row for '{b, a}'"
+
+    def test_duplicate_paralgebra_row(self):
+        rows = ["d @ a -> x", "(x, y) @ a -> x", "(y, x) @ a -> y", "(x, y) @ a -> y"]
+        with pytest.raises(ParseError) as exc:
+            parse_spec("carrier A = a\n"
+                       "carrier B = x y\n"
+                       "functor = R\n"
+                       "paralgebra E : B @ A\n" + "".join(f"  {r}\n" for r in rows))
+        assert str(exc.value) == "line 8, column 1: duplicate row for '(x, y) @ a'"
 
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_spec("# the graph\n\n" + GRAPH_DOC)
