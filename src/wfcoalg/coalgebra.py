@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
-from .finset import Carrier, FinMap, Subobject, all_maps, element_key
+from .finset import Carrier, FinMap, Subobject, capped_power, element_key
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, check_value,
                       eval_map, eval_obj, support)
 
@@ -205,9 +206,130 @@ def enumerate_homs(src: Coalgebra, dst: Coalgebra,
                    cap: int = DEFAULT_HOM_CAP) -> Iterator[FinMap]:
     """All coalgebra homomorphisms src -> dst, in lexicographic table order."""
     _require_same_functor(src, dst)
-    candidates = len(dst.carrier) ** len(src.carrier)
-    if candidates > cap:
-        raise CapExceeded("homomorphism search", candidates, cap)
-    for f in all_maps(src.carrier, dst.carrier):
-        if is_coalgebra_hom(f, src, dst):
-            yield f
+    if capped_power(len(dst.carrier), len(src.carrier), cap) > cap:
+        raise CapExceeded("homomorphism search", cap)
+    preimages: Dict[FValue, List[Any]] = {}
+    for b in dst.carrier:
+        preimages.setdefault(dst.alpha(b), []).append(b)
+    yield from solution_maps(src, dst.carrier, lambda a, w: preimages.get(w, ()))
+
+
+# --- candidate search ---------------------------------------------------------
+
+def solution_maps(coalg: Coalgebra, target: Carrier,
+                  allowed: Callable[[Any, FValue], Collection]) -> List[FinMap]:
+    """Every h: A -> target with h(a) in allowed(a, Fh(alpha a)) at each
+    state a, in lexicographic table order."""
+    index = {x: i for i, x in enumerate(target)}
+    rows = sorted((tuple(h[a] for a in coalg.carrier)
+                   for h in search_tables(coalg, target, allowed)),
+                  key=lambda row: [index[x] for x in row])
+    return [FinMap(coalg.carrier, target, row) for row in rows]
+
+
+def search_tables(coalg: Coalgebra, target: Carrier,
+                  allowed: Callable[[Any, FValue], Collection],
+                  key: Callable[[Any, FValue], Any] = lambda a, w: a
+                  ) -> Iterator[Dict[Any, Any]]:
+    """Backtracking search for every h: A -> target such that, at each state
+    a with w = Fh(alpha a), h(a) is in allowed(a, w), and h takes one value
+    per key: h(a) = h(b) whenever key(a, w) = key(b, Fh(alpha b)).
+
+    Yields the table key -> value of each solution, in no fixed order; with
+    the default key, the state itself, that table is h.  States are assigned
+    in the order of ``_placement``; each state's condition is checked as soon
+    as h is defined on the state and its support, and a state placed after
+    its support takes only allowed(a, w) for the one w computed on entry.
+    """
+    plan = _placement(coalg)
+    if not plan:
+        yield {}
+        return
+    functor, alpha = coalg.functor, coalg.alpha
+    h: Dict[Any, Any] = {}
+    table: Dict[Any, Any] = {}
+    keyed: List[List[Any]] = [[] for _ in plan]  # table keys each step added
+
+    def options(i: int) -> Iterator[Tuple[Any, Optional[FValue]]]:
+        a, settled, _ = plan[i]
+        if not settled:
+            return ((x, None) for x in target)
+        w = eval_map(functor, h.__getitem__, alpha(a))
+        return ((x, w) for x in allowed(a, w))
+
+    def unkey(i: int) -> None:
+        for k in keyed[i]:
+            del table[k]
+        keyed[i].clear()
+
+    def keeps(i: int, b: Any, w: FValue) -> bool:
+        k = key(b, w)
+        if k not in table:
+            table[k] = h[b]
+            keyed[i].append(k)
+        return table[k] == h[b]
+
+    def holds(i: int, b: Any) -> bool:
+        w = eval_map(functor, h.__getitem__, alpha(b))
+        return h[b] in allowed(b, w) and keeps(i, b, w)
+
+    stack = [options(0)]
+    while stack:
+        i = len(stack) - 1
+        a, settled, after = plan[i]
+        for x, w in stack[i]:
+            unkey(i)
+            h[a] = x
+            if (not settled or keeps(i, a, w)) and all(holds(i, b) for b in after):
+                break
+        else:
+            unkey(i)
+            stack.pop()
+            continue
+        if i + 1 < len(plan):
+            stack.append(options(i + 1))
+        else:
+            yield dict(table)
+
+
+def _placement(coalg: Coalgebra) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
+    """The order in which ``search_tables`` assigns states, as steps
+    (state, settled, after), from one Kahn pass over the canonical graph.
+
+    A state is placed, settled, once its whole support is.  When every
+    unplaced state waits on another unplaced one, a state on a cycle among
+    them is placed unsettled, found by walking from the first unplaced state
+    to its least unplaced successor.  ``after`` lists the unsettled states
+    whose support the step completes."""
+    graph = canonical_graph(coalg)
+    waiting = {a: len(succ) for a, succ in graph.succ}
+    preds: Dict[Any, List[Any]] = {a: [] for a in graph.vertices}
+    for a, succ in graph.succ:
+        for b in succ:
+            preds[b].append(a)
+    ready = [a for a in graph.vertices if not waiting[a]]
+    states = graph.vertices.elements
+    first = 0  # every state before it is placed
+    placed: set = set()
+    plan = []
+    while len(plan) < len(states):
+        settled = bool(ready)
+        if settled:
+            a = ready.pop()
+        else:
+            while states[first] in placed:
+                first += 1
+            a = states[first]
+            walk = set()
+            while a not in walk:
+                walk.add(a)
+                a = min((b for b in graph.successors(a) if b not in placed),
+                        key=element_key)
+        placed.add(a)
+        after = []
+        for b in preds[a]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                (after if b in placed else ready).append(b)
+        plan.append((a, settled, tuple(after)))
+    return plan

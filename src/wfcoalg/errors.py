@@ -18,12 +18,14 @@ class MalformedValue(WfcoalgError):
 
 
 class CapExceeded(WfcoalgError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed the configured size cap.
 
-    def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what}: {size} exceeds cap {cap}")
+    Sizes are counted only up to the cap, so the message names the cap, not
+    the size."""
+
+    def __init__(self, what: str, cap: int):
+        super().__init__(f"{what}: more than {cap}")
         self.what = what
-        self.size = size
         self.cap = cap
 
 

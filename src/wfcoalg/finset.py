@@ -9,7 +9,7 @@ so that enumerations and rendered reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Tuple
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
 from .errors import CarrierMismatch
 
@@ -226,6 +226,19 @@ def all_subsets(carrier: Carrier) -> Iterator[Subobject]:
     elems = carrier.elements
     for mask in range(1 << len(elems)):
         yield Subobject(carrier, frozenset(x for i, x in enumerate(elems) if mask >> i & 1))
+
+
+def capped_power(base: int, exp: int, cap: Optional[int] = None) -> int:
+    """base ** exp; with a cap, cap + 1 stands for any value above it, and
+    the power is not built past the cap."""
+    if cap is None or base <= 1:
+        return base ** exp
+    result = 1
+    for _ in range(exp):
+        result *= base
+        if result > cap:
+            return cap + 1
+    return result
 
 
 def all_maps(dom: Carrier, cod: Carrier) -> Iterator[FinMap]:

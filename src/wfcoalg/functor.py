@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterator, List, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 from .errors import CapExceeded, MalformedValue
-from .finset import Carrier, FinMap, Subobject, element_key
+from .finset import Carrier, FinMap, Subobject, capped_power, element_key
 
 DEFAULT_ENUM_CAP = 100_000
 
@@ -189,33 +189,36 @@ class RPair(FValue):
 
 # --- object action ----------------------------------------------------------
 
-def size_obj(expr: FunctorExpr, n: int) -> int:
-    """|F X| as a function of |X| = n."""
+def size_obj(expr: FunctorExpr, n: int, cap: Optional[int] = None) -> int:
+    """|F X| as a function of |X| = n.  With a cap, cap + 1 stands for any
+    size above it, so no count grows past the cap (|P(P(P(X)))| included)."""
+    def clip(size: int) -> int:
+        return size if cap is None or size <= cap else cap + 1
+
     if isinstance(expr, Const):
-        return len(expr.values)
+        return clip(len(expr.values))
     if isinstance(expr, Id):
-        return n
+        return clip(n)
     if isinstance(expr, Sum):
-        return sum(size_obj(p, n) for p in expr.parts)
+        return clip(sum(size_obj(p, n, cap) for p in expr.parts))
     if isinstance(expr, Prod):
         total = 1
         for p in expr.parts:
-            total *= size_obj(p, n)
+            total = clip(total * size_obj(p, n, cap))
         return total
     if isinstance(expr, Exp):
-        return size_obj(expr.arg, n) ** len(expr.alphabet)
+        return capped_power(size_obj(expr.arg, n, cap), len(expr.alphabet), cap)
     if isinstance(expr, PowFin):
-        return 2 ** size_obj(expr.arg, n)
+        return capped_power(2, size_obj(expr.arg, n, cap), cap)
     if isinstance(expr, RFunctor):
-        return n * (n - 1) + 1
+        return clip(n * (n - 1) + 1)
     raise TypeError(f"unknown functor node {expr!r}")
 
 
 def eval_obj(expr: FunctorExpr, x: Carrier, cap: int = DEFAULT_ENUM_CAP) -> List[FValue]:
     """Enumerate all of F X, duplicate-free, in a deterministic order."""
-    size = size_obj(expr, len(x))
-    if size > cap:
-        raise CapExceeded("functor enumeration", size, cap)
+    if size_obj(expr, len(x), cap) > cap:
+        raise CapExceeded("functor enumeration", cap)
     return list(_enum(expr, x))
 
 
@@ -397,4 +400,4 @@ def preserves_inverse_images(expr: FunctorExpr) -> bool:
 
 def empty_is_preserved(expr: FunctorExpr) -> bool:
     """True iff F(empty) is empty."""
-    return size_obj(expr, 0) == 0
+    return size_obj(expr, 0, cap=0) == 0

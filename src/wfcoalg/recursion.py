@@ -2,23 +2,31 @@
 
 ``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism
 of a coalgebra whose well-foundedness has been verified (the termination
-certificate).  ``recursive_oracle``/``parametric_oracle`` are brute-force
-finite truncations of the defining universal quantification: a fail is a
-conclusive counterexample, a pass is evidence only.
+certificate).  ``recursive_oracle``/``parametric_oracle`` decide the
+defining universal quantification ("every algebra has exactly one
+solution") for every algebra on each carrier up to a size bound: a fail is
+a conclusive counterexample, a pass is evidence only.  Neither enumerates
+the algebras.  A search over candidate maps (``search_tables``, shared with
+``find_homs``) gives the table entries each candidate forces; every table
+has exactly one solution iff the forced tables are pairwise incompatible
+and their cylinders fill the table space, and where that fails a descent
+in lexicographic order finds the first table that does not, which is the
+witness a scan of every table would report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
                      NotWellFounded)
-from .finset import Carrier, FinMap, all_maps
+from .finset import Carrier, FinMap, capped_power
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
                       eval_obj, preserves_inverse_images)
-from .coalgebra import Algebra, Coalgebra, canonical_graph
+from .coalgebra import (Algebra, Coalgebra, canonical_graph, search_tables,
+                        solution_maps)
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
@@ -156,22 +164,20 @@ def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
     return UnfoldResult(tuple((a, h[a]) for a in coalg.carrier), None, complete)
 
 
-# --- brute-force morphism search and oracles -----------------------------------
+# --- morphism search and oracles ------------------------------------------------
 
 def find_homs(coalg: Coalgebra, alg: Algebra,
               cap: int = DEFAULT_ORACLE_CAP) -> List[FinMap]:
     """All coalgebra-to-algebra morphisms, in lexicographic table order."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
-    candidates = len(alg.carrier) ** len(coalg.carrier)
-    if candidates > cap:
-        raise CapExceeded("coalgebra-to-algebra search", candidates, cap)
-    found = []
-    for h in all_maps(coalg.carrier, alg.carrier):
-        if all(h(a) == alg.apply(eval_map(coalg.functor, h, coalg.alpha(a)))
-               for a in coalg.carrier):
-            found.append(h)
-    return found
+    if capped_power(len(alg.carrier), len(coalg.carrier), cap) > cap:
+        raise CapExceeded("coalgebra-to-algebra search", cap)
+
+    def allowed(_a: Any, w: FValue) -> Tuple[Any, ...]:
+        x = alg.apply(w)
+        return (x,) if x in alg.carrier else ()
+    return solution_maps(coalg, alg.carrier, allowed)
 
 
 @dataclass(frozen=True)
@@ -186,76 +192,108 @@ class OracleVerdict:
     status: str  # "pass" or "fail"
     witness: Optional[OracleWitness]
     sizes_checked: Tuple[int, ...]
-    complete: bool  # every requested size fully enumerated
+    complete: bool  # every requested size decided
 
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-def _solution_constraints(coalg: Coalgebra, x: Carrier,
-                          position: Dict[Any, int],
-                          parametric: bool) -> List[Tuple[Tuple[int, Any], ...]]:
-    """For every candidate map h: A -> X, the algebra-table entries forced by
-    'h is a solution'.  Internally conflicting candidates are dropped."""
-    out = []
-    elems = coalg.carrier.elements
-    for values in product(x.elements, repeat=len(elems)):
-        h = dict(zip(elems, values))
-        forced: Dict[int, Any] = {}
-        ok = True
-        for a, ha in zip(elems, values):
-            w = eval_map(coalg.functor, h.__getitem__, coalg.alpha(a))
-            p = position[(w, a)] if parametric else position[w]
-            if forced.get(p, ha) != ha:
-                ok = False
-                break
-            forced[p] = ha
-        if ok:
-            out.append(tuple(forced.items()))
-    return out
-
-
 def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
             parametric: bool) -> OracleVerdict:
+    """Each candidate h: A -> X forces the algebra-table entries 'h is a
+    solution' needs; a table's solution count is the number of forced
+    tables it extends, and the first table whose count is not 1 is found
+    by ``_first_bad_table``."""
     sizes_checked: List[int] = []
+
+    def undecided() -> OracleVerdict:  # a cap binds: the size is not checked
+        return OracleVerdict("pass", None, tuple(sizes_checked), False)
+
     for n in range(max_carrier + 1):
         x = Carrier(tuple(range(n)))
         try:
             fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=lambda v: v.key())
         except CapExceeded:
-            return OracleVerdict("pass", None, tuple(sizes_checked), False)
-        if n == 0:
-            if fx:
-                continue  # no algebra on the empty carrier
-            count = 1 if len(coalg.carrier) == 0 else 0
-            if count != 1:
-                witness = OracleWitness(x, (), count)
-                return OracleVerdict("fail", witness, tuple(sizes_checked), False)
-            sizes_checked.append(0)
-            continue
+            return undecided()
+        if not n and fx:
+            continue  # no algebra on the empty carrier
         if parametric:
             keys = [(w, a) for w in fx for a in coalg.carrier]
         else:
             keys = list(fx)
-        tables = n ** len(keys)
-        if tables > cap:
-            return OracleVerdict("pass", None, tuple(sizes_checked), False)
+        if capped_power(n, len(coalg.carrier), cap) > cap:
+            return undecided()
         position = {k: i for i, k in enumerate(keys)}
-        constraints = _solution_constraints(coalg, x, position, parametric)
-        for table in product(x.elements, repeat=len(keys)):
-            count = 0
-            for forced in constraints:
-                for p, v in forced:
-                    if table[p] != v:
-                        break
-                else:
-                    count += 1
-            if count != 1:
-                witness = OracleWitness(x, tuple(zip(keys, table)), count)
-                return OracleVerdict("fail", witness,
-                                     tuple(sizes_checked), False)
+        forced = list(search_tables(
+            coalg, x, lambda a, w: x,
+            (lambda a, w: position[(w, a)]) if parametric else
+            (lambda a, w: position[w])))
+        if len(forced) * (len(forced) - 1) // 2 > cap:
+            return undecided()
+        bad = _first_bad_table(forced, n, len(keys))
+        if bad is not None:
+            table, count = bad
+            witness = OracleWitness(x, tuple(zip(keys, table)), count)
+            return OracleVerdict("fail", witness, tuple(sizes_checked), False)
         sizes_checked.append(n)
     return OracleVerdict("pass", None, tuple(sizes_checked), True)
+
+
+def _first_bad_table(forced: List[Dict[int, Any]], n: int, width: int
+                     ) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The lexicographically first table over range(n) ** width that does
+    not extend exactly one of the partial tables in ``forced``, with the
+    number it extends; None when every table extends exactly one.
+
+    A prefix is *partitioned* when its live forced tables (those the prefix
+    extends) are pairwise incompatible and their cylinders of n ** (free
+    positions) tables sum to n ** (remaining positions): then every table
+    under it extends exactly one.  Any other prefix holds a table that
+    extends two (an overlap) or none (a gap), so the descent fixes the
+    positions in order, each time stepping into the first child prefix that
+    is not partitioned.
+    """
+    clash = [(i, j) for i, j in combinations(range(len(forced)), 2)
+             if all(forced[j].get(p, v) == v for p, v in forced[i].items())]
+
+    def partitioned(live: List[int], d: int) -> bool:
+        alive = set(live)
+        if any(i in alive and j in alive for i, j in clash):
+            return False
+        rest = width - d
+        return _fills(n, rest, [rest - sum(p >= d for p in forced[i]) for i in live])
+
+    live = list(range(len(forced)))
+    if partitioned(live, 0):
+        return None
+    table = []
+    for d in range(width):
+        for v in range(n):
+            child = [i for i in live if forced[i].get(d, v) == v]
+            # the prefix holds a bad table: under the last child if not before
+            if v == n - 1 or not partitioned(child, d + 1):
+                break
+        table.append(v)
+        live = child
+        alive = set(live)
+        clash = [(i, j) for i, j in clash if i in alive and j in alive]
+    return tuple(table), len(live)
+
+
+def _fills(n: int, r: int, exponents: List[int]) -> bool:
+    """Whether sum(n ** e for e in exponents) == n ** r, for exponents at
+    most r: added in base n with carries, so no power of n is built."""
+    if n == 1:
+        return len(exponents) == 1
+    carry = e = 0  # the terms added so far sum to carry * n ** e
+    for f, k in [(f, 1) for f in sorted(exponents)] + [(r, 0)]:
+        while carry and e < f:
+            carry, rest = divmod(carry, n)
+            if rest:
+                return False  # terms of n ** f and above cannot make it up
+            e += 1
+        carry, e = carry + k, f
+    return carry == 1
 
 
 def recursive_oracle(coalg: Coalgebra, max_carrier: int,

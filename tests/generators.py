@@ -44,7 +44,7 @@ def bounded_functor(rng: random.Random, depth: int = 2, carrier_size: int = 4,
     and F(X) nonempty."""
     while True:
         expr = random_functor(rng, depth, allow_r)
-        n = size_obj(expr, carrier_size)
+        n = size_obj(expr, carrier_size, cap=size_cap)
         if 0 < n <= size_cap:
             return expr
 

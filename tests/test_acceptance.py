@@ -206,8 +206,8 @@ def test_wellfounded_implies_recursive():
         while wf_seen < 40:
             coalg = random_instance(rng, depth=1, max_size=3, size_cap=32,
                                     allow_r=False)
-            rec = recursive_oracle(coalg, max_carrier=2, cap=10_000_000)
-            par = parametric_oracle(coalg, max_carrier=2, cap=10_000_000)
+            rec = recursive_oracle(coalg, max_carrier=3, cap=10_000_000)
+            par = parametric_oracle(coalg, max_carrier=3, cap=10_000_000)
             if is_wellfounded(coalg):
                 wf_seen += 1
                 assert rec.passed(), "recursive oracle failed on a well-founded instance"

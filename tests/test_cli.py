@@ -1,7 +1,11 @@
 import io
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from wfcoalg import Carrier, eval_obj, parse_functor, render_value
 from wfcoalg.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 GRAPH_DOC = """\
@@ -215,3 +219,41 @@ class TestErrors:
         first = run("wf-part", graph_file)
         second = run("wf-part", graph_file)
         assert first == second
+
+
+# --- the cap paths under generated documents and caps --------------------------
+
+FUZZ_FUNCTORS = ("1 + X", "2 * X", "P(X)", "R", "X * X + 1", "X ^ S", "P(1 + X)")
+
+
+def fuzz_document(rng, functor_text):
+    states = Carrier(tuple(f"a{i}" for i in range(rng.randint(1, 3))))
+    target = Carrier(tuple(f"b{i}" for i in range(rng.randint(1, 3))))
+    f = parse_functor(functor_text, {"S": Carrier(("s", "t"))})
+    lines = ["carrier S = s t",
+             "carrier A = " + " ".join(states),
+             "carrier B = " + " ".join(target),
+             f"functor = {functor_text}",
+             "coalgebra C : A"]
+    values = eval_obj(f, states)
+    lines += [f"  {a} -> {render_value(f, rng.choice(values))}" for a in states]
+    lines.append("algebra E : B")
+    lines += [f"  {render_value(f, v)} -> {rng.choice(target.elements)}"
+              for v in eval_obj(f, target)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32), functor_text=st.sampled_from(FUZZ_FUNCTORS),
+       command=st.sampled_from(("find-homs", "oracle-recursive",
+                                "oracle-parametric", "initial-chain")),
+       cap=st.sampled_from((1, 10, 10 ** 3, 10 ** 7)),
+       bound=st.integers(0, 3))
+def test_cap_paths_end_in_a_documented_exit(tmp_path, seed, functor_text,
+                                            command, cap, bound):
+    doc = tmp_path / "fuzz.txt"
+    doc.write_text(fuzz_document(random.Random(seed), functor_text))
+    code, _ = run(command, str(doc), "--max-enum", str(cap),
+                  "--max-carrier", str(bound), "--max-depth", str(bound))
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_CAP)
