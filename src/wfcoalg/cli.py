@@ -13,7 +13,6 @@ from typing import Optional
 
 from .errors import CapExceeded, WfcoalgError
 from .finset import Subobject, element_key
-from .functor import PowFin, Id, RFunctor
 from .coalgebra import canonical_graph, is_cartesian, is_subcoalgebra
 from .wellfounded import is_wellfounded, wf_part
 from .recursion import (find_homs, hylo, initial_chain, para_hylo,
@@ -46,12 +45,8 @@ def _demo_document(name: str) -> SpecDocument:
         return SpecDocument("P(X)", g.functor, {"A": g.carrier},
                             coalgebras={"G": g})
     if name == "r-coalgebra":
-        from .finset import Carrier
-        from .functor import RPair
-        from .coalgebra import Coalgebra
-        carrier = Carrier(("0", "1"))
-        c = Coalgebra(RFunctor(), carrier, (RPair("0", "1"), RPair("0", "1")))
-        return SpecDocument("R", c.functor, {"C": carrier}, coalgebras={"C": c})
+        c = demos.r_coalgebra()
+        return SpecDocument("R", c.functor, {"C": c.carrier}, coalgebras={"C": c})
     raise WfcoalgError(f"no built-in document {name!r} (try graph-g, r-coalgebra)")
 
 

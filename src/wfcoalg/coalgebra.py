@@ -222,13 +222,13 @@ def solution_maps(coalg: Coalgebra, target: Carrier,
     state a, in lexicographic table order."""
     index = {x: i for i, x in enumerate(target)}
     rows = sorted((tuple(h[a] for a in coalg.carrier)
-                   for h in search_tables(coalg, target, allowed)),
+                   for h in search_tables(coalg, search_plan(coalg), target, allowed)),
                   key=lambda row: [index[x] for x in row])
     return [FinMap(coalg.carrier, target, row) for row in rows]
 
 
-def search_tables(coalg: Coalgebra, target: Carrier,
-                  allowed: Callable[[Any, FValue], Collection],
+def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]],
+                  target: Carrier, allowed: Callable[[Any, FValue], Collection],
                   key: Callable[[Any, FValue], Any] = lambda a, w: a
                   ) -> Iterator[Dict[Any, Any]]:
     """Backtracking search for every h: A -> target such that, at each state
@@ -237,11 +237,12 @@ def search_tables(coalg: Coalgebra, target: Carrier,
 
     Yields the table key -> value of each solution, in no fixed order; with
     the default key, the state itself, that table is h.  States are assigned
-    in the order of ``_placement``; each state's condition is checked as soon
-    as h is defined on the state and its support, and a state placed after
-    its support takes only allowed(a, w) for the one w computed on entry.
+    in the order of ``plan``, which is ``search_plan(coalg)``, built once by
+    a caller that searches the same coalgebra several times; each state's
+    condition is checked as soon as h is defined on the state and its support,
+    and a state placed after its support takes only allowed(a, w) for the one
+    w computed on entry.
     """
-    plan = _placement(coalg)
     if not plan:
         yield {}
         return
@@ -292,7 +293,7 @@ def search_tables(coalg: Coalgebra, target: Carrier,
             yield dict(table)
 
 
-def _placement(coalg: Coalgebra) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
+def search_plan(coalg: Coalgebra) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
     """The order in which ``search_tables`` assigns states, as steps
     (state, settled, after), from one Kahn pass over the canonical graph.
 

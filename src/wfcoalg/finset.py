@@ -61,9 +61,6 @@ class Carrier:
     def __contains__(self, x: Any) -> bool:
         return x in self._set
 
-    def sorted_elements(self) -> Tuple[Any, ...]:
-        return tuple(sorted(self.elements, key=element_key))
-
 
 @dataclass(frozen=True)
 class FinMap:

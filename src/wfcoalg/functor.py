@@ -11,57 +11,148 @@ finite powerset, and the special leaf ``RFunctor`` with
 
 Values of ``F X`` are immutable tagged trees (``FValue``); equality is
 structural with sets kept in canonical sorted order.
+
+Each node kind owns its operations as methods: ``size`` (|F X|), ``enum``
+(the elements of F X), ``fmap`` (F f), ``check`` (membership in F X),
+``support_elems`` (least supports) and ``preserves_inverse_images``.  A
+composite node recurses through its children's methods.  The module-level
+functions below are the entry points the rest of the package calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from .errors import CapExceeded, MalformedValue
-from .finset import Carrier, FinMap, Subobject, capped_power, element_key
+from .finset import Carrier, Subobject, capped_power, element_key
 
 DEFAULT_ENUM_CAP = 100_000
 
 
 # --- functor expressions ---------------------------------------------------
 
-class FunctorExpr:
-    """Base class; concrete nodes below."""
+def _clip(size: int, cap: Optional[int]) -> int:
+    """cap + 1 stands for any size above the cap."""
+    return size if cap is None or size <= cap else cap + 1
 
-    def key(self):
-        raise NotImplementedError
+
+class FunctorExpr:
+    """Base class; the concrete nodes below own the operations listed in
+    the module docstring."""
 
 
 @dataclass(frozen=True)
 class Const(FunctorExpr):
     values: Carrier
 
-    def key(self):
-        return ("Const", tuple(element_key(v) for v in self.values))
+    def size(self, n: int, cap: Optional[int]) -> int:
+        return _clip(len(self.values), cap)
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        return (ConstVal(a) for a in self.values)
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if not isinstance(v, ConstVal):
+            raise MalformedValue(f"expected constant value, got {v!r}")
+        return v
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if not (isinstance(v, ConstVal) and v.atom in self.values):
+            raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        return iter(())
+
+    def preserves_inverse_images(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
 class Id(FunctorExpr):
-    def key(self):
-        return ("Id",)
+    def size(self, n: int, cap: Optional[int]) -> int:
+        return _clip(n, cap)
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        return (IdVal(a) for a in x)
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if not isinstance(v, IdVal):
+            raise MalformedValue(f"expected identity value, got {v!r}")
+        return IdVal(f(v.element))
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if not (isinstance(v, IdVal) and v.element in x):
+            raise MalformedValue(f"{v!r} is not an element of the carrier")
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        yield v.element
+
+    def preserves_inverse_images(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
 class Sum(FunctorExpr):
     parts: Tuple[FunctorExpr, ...]
 
-    def key(self):
-        return ("Sum", tuple(p.key() for p in self.parts))
+    def size(self, n: int, cap: Optional[int]) -> int:
+        return _clip(sum(p.size(n, cap) for p in self.parts), cap)
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        for i, p in enumerate(self.parts):
+            for v in p.enum(x):
+                yield InjVal(i, v)
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if not isinstance(v, InjVal) or not 0 <= v.index < len(self.parts):
+            raise MalformedValue(f"expected injection value, got {v!r}")
+        return InjVal(v.index, self.parts[v.index].fmap(f, v.value))
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if not (isinstance(v, InjVal) and 0 <= v.index < len(self.parts)):
+            raise MalformedValue(f"{v!r} is not a valid injection")
+        self.parts[v.index].check(x, v.value)
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        return self.parts[v.index].support_elems(v.value)
+
+    def preserves_inverse_images(self) -> bool:
+        return all(p.preserves_inverse_images() for p in self.parts)
 
 
 @dataclass(frozen=True)
 class Prod(FunctorExpr):
     parts: Tuple[FunctorExpr, ...]
 
-    def key(self):
-        return ("Prod", tuple(p.key() for p in self.parts))
+    def size(self, n: int, cap: Optional[int]) -> int:
+        total = 1
+        for p in self.parts:
+            total = _clip(total * p.size(n, cap), cap)
+        return total
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        for combo in product(*(list(p.enum(x)) for p in self.parts)):
+            yield TupleVal(combo)
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if not isinstance(v, TupleVal) or len(v.items) != len(self.parts):
+            raise MalformedValue(f"expected tuple value, got {v!r}")
+        return TupleVal(tuple(p.fmap(f, c) for p, c in zip(self.parts, v.items)))
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if not (isinstance(v, TupleVal) and len(v.items) == len(self.parts)):
+            raise MalformedValue(f"{v!r} is not a valid tuple")
+        for p, c in zip(self.parts, v.items):
+            p.check(x, c)
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        for p, c in zip(self.parts, v.items):
+            yield from p.support_elems(c)
+
+    def preserves_inverse_images(self) -> bool:
+        return all(p.preserves_inverse_images() for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -75,22 +166,102 @@ class Exp(FunctorExpr):
         if len(self.alphabet) == 0:
             raise ValueError("exponent alphabet must be nonempty")
 
-    def key(self):
-        return ("Exp", tuple(element_key(s) for s in self.alphabet), self.arg.key())
+    def size(self, n: int, cap: Optional[int]) -> int:
+        return capped_power(self.arg.size(n, cap), len(self.alphabet), cap)
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        inner = list(self.arg.enum(x))
+        letters = self.alphabet.elements
+        for combo in product(inner, repeat=len(letters)):
+            yield FuncVal(tuple(zip(letters, combo)))
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if not isinstance(v, FuncVal):
+            raise MalformedValue(f"expected function value, got {v!r}")
+        return FuncVal(tuple((s, self.arg.fmap(f, c)) for s, c in v.entries))
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if not isinstance(v, FuncVal):
+            raise MalformedValue(f"{v!r} is not a function value")
+        if tuple(s for s, _ in v.entries) != self.alphabet.elements:
+            raise MalformedValue(f"{v!r} does not cover the alphabet in order")
+        for _, c in v.entries:
+            self.arg.check(x, c)
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        for _, c in v.entries:
+            yield from self.arg.support_elems(c)
+
+    def preserves_inverse_images(self) -> bool:
+        return self.arg.preserves_inverse_images()
 
 
 @dataclass(frozen=True)
 class PowFin(FunctorExpr):
     arg: FunctorExpr
 
-    def key(self):
-        return ("PowFin", self.arg.key())
+    def size(self, n: int, cap: Optional[int]) -> int:
+        return capped_power(2, self.arg.size(n, cap), cap)
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        inner = sorted(self.arg.enum(x), key=lambda v: v.key())
+        for mask in range(1 << len(inner)):
+            yield SetVal(tuple(v for i, v in enumerate(inner) if mask >> i & 1))
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if not isinstance(v, SetVal):
+            raise MalformedValue(f"expected set value, got {v!r}")
+        return SetVal.of(self.arg.fmap(f, c) for c in v.items)
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if not isinstance(v, SetVal):
+            raise MalformedValue(f"{v!r} is not a set value")
+        keys = [c.key() for c in v.items]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise MalformedValue(f"{v!r} is not in canonical set order")
+        for c in v.items:
+            self.arg.check(x, c)
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        for c in v.items:
+            yield from self.arg.support_elems(c)
+
+    def preserves_inverse_images(self) -> bool:
+        return self.arg.preserves_inverse_images()
 
 
 @dataclass(frozen=True)
 class RFunctor(FunctorExpr):
-    def key(self):
-        return ("R",)
+    def size(self, n: int, cap: Optional[int]) -> int:
+        return _clip(n * (n - 1) + 1, cap)
+
+    def enum(self, x: Carrier) -> Iterator[FValue]:
+        yield RPoint()
+        for a in x:
+            for b in x:
+                if a != b:
+                    yield RPair(a, b)
+
+    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
+        if isinstance(v, RPoint):
+            return v
+        if isinstance(v, RPair):
+            a, b = f(v.fst), f(v.snd)
+            return RPoint() if a == b else RPair(a, b)
+        raise MalformedValue(f"expected R value, got {v!r}")
+
+    def check(self, x: Carrier, v: FValue) -> None:
+        if isinstance(v, RPoint):
+            return
+        if isinstance(v, RPair) and v.fst in x and v.snd in x:
+            return
+        raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
+
+    def support_elems(self, v: FValue) -> Iterator[Any]:
+        return iter((v.fst, v.snd) if isinstance(v, RPair) else ())
+
+    def preserves_inverse_images(self) -> bool:
+        return False
 
 
 # --- values ----------------------------------------------------------------
@@ -187,187 +358,34 @@ class RPair(FValue):
         return ("rp", element_key(self.fst), element_key(self.snd))
 
 
-# --- object action ----------------------------------------------------------
+# --- entry points -------------------------------------------------------------
 
 def size_obj(expr: FunctorExpr, n: int, cap: Optional[int] = None) -> int:
     """|F X| as a function of |X| = n.  With a cap, cap + 1 stands for any
     size above it, so no count grows past the cap (|P(P(P(X)))| included)."""
-    def clip(size: int) -> int:
-        return size if cap is None or size <= cap else cap + 1
-
-    if isinstance(expr, Const):
-        return clip(len(expr.values))
-    if isinstance(expr, Id):
-        return clip(n)
-    if isinstance(expr, Sum):
-        return clip(sum(size_obj(p, n, cap) for p in expr.parts))
-    if isinstance(expr, Prod):
-        total = 1
-        for p in expr.parts:
-            total = clip(total * size_obj(p, n, cap))
-        return total
-    if isinstance(expr, Exp):
-        return capped_power(size_obj(expr.arg, n, cap), len(expr.alphabet), cap)
-    if isinstance(expr, PowFin):
-        return capped_power(2, size_obj(expr.arg, n, cap), cap)
-    if isinstance(expr, RFunctor):
-        return clip(n * (n - 1) + 1)
-    raise TypeError(f"unknown functor node {expr!r}")
+    return expr.size(n, cap)
 
 
 def eval_obj(expr: FunctorExpr, x: Carrier, cap: int = DEFAULT_ENUM_CAP) -> List[FValue]:
     """Enumerate all of F X, duplicate-free, in a deterministic order."""
     if size_obj(expr, len(x), cap) > cap:
         raise CapExceeded("functor enumeration", cap)
-    return list(_enum(expr, x))
+    return list(expr.enum(x))
 
 
-def _enum(expr: FunctorExpr, x: Carrier) -> Iterator[FValue]:
-    if isinstance(expr, Const):
-        for a in expr.values:
-            yield ConstVal(a)
-    elif isinstance(expr, Id):
-        for a in x:
-            yield IdVal(a)
-    elif isinstance(expr, Sum):
-        for i, p in enumerate(expr.parts):
-            for v in _enum(p, x):
-                yield InjVal(i, v)
-    elif isinstance(expr, Prod):
-        for combo in product(*(list(_enum(p, x)) for p in expr.parts)):
-            yield TupleVal(combo)
-    elif isinstance(expr, Exp):
-        inner = list(_enum(expr.arg, x))
-        letters = expr.alphabet.elements
-        for combo in product(inner, repeat=len(letters)):
-            yield FuncVal(tuple(zip(letters, combo)))
-    elif isinstance(expr, PowFin):
-        inner = sorted(_enum(expr.arg, x), key=lambda v: v.key())
-        for mask in range(1 << len(inner)):
-            yield SetVal(tuple(v for i, v in enumerate(inner) if mask >> i & 1))
-    elif isinstance(expr, RFunctor):
-        yield RPoint()
-        for a in x:
-            for b in x:
-                if a != b:
-                    yield RPair(a, b)
-    else:
-        raise TypeError(f"unknown functor node {expr!r}")
-
-
-# --- morphism action ---------------------------------------------------------
-
-MapLike = Union[FinMap, Callable[[Any], Any]]
-
-
-def eval_map(expr: FunctorExpr, f: MapLike, v: FValue) -> FValue:
+def eval_map(expr: FunctorExpr, f: Callable[[Any], Any], v: FValue) -> FValue:
     """Apply F f to a value over the domain of f; f may be any callable."""
-    fn = f
-    if isinstance(expr, Const):
-        if not isinstance(v, ConstVal):
-            raise MalformedValue(f"expected constant value, got {v!r}")
-        return v
-    if isinstance(expr, Id):
-        if not isinstance(v, IdVal):
-            raise MalformedValue(f"expected identity value, got {v!r}")
-        return IdVal(fn(v.element))
-    if isinstance(expr, Sum):
-        if not isinstance(v, InjVal) or not 0 <= v.index < len(expr.parts):
-            raise MalformedValue(f"expected injection value, got {v!r}")
-        return InjVal(v.index, eval_map(expr.parts[v.index], fn, v.value))
-    if isinstance(expr, Prod):
-        if not isinstance(v, TupleVal) or len(v.items) != len(expr.parts):
-            raise MalformedValue(f"expected tuple value, got {v!r}")
-        return TupleVal(tuple(eval_map(p, fn, c) for p, c in zip(expr.parts, v.items)))
-    if isinstance(expr, Exp):
-        if not isinstance(v, FuncVal):
-            raise MalformedValue(f"expected function value, got {v!r}")
-        return FuncVal(tuple((s, eval_map(expr.arg, fn, c)) for s, c in v.entries))
-    if isinstance(expr, PowFin):
-        if not isinstance(v, SetVal):
-            raise MalformedValue(f"expected set value, got {v!r}")
-        return SetVal.of(eval_map(expr.arg, fn, c) for c in v.items)
-    if isinstance(expr, RFunctor):
-        if isinstance(v, RPoint):
-            return v
-        if isinstance(v, RPair):
-            a, b = fn(v.fst), fn(v.snd)
-            return RPoint() if a == b else RPair(a, b)
-        raise MalformedValue(f"expected R value, got {v!r}")
-    raise TypeError(f"unknown functor node {expr!r}")
+    return expr.fmap(f, v)
 
 
 def check_value(expr: FunctorExpr, x: Carrier, v: FValue) -> None:
     """Raise MalformedValue unless v is a well-formed element of F X."""
-    if isinstance(expr, Const):
-        if not (isinstance(v, ConstVal) and v.atom in expr.values):
-            raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
-    elif isinstance(expr, Id):
-        if not (isinstance(v, IdVal) and v.element in x):
-            raise MalformedValue(f"{v!r} is not an element of the carrier")
-    elif isinstance(expr, Sum):
-        if not (isinstance(v, InjVal) and 0 <= v.index < len(expr.parts)):
-            raise MalformedValue(f"{v!r} is not a valid injection")
-        check_value(expr.parts[v.index], x, v.value)
-    elif isinstance(expr, Prod):
-        if not (isinstance(v, TupleVal) and len(v.items) == len(expr.parts)):
-            raise MalformedValue(f"{v!r} is not a valid tuple")
-        for p, c in zip(expr.parts, v.items):
-            check_value(p, x, c)
-    elif isinstance(expr, Exp):
-        if not isinstance(v, FuncVal):
-            raise MalformedValue(f"{v!r} is not a function value")
-        if tuple(s for s, _ in v.entries) != expr.alphabet.elements:
-            raise MalformedValue(f"{v!r} does not cover the alphabet in order")
-        for _, c in v.entries:
-            check_value(expr.arg, x, c)
-    elif isinstance(expr, PowFin):
-        if not isinstance(v, SetVal):
-            raise MalformedValue(f"{v!r} is not a set value")
-        keys = [c.key() for c in v.items]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise MalformedValue(f"{v!r} is not in canonical set order")
-        for c in v.items:
-            check_value(expr.arg, x, c)
-    elif isinstance(expr, RFunctor):
-        if isinstance(v, RPoint):
-            return
-        if isinstance(v, RPair) and v.fst in x and v.snd in x:
-            return
-        raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
-    else:
-        raise TypeError(f"unknown functor node {expr!r}")
+    expr.check(x, v)
 
-
-# --- least supports and image membership -------------------------------------
 
 def support(expr: FunctorExpr, x: Carrier, v: FValue) -> Subobject:
     """The least subset S of X with v in the image of F(S -> X)."""
-    return Subobject(x, frozenset(_support_elems(expr, v)))
-
-
-def _support_elems(expr: FunctorExpr, v: FValue) -> Iterator[Any]:
-    if isinstance(expr, Const):
-        return
-    elif isinstance(expr, Id):
-        yield v.element
-    elif isinstance(expr, Sum):
-        yield from _support_elems(expr.parts[v.index], v.value)
-    elif isinstance(expr, Prod):
-        for p, c in zip(expr.parts, v.items):
-            yield from _support_elems(p, c)
-    elif isinstance(expr, Exp):
-        for _, c in v.entries:
-            yield from _support_elems(expr.arg, c)
-    elif isinstance(expr, PowFin):
-        for c in v.items:
-            yield from _support_elems(expr.arg, c)
-    elif isinstance(expr, RFunctor):
-        if isinstance(v, RPair):
-            yield v.fst
-            yield v.snd
-    else:
-        raise TypeError(f"unknown functor node {expr!r}")
+    return Subobject(x, frozenset(expr.support_elems(v)))
 
 
 def in_image(expr: FunctorExpr, s: Subobject, v: FValue) -> bool:
@@ -375,29 +393,6 @@ def in_image(expr: FunctorExpr, s: Subobject, v: FValue) -> bool:
     return support(expr, s.of, v).members <= s.members
 
 
-def in_image_brute(expr: FunctorExpr, s: Subobject, v: FValue,
-                   cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Image membership by enumerating F(S) and pushing along the inclusion."""
-    incl = s.inclusion()
-    for w in eval_obj(expr, s.as_carrier(), cap=cap):
-        if eval_map(expr, incl, w) == v:
-            return True
-    return False
-
-
 def preserves_inverse_images(expr: FunctorExpr) -> bool:
     """Structural verdict: true iff no R leaf occurs."""
-    if isinstance(expr, RFunctor):
-        return False
-    if isinstance(expr, (Const, Id)):
-        return True
-    if isinstance(expr, (Sum, Prod)):
-        return all(preserves_inverse_images(p) for p in expr.parts)
-    if isinstance(expr, (Exp, PowFin)):
-        return preserves_inverse_images(expr.arg)
-    raise TypeError(f"unknown functor node {expr!r}")
-
-
-def empty_is_preserved(expr: FunctorExpr) -> bool:
-    """True iff F(empty) is empty."""
-    return size_obj(expr, 0, cap=0) == 0
+    return expr.preserves_inverse_images()

@@ -25,8 +25,8 @@ from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
 from .finset import Carrier, FinMap, capped_power
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
                       eval_obj, preserves_inverse_images)
-from .coalgebra import (Algebra, Coalgebra, canonical_graph, search_tables,
-                        solution_maps)
+from .coalgebra import (Algebra, Coalgebra, canonical_graph, search_plan,
+                        search_tables, solution_maps)
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
@@ -205,6 +205,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
     tables it extends, and the first table whose count is not 1 is found
     by ``_first_bad_table``."""
     sizes_checked: List[int] = []
+    plan = search_plan(coalg)
 
     def undecided() -> OracleVerdict:  # a cap binds: the size is not checked
         return OracleVerdict("pass", None, tuple(sizes_checked), False)
@@ -225,7 +226,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
             return undecided()
         position = {k: i for i, k in enumerate(keys)}
         forced = list(search_tables(
-            coalg, x, lambda a, w: x,
+            coalg, plan, x, lambda a, w: x,
             (lambda a, w: position[(w, a)]) if parametric else
             (lambda a, w: position[w])))
         if len(forced) * (len(forced) - 1) // 2 > cap:

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -240,6 +241,9 @@ def fuzz_document(rng, functor_text):
     lines.append("algebra E : B")
     lines += [f"  {render_value(f, v)} -> {rng.choice(target.elements)}"
               for v in eval_obj(f, target)]
+    lines.append("paralgebra Q : B @ A")
+    lines += [f"  {render_value(f, v)} @ {a} -> {rng.choice(target.elements)}"
+              for v in eval_obj(f, target) for a in states]
     return "\n".join(lines) + "\n"
 
 
@@ -257,3 +261,35 @@ def test_cap_paths_end_in_a_documented_exit(tmp_path, seed, functor_text,
     code, _ = run(command, str(doc), "--max-enum", str(cap),
                   "--max-carrier", str(bound), "--max-depth", str(bound))
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_CAP)
+
+
+# --- every document command under generated and damaged documents --------------
+
+_FUZZ_TOKEN_RE = re.compile(r"->|\w+|\S")
+
+
+def damage(rng, text, edit):
+    """text with one token deleted or duplicated (edit None: unchanged)."""
+    if edit is None:
+        return text
+    m = rng.choice(list(_FUZZ_TOKEN_RE.finditer(text)))
+    kept = m.group() + " " + m.group() if edit == "duplicate" else ""
+    return text[:m.start()] + kept + text[m.end():]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32), functor_text=st.sampled_from(FUZZ_FUNCTORS),
+       command=st.sampled_from((("check-wf",), ("wf-part",), ("canonical-graph",),
+                                ("canonical-graph", "--dot"), ("hylo",), ("para-hylo",),
+                                ("find-homs",), ("oracle-recursive",),
+                                ("oracle-parametric",), ("initial-chain",))),
+       edit=st.sampled_from((None, "delete", "duplicate")))
+def test_document_commands_end_in_a_documented_exit(tmp_path, seed, functor_text,
+                                                   command, edit):
+    rng = random.Random(seed)
+    doc = tmp_path / "fuzz.txt"
+    doc.write_text(damage(rng, fuzz_document(rng, functor_text), edit))
+    code, _ = run(command[0], str(doc), *command[1:], "--max-enum", "1000",
+                  "--max-carrier", "2", "--max-depth", "3")
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAP)

@@ -7,11 +7,20 @@ from wfcoalg import (CapExceeded, Carrier, Const, Exp, FinMap, Id, IdVal,
                      PowFin, Prod, RFunctor, RPair, RPoint, SetVal, Subobject,
                      Sum, eval_map, eval_obj, in_image,
                      preserves_inverse_images, support)
-from wfcoalg.functor import (ConstVal, FuncVal, InjVal, MalformedValue,
-                             TupleVal, check_value, in_image_brute, size_obj)
+from wfcoalg.functor import (DEFAULT_ENUM_CAP, ConstVal, FuncVal, InjVal,
+                             MalformedValue, TupleVal, check_value, size_obj)
 from wfcoalg.finset import pullback, all_maps
 
 from generators import bounded_functor, random_map
+
+
+def in_image_brute(expr, s, v, cap=DEFAULT_ENUM_CAP):
+    """Image membership by enumerating F(S) and pushing along the inclusion."""
+    incl = s.inclusion()
+    for w in eval_obj(expr, s.as_carrier(), cap=cap):
+        if eval_map(expr, incl, w) == v:
+            return True
+    return False
 
 
 class TestEvalObj:

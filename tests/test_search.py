@@ -14,6 +14,7 @@ from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
                      Id, PowFin, Prod, RFunctor, all_maps, enumerate_homs,
                      eval_map, eval_obj, find_homs, is_coalgebra_hom,
                      parametric_oracle, recursive_oracle)
+from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg.cli import main
 from wfcoalg.demos import predecessor
 from wfcoalg.functor import size_obj
@@ -214,9 +215,14 @@ def test_oracles_equal_the_scan():
     assert compared[2] > 50 and compared[3] > 50 and fails > 20
 
 
-def test_predecessor_3_is_complete_at_size_3():
+def test_predecessor_3_is_complete_at_size_3(monkeypatch):
+    # the search plan, and with it the canonical graph, is built once per
+    # oracle call, not once per carrier size
+    builds = Counting(coalgebra_module.canonical_graph)
+    monkeypatch.setattr(coalgebra_module, "canonical_graph", builds)
     verdict = parametric_oracle(predecessor(3), max_carrier=3)
     assert verdict == OracleVerdict("pass", None, (1, 2, 3), True)
+    assert builds.calls == 1
 
 
 def test_oracle_caps_bound_candidates_and_pairs():
