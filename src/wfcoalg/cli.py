@@ -12,8 +12,8 @@ import sys
 from typing import Optional
 
 from .errors import CapExceeded, WfcoalgError
-from .finset import Subobject, element_key
-from .coalgebra import canonical_graph, is_cartesian, is_subcoalgebra
+from .finset import Subobject, all_subsets, element_key
+from .coalgebra import canonical_graph, is_cartesian, is_subcoalgebra, next_time
 from .wellfounded import is_wellfounded, wf_part
 from .recursion import (find_homs, hylo, initial_chain, para_hylo,
                         parametric_oracle, recursive_oracle)
@@ -26,8 +26,12 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+def _fmt_members(members) -> str:
+    return "{" + ", ".join(str(x) for x in members) + "}"
+
+
 def _fmt_subset(s: Subobject) -> str:
-    return "{" + ", ".join(str(x) for x in s.sorted_members()) + "}"
+    return _fmt_members(s.sorted_members())
 
 
 def _load_document(args) -> SpecDocument:
@@ -65,9 +69,9 @@ def _cmd_check_wf(args, out) -> int:
 def _cmd_wf_part(args, out) -> int:
     doc = _load_document(args)
     result = wf_part(doc.the_coalgebra(args.coalgebra))
-    for i, stage in enumerate(result.chain):
-        print(f"step {i}: {_fmt_subset(stage)}", file=out)
-    print(f"part: {_fmt_subset(result.part)}", file=out)
+    for i, members in enumerate(result.chain.sorted_stages()):
+        print(f"step {i}: {_fmt_members(members)}", file=out)
+    print(f"part: {_fmt_members(members)}", file=out)  # the last stage is the part
     return EXIT_OK
 
 
@@ -88,21 +92,14 @@ def _cmd_canonical_graph(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_hylo(args, out) -> int:
+def _cmd_hylo(args, out, parametric: bool) -> int:
     doc = _load_document(args)
     coalg = doc.the_coalgebra(args.coalgebra)
-    alg = doc.the_algebra(args.algebra)
-    h = hylo(coalg, alg)
-    for a in coalg.carrier:
-        print(f"{a} -> {h(a)}", file=out)
-    return EXIT_OK
-
-
-def _cmd_para_hylo(args, out) -> int:
-    doc = _load_document(args)
-    coalg = doc.the_coalgebra(args.coalgebra)
-    par = doc.the_paralgebra(args.paralgebra)
-    h = para_hylo(coalg, par.target, par)
+    if parametric:
+        par = doc.the_paralgebra(args.paralgebra)
+        h = para_hylo(coalg, par.target, par)
+    else:
+        h = hylo(coalg, doc.the_algebra(args.algebra))
     for a in coalg.carrier:
         print(f"{a} -> {h(a)}", file=out)
     return EXIT_OK
@@ -111,12 +108,15 @@ def _cmd_para_hylo(args, out) -> int:
 def _cmd_initial_chain(args, out) -> int:
     doc = _load_document(args)
     chain = initial_chain(doc.functor, args.max_depth, cap=args.max_enum)
-    for i, stage in enumerate(chain.stages):
+    for i, stage in enumerate(chain.index_stages):  # sizes only: no closed terms
         print(f"W{i}: {len(stage)} elements", file=out)
     if chain.stabilized:
         print(f"stabilized at index {chain.stable_index}; "
-              f"|mu F| = {len(chain.mu_carrier())}", file=out)
+              f"|mu F| = {len(chain.index_stages[chain.stable_index])}", file=out)
         return EXIT_OK
+    if chain.cap_exceeded is not None:
+        print(f"cap exceeded: {chain.cap_exceeded}", file=out)
+        return EXIT_CAP
     print("not stabilized within the depth bound", file=out)
     return EXIT_FAIL
 
@@ -163,19 +163,13 @@ def _cmd_demo(args, out) -> int:
         h = hylo(coalg, alg)
         print(",".join(h(items)), file=out)
         return EXIT_OK
-    if name == "factorial":
-        coalg, target, step = demos.factorial_scheme(args.n)
-        h = para_hylo(coalg, target, step)
-        print(h(args.n), file=out)
-        return EXIT_OK
-    if name == "fibonacci":
-        coalg, target, step = demos.fibonacci_scheme(args.n, args.a0, args.a1)
-        h = para_hylo(coalg, target, step)
-        print(h(args.n), file=out)
+    if name in ("factorial", "fibonacci"):
+        coalg, target, step = (demos.factorial_scheme(args.n) if name == "factorial"
+                               else demos.fibonacci_scheme(args.n, args.a0, args.a1))
+        print(para_hylo(coalg, target, step)(args.n), file=out)
         return EXIT_OK
     if name == "graph-g":
         g = demos.graph_g()
-        from .finset import all_subsets
         subs = [s for s in all_subsets(g.carrier) if is_subcoalgebra(g, s)]
         subs.sort(key=lambda s: (len(s.members), s.sorted_members()))
         print("subcoalgebras: " +
@@ -201,7 +195,6 @@ def _cmd_demo(args, out) -> int:
         return EXIT_OK
     if name == "lts":
         coalg, subset = demos.transition_system()
-        from .coalgebra import next_time
         print(f"next-time {_fmt_subset(subset)} = "
               f"{_fmt_subset(next_time(coalg, subset))}", file=out)
         return EXIT_OK
@@ -241,12 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hylo")
     common(p)
     p.add_argument("--algebra", help="algebra name in the document")
-    p.set_defaults(handler=_cmd_hylo)
+    p.set_defaults(handler=lambda a, o: _cmd_hylo(a, o, parametric=False))
 
     p = sub.add_parser("para-hylo")
     common(p)
     p.add_argument("--paralgebra", help="paralgebra name in the document")
-    p.set_defaults(handler=_cmd_para_hylo)
+    p.set_defaults(handler=lambda a, o: _cmd_hylo(a, o, parametric=True))
 
     p = sub.add_parser("initial-chain")
     common(p)
@@ -292,10 +285,7 @@ def main(argv: Optional[list] = None, out=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=out)
         return EXIT_CAP
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_USAGE
-    except WfcoalgError as exc:
+    except (FileNotFoundError, WfcoalgError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
 

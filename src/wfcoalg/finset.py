@@ -9,6 +9,7 @@ so that enumerations and rendered reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
 from .errors import CarrierMismatch
@@ -43,10 +44,6 @@ class Carrier:
         if len(as_set) != len(self.elements):
             raise ValueError("carrier has duplicate elements")
         object.__setattr__(self, "_set", as_set)
-
-    @staticmethod
-    def of(items: Iterable[Any]) -> "Carrier":
-        return Carrier(tuple(items))
 
     @staticmethod
     def empty() -> "Carrier":
@@ -108,9 +105,6 @@ class FinMap:
     def __call__(self, x: Any) -> Any:
         return self._table[x]
 
-    def as_dict(self) -> dict:
-        return dict(self._table)
-
     def compose(self, other: "FinMap") -> "FinMap":
         """self after other: (self . other)(x) = self(other(x))."""
         if other.cod != self.dom:
@@ -122,9 +116,6 @@ class FinMap:
 
     def is_surjective(self) -> bool:
         return set(self.values) == set(self.cod.elements)
-
-    def image(self) -> frozenset:
-        return frozenset(self.values)
 
 
 @dataclass(frozen=True)
@@ -240,10 +231,5 @@ def capped_power(base: int, exp: int, cap: Optional[int] = None) -> int:
 
 def all_maps(dom: Carrier, cod: Carrier) -> Iterator[FinMap]:
     """All total maps dom -> cod in lexicographic table order."""
-    from itertools import product
-
-    if len(dom) == 0:
-        yield FinMap(dom, cod, ())
-        return
     for values in product(cod.elements, repeat=len(dom)):
         yield FinMap(dom, cod, values)

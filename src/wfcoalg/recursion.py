@@ -1,22 +1,25 @@
 """Certified structured recursion, the initial-algebra chain, and oracles.
 
-``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism
-of a coalgebra whose well-foundedness has been verified (the termination
-certificate).  ``recursive_oracle``/``parametric_oracle`` decide the
-defining universal quantification ("every algebra has exactly one
-solution") for every algebra on each carrier up to a size bound: a fail is
-a conclusive counterexample, a pass is evidence only.  Neither enumerates
-the algebras.  A search over candidate maps (``search_tables``, shared with
-``find_homs``) gives the table entries each candidate forces; every table
-has exactly one solution iff the forced tables are pairwise incompatible
-and their cylinders fill the table space, and where that fails a descent
-in lexicographic order finds the first table that does not, which is the
-witness a scan of every table would report.
+``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism of
+a coalgebra whose well-foundedness has been verified (the termination
+certificate).  ``initial_chain`` builds W_{i+1} = F(W_i) over indices, as
+F(range |W_i|), and folds closed terms only when they are read.
+``recursive_oracle``/``parametric_oracle`` decide the defining universal
+quantification ("every algebra has exactly one solution") for every algebra
+on each carrier up to a size bound: a fail is a conclusive counterexample,
+a pass is evidence only.  Neither enumerates the algebras.  A search over
+candidate maps (``search_tables``, shared with ``find_homs``) gives the
+table entries each candidate forces; every table has exactly one solution
+iff the forced tables are pairwise incompatible and their cylinders fill
+the table space, and where that fails a descent in lexicographic order
+finds the first table that does not, which is the witness a scan of every
+table would report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -30,7 +33,7 @@ from .coalgebra import (Algebra, Coalgebra, canonical_graph, search_plan,
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
-Term = FValue  # an element of some chain stage W_i is a closed F-tree
+Term = FValue  # a closed F-tree: an unfolded state, or a folded chain element
 
 
 # --- certified evaluation -----------------------------------------------------
@@ -83,16 +86,33 @@ def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
 class InitialChain:
     """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps.
 
-    ``maps[i]`` is w_{i,i+1}: W_i -> W_{i+1}; the chain stabilizes at the
-    first index whose connecting map is a bijection, and that stage is the
-    initial algebra (Lambek).
+    ``index_stages[i + 1]`` is F(range |W_i|) in key order; ``index_maps[i]``
+    is w_{i,i+1} as positions in stage i+1.  ``stages`` and ``maps`` are their
+    closed terms, folded on first access.  The chain stabilizes at the first
+    index whose connecting map is a bijection, and that stage is the initial
+    algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
     """
 
     functor: FunctorExpr
-    stages: Tuple[Carrier, ...]
-    maps: Tuple[FinMap, ...]
+    index_stages: Tuple[Tuple[FValue, ...], ...]
+    index_maps: Tuple[Tuple[int, ...], ...]
     stabilized: bool
     stable_index: Optional[int] = None
+    cap_exceeded: Optional[CapExceeded] = None
+
+    @cached_property
+    def stages(self) -> Tuple[Carrier, ...]:
+        terms: List[Tuple[FValue, ...]] = [()]
+        for values in self.index_stages[1:]:
+            terms.append(tuple(eval_map(self.functor, terms[-1].__getitem__, v)
+                               for v in values))
+        return tuple(map(Carrier, terms))
+
+    @cached_property
+    def maps(self) -> Tuple[FinMap, ...]:
+        s = self.stages
+        return tuple(FinMap(s[i], s[i + 1], tuple(s[i + 1].elements[j] for j in w))
+                     for i, w in enumerate(self.index_maps))
 
     def mu_carrier(self) -> Carrier:
         if not self.stabilized:
@@ -101,37 +121,31 @@ class InitialChain:
 
     def mu_algebra(self, cap: int = DEFAULT_ENUM_CAP) -> Algebra:
         """The initial algebra: the inverse of the stabilizing bijection."""
-        mu = self.mu_carrier()
-        w = self.maps[self.stable_index]
-        inverse = {w(t): t for t in mu}
-        return Algebra.from_table(self.functor, mu, {
-            v: inverse[v] for v in eval_obj(self.functor, mu, cap=cap)})
+        mu, w = self.mu_carrier(), self.maps[self.stable_index]
+        return Algebra.from_table(self.functor, mu, dict(zip(w.values, mu)), cap=cap)
 
     def mu_coalgebra(self) -> Coalgebra:
         """The initial algebra as a coalgebra (structure inverted)."""
-        mu = self.mu_carrier()
-        w = self.maps[self.stable_index]
-        return Coalgebra(self.functor, mu, tuple(w(t) for t in mu))
+        return Coalgebra(self.functor, self.mu_carrier(),
+                         self.maps[self.stable_index].values)
 
 
 def initial_chain(functor: FunctorExpr, max_depth: int,
                   cap: int = DEFAULT_ENUM_CAP) -> InitialChain:
-    stages: List[Carrier] = [Carrier.empty()]
-    maps: List[FinMap] = []
+    stages: List[Tuple[FValue, ...]] = [()]
+    maps: List[Tuple[int, ...]] = []
     for i in range(max_depth + 1):
         try:
-            values = eval_obj(functor, stages[i], cap=cap)
-        except CapExceeded:
-            break
-        nxt = Carrier(tuple(sorted(values, key=lambda v: v.key())))
-        if i == 0:
-            w = FinMap(stages[0], nxt, ())
-        else:
-            w = FinMap(stages[i], nxt, tuple(
-                eval_map(functor, maps[i - 1], v) for v in stages[i]))
+            values = eval_obj(functor, Carrier(tuple(range(len(stages[i])))), cap=cap)
+        except CapExceeded as exc:
+            return InitialChain(functor, tuple(stages), tuple(maps), False, None, exc)
+        nxt = tuple(sorted(values, key=lambda v: v.key()))
+        pos = {v: j for j, v in enumerate(nxt)}
+        prev = maps[-1] if maps else ()
+        w = tuple(pos[eval_map(functor, prev.__getitem__, v)] for v in stages[i])
         stages.append(nxt)
         maps.append(w)
-        if len(stages[i]) == len(nxt) and w.is_injective():
+        if len(stages[i]) == len(nxt) and len(set(w)) == len(w):
             return InitialChain(functor, tuple(stages), tuple(maps), True, i)
     return InitialChain(functor, tuple(stages), tuple(maps), False)
 

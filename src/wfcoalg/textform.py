@@ -376,6 +376,8 @@ def _pick(table: dict, name: Optional[str], what: str):
         if name not in table:
             raise WfcoalgError(f"no {what} named {name!r}")
         return table[name]
+    if not table:
+        raise WfcoalgError(f"document has no {what} section")
     if len(table) != 1:
         raise WfcoalgError(f"document has {len(table)} {what}s; name one")
     return next(iter(table.values()))

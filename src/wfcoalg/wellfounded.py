@@ -5,10 +5,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, Tuple
 
 from .errors import InternalConsistencyError, NotAHomomorphism, NotWellFounded
-from .finset import Carrier, FinMap, Subobject
+from .finset import Carrier, FinMap, Subobject, element_key
 from .coalgebra import (Coalgebra, canonical_graph, induced_subcoalgebra,
                         is_coalgebra_hom)
 
@@ -29,6 +29,12 @@ class RankChain(Sequence):
         stage = range(self._len)[i]  # as for a tuple: -1 is the last, IndexError
         return Subobject(self._carrier,
                          frozenset(a for a, r in self._rank.items() if r < stage))
+
+    def sorted_stages(self) -> Iterator[Tuple[Any, ...]]:
+        """Each stage's members in ``element_key`` order, filtered from one
+        sort of the ranked states rather than sorted stage by stage."""
+        ranked = sorted(self._rank.items(), key=lambda item: element_key(item[0]))
+        return (tuple(a for a, r in ranked if r < i) for i in range(self._len))
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,28 @@ class TestErrors:
         code, text = run("find-homs", graph_file, "--max-enum", "1")
         assert code in (EXIT_CAP, EXIT_USAGE)
 
+    def test_no_coalgebra_section(self, tmp_path):
+        p = tmp_path / "bare.txt"
+        p.write_text("functor = 1 + X\n")
+        assert run("check-wf", str(p)) == (
+            EXIT_USAGE, "error: document has no coalgebra section\n")
+
+    def test_no_algebra_section(self):
+        assert run("hylo", "--demo", "r-coalgebra") == (
+            EXIT_USAGE, "error: document has no algebra section\n")
+
+    def test_no_paralgebra_section(self):
+        assert run("para-hylo", "--demo", "r-coalgebra") == (
+            EXIT_USAGE, "error: document has no paralgebra section\n")
+
+    def test_two_coalgebras_must_be_named(self, tmp_path):
+        p = tmp_path / "two.txt"
+        p.write_text("carrier A = a\nfunctor = P(X)\n"
+                     "coalgebra C : A\n  a -> {}\n"
+                     "coalgebra D : A\n  a -> {a}\n")
+        assert run("check-wf", str(p)) == (
+            EXIT_USAGE, "error: document has 2 coalgebras; name one\n")
+
     def test_deterministic_output(self, graph_file):
         first = run("wf-part", graph_file)
         second = run("wf-part", graph_file)

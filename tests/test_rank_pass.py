@@ -93,6 +93,8 @@ def test_wf_part_and_chain_match_kleene_iteration():
         reference = kleene_chain(c)
         assert len(result.chain) == len(reference)
         assert list(result.chain) == reference
+        assert list(result.chain.sorted_stages()) == [
+            s.sorted_members() for s in reference]
         assert result.chain[-1] == result.chain[-2] == result.part
         assert result.part == reference[-1]
 

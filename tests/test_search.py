@@ -277,6 +277,6 @@ def test_initial_chain_on_pppx_stops_at_the_cap(tmp_path):
     doc = tmp_path / "ppp.txt"
     doc.write_text("functor = P(P(P(X)))\n")
     out = io.StringIO()
-    assert main(["initial-chain", str(doc)], out=out) == 1
+    assert main(["initial-chain", str(doc)], out=out) == 3
     assert out.getvalue() == ("W0: 0 elements\nW1: 4 elements\n"
-                              "not stabilized within the depth bound\n")
+                              "cap exceeded: functor enumeration: more than 10000000\n")
