@@ -8,6 +8,7 @@ was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -159,7 +160,7 @@ def _cmd_demo(args, out) -> int:
     if name == "quicksort":
         items = tuple(args.input.split(",")) if args.input else ()
         coalg, alg = demos.quicksort(tuple(sorted(set(items))) or ("a",),
-                                     max(len(items), 1))
+                                     max(len(items), 1), cap=args.max_enum)
         h = hylo(coalg, alg)
         print(",".join(h(items)), file=out)
         return EXIT_OK
@@ -201,6 +202,16 @@ def _cmd_demo(args, out) -> int:
     raise WfcoalgError(f"unknown demo {name!r}")
 
 
+def natural(text: str) -> int:
+    """The argparse type of every bound: an int >= 0; argparse turns the
+    ValueError into a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+@functools.cache  # parse_args reads the parser; it never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfcoalg",
@@ -214,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--demo", dest="demo_doc", metavar="NAME",
                            help="use a built-in document instead of a file")
             p.add_argument("--coalgebra", help="coalgebra name in the document")
-        p.add_argument("--max-enum", type=int, default=10_000_000,
+        p.add_argument("--max-enum", type=natural, default=10_000_000,
                        help="enumeration cap")
-        p.add_argument("--max-carrier", type=int, default=2,
+        p.add_argument("--max-carrier", type=natural, default=2,
                        help="largest oracle carrier size")
-        p.add_argument("--max-depth", type=int, default=16,
+        p.add_argument("--max-depth", type=natural, default=16,
                        help="initial-chain depth bound")
 
     for cmd, fn in [("check-wf", _cmd_check_wf), ("wf-part", _cmd_wf_part)]:
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="graph-g | r-coalgebra | quicksort | "
                                 "factorial | fibonacci | automaton | lts")
     p.add_argument("--input", help="comma-separated list for quicksort")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=natural, default=5)
     p.add_argument("--a0", type=int, default=0)
     p.add_argument("--a1", type=int, default=1)
     common(p, needs_doc=False)

@@ -9,9 +9,12 @@ transition system for the next-time operator.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Any, Tuple
+import sys
+from itertools import accumulate
+from operator import mul
+from typing import Any, Iterable, Optional, Tuple
 
+from .errors import CapExceeded
 from .finset import Carrier, Subobject
 from .functor import (Const, ConstVal, Exp, FuncVal, Id, IdVal, InjVal,
                       PowFin, Prod, RFunctor, RPair, SetVal, Sum, TupleVal)
@@ -38,7 +41,17 @@ def quicksort_functor(alphabet: Carrier):
     return Sum((Const(UNIT), Prod((Const(alphabet), Id(), Id()))))
 
 
-def lists_up_to(alphabet: Carrier, max_len: int) -> Carrier:
+def lists_up_to(alphabet: Carrier, max_len: int, cap: Optional[int] = None) -> Carrier:
+    """All words of length <= max_len; with a cap, their number
+    (sum of k^i, i <= max_len) is counted, saturating, before any is built."""
+    if cap is not None:
+        count = power = 1
+        for _ in range(max_len):
+            power *= len(alphabet)
+            count += power
+            if count > cap:
+                raise CapExceeded(f"lists of length <= {max_len} over "
+                                  f"{len(alphabet)} letters", cap)
     words = [()]
     frontier = [()]
     for _ in range(max_len):
@@ -47,11 +60,11 @@ def lists_up_to(alphabet: Carrier, max_len: int) -> Carrier:
     return Carrier(tuple(words))
 
 
-def quicksort(alphabet: Tuple[Any, ...], max_len: int):
+def quicksort(alphabet: Tuple[Any, ...], max_len: int, cap: Optional[int] = None):
     """The split coalgebra and merge algebra over lists up to a length bound."""
     alpha_carrier = Carrier(alphabet)
     functor = quicksort_functor(alpha_carrier)
-    lists = lists_up_to(alpha_carrier, max_len)
+    lists = lists_up_to(alpha_carrier, max_len, cap)
 
     def split(w):
         if not w:
@@ -82,12 +95,27 @@ def predecessor(n_max: int) -> Coalgebra:
         for n in carrier))
 
 
-def factorial_scheme(n_max: int):
-    """Predecessor coalgebra plus the parametric step computing n!."""
-    import math
+def _printable_values(values: Iterable[int], what: str) -> Carrier:
+    """The distinct values, in first-seen order, as a carrier.  Each is
+    checked as it is produced: one with more decimal digits than int-to-str
+    conversion allows (sys.get_int_max_str_digits) raises CapExceeded, so a
+    result too long to print stops before any coalgebra is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10 ** limit if limit else None
+    seen = {}
+    for v in values:
+        if bound is not None and abs(v) >= bound:
+            raise CapExceeded(f"decimal digits of a {what} value", limit)
+        seen[v] = None
+    return Carrier(tuple(seen))
 
+
+def factorial_scheme(n_max: int):
+    """Predecessor coalgebra plus the parametric step computing n!; the
+    target is the distinct values 0!, ..., n_max!."""
+    target = _printable_values(accumulate(range(1, n_max + 1), mul, initial=1),
+                               "factorial")
     coalg = predecessor(n_max)
-    target = Carrier(tuple(range(math.factorial(n_max) + 1)))
 
     def step(v, n):
         if v.index == 0:
@@ -107,12 +135,17 @@ def fibonacci_coalgebra(n_max: int) -> Coalgebra:
         for n in carrier))
 
 
+def _fibonacci(n_max: int, a0: int, a1: int):
+    for _ in range(n_max + 1):
+        yield a0
+        a0, a1 = a1, a0 + a1
+
+
 def fibonacci_scheme(n_max: int, a0: int, a1: int):
+    """Fibonacci coalgebra plus the parametric step from a0, a1; the target
+    is the distinct values of the sequence up to index n_max."""
+    target = _printable_values(_fibonacci(n_max, a0, a1), "Fibonacci")
     coalg = fibonacci_coalgebra(n_max)
-    fib = [a0, a1]
-    while len(fib) <= n_max:
-        fib.append(fib[-1] + fib[-2])
-    target = Carrier(tuple(range(max(fib) + 1)))
 
     def step(v, n):
         if v.index == 0:

@@ -1,13 +1,14 @@
 import io
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wfcoalg import Carrier, eval_obj, parse_functor, render_value
-from wfcoalg.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from wfcoalg.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -196,6 +197,97 @@ class TestDemos:
         assert "parametric oracle: fail" in text
 
 
+@pytest.fixture
+def int_str_limit():
+    """The default int-to-str digit limit, whatever the interpreter was started with."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+class TestSequenceDemos:
+    def test_factorial_target_is_the_values_taken(self):
+        # a target carrier of every int up to 10! costs 0.8 s and 500 MB
+        assert run("demo", "factorial", "--n", "10") == (EXIT_OK, "3628800\n")
+
+    def test_factorial_zero(self):
+        assert run("demo", "factorial", "--n", "0") == (EXIT_OK, "1\n")
+
+    def test_fibonacci_from_a_negative_start(self):
+        # -1, 1, 0, 1, 1, 2: values below 0 are in the target too
+        assert run("demo", "fibonacci", "--n", "5", "--a0", "-1") == (EXIT_OK, "2\n")
+
+    def test_fibonacci_of_a_large_index(self, int_str_limit):
+        a, b = 0, 1
+        for _ in range(5000):
+            a, b = b, a + b
+        assert run("demo", "fibonacci", "--n", "5000") == (EXIT_OK, f"{a}\n")
+
+    @pytest.mark.parametrize("argv, what", [
+        (("factorial", "--n", "3000"), "factorial"),
+        (("factorial", "--n", "100000"), "factorial"),
+        (("fibonacci", "--n", "30000"), "Fibonacci"),
+    ])
+    def test_a_result_too_long_to_print_is_a_cap(self, int_str_limit, argv, what):
+        assert run("demo", *argv) == (
+            EXIT_CAP, f"cap exceeded: decimal digits of a {what} value: "
+                      f"more than {int_str_limit}\n")
+
+    def test_quicksort_counts_its_lists_before_building_them(self):
+        letters = ",".join("abcdefghijkl")  # sum of 12^i, i <= 12: about 9.7e12 lists
+        assert run("demo", "quicksort", "--input", letters) == (
+            EXIT_CAP, "cap exceeded: lists of length <= 12 over 12 letters: "
+                      "more than 10000000\n")
+
+    def test_quicksort_cap_is_the_list_count(self):
+        # 3 letters, length <= 3: 1 + 3 + 9 + 27 = 40 lists
+        assert run("demo", "quicksort", "--input", "c,a,b",
+                   "--max-enum", "40") == (EXIT_OK, "a,b,c\n")
+        assert run("demo", "quicksort", "--input", "c,a,b",
+                   "--max-enum", "39")[0] == EXIT_CAP
+
+
+class TestBounds:
+    @pytest.mark.parametrize("argv", [
+        ("oracle-parametric", "--demo", "r-coalgebra", "--max-carrier", "-3"),
+        ("oracle-recursive", "--demo", "r-coalgebra", "--max-enum", "-1"),
+        ("initial-chain", "--demo", "r-coalgebra", "--max-depth", "-1"),
+        ("demo", "factorial", "--n", "-3"),
+        ("demo", "fibonacci", "--n", "-1"),
+        ("demo", "quicksort", "--input", "a", "--max-enum", "-1"),
+    ])
+    def test_a_negative_bound_is_a_usage_error(self, argv):
+        assert run(*argv) == (EXIT_USAGE, "")
+
+    def test_zero_stays_legal(self):
+        assert run("oracle-parametric", "--demo", "r-coalgebra",
+                   "--max-carrier", "0") == (EXIT_OK, "pass (sizes checked: none)\n")
+        assert run("initial-chain", "--demo", "r-coalgebra", "--max-depth", "0") == (
+            EXIT_FAIL, "W0: 0 elements\nW1: 1 elements\n"
+                       "not stabilized within the depth bound\n")
+
+
+class TestOneParserPerProcess:
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self, graph_file, pred_file):
+        assert run("oracle-recursive", pred_file, "--max-carrier", "3") == (
+            EXIT_OK, "pass (sizes checked: 1, 2, 3)\n")
+        assert run("oracle-recursive", pred_file) == (
+            EXIT_OK, "pass (sizes checked: 1, 2)\n")
+        assert run("canonical-graph", graph_file, "--dot") == (
+            EXIT_OK, 'digraph canonical {\n  "a" -> "b";\n  "c" -> "d";\n'
+                     '  "d" -> "c";\n}\n')
+        assert run("canonical-graph", graph_file) == (
+            EXIT_OK, "a -> b\nb ->\nc -> d\nd -> c\n")
+        assert run("oracle-recursive", pred_file, "--max-carrier", "x") == (
+            EXIT_USAGE, "")
+        assert run("oracle-recursive", pred_file) == (
+            EXIT_OK, "pass (sizes checked: 1, 2)\n")
+
+
 class TestErrors:
     def test_missing_file(self):
         code, text = run("check-wf", "/nonexistent/path.txt")
@@ -283,6 +375,18 @@ def test_cap_paths_end_in_a_documented_exit(tmp_path, seed, functor_text,
     code, _ = run(command, str(doc), "--max-enum", str(cap),
                   "--max-carrier", str(bound), "--max-depth", str(bound))
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_CAP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(("factorial", "fibonacci", "quicksort")),
+       n=st.one_of(st.integers(-3, 40), st.sampled_from((2000, 6000))),
+       a0=st.integers(-10 ** 6, 10 ** 6), a1=st.integers(-10 ** 6, 10 ** 6),
+       items=st.lists(st.text(alphabet="ab-1 ", max_size=2), max_size=8),
+       cap=st.sampled_from((-1, 0, 1, 100, 1000)))
+def test_sequence_demos_end_in_a_documented_exit(name, n, a0, a1, items, cap):
+    code, _ = run("demo", name, "--n", str(n), "--a0", str(a0), "--a1", str(a1),
+                  "--input=" + ",".join(items), "--max-enum", str(cap))
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAP)
 
 
 # --- every document command under generated and damaged documents --------------
