@@ -165,8 +165,9 @@ def _cmd_demo(args, out) -> int:
         print(",".join(h(items)), file=out)
         return EXIT_OK
     if name in ("factorial", "fibonacci"):
-        coalg, target, step = (demos.factorial_scheme(args.n) if name == "factorial"
-                               else demos.fibonacci_scheme(args.n, args.a0, args.a1))
+        coalg, target, step = (
+            demos.factorial_scheme(args.n, args.max_enum) if name == "factorial"
+            else demos.fibonacci_scheme(args.n, args.a0, args.a1, args.max_enum))
         print(para_hylo(coalg, target, step)(args.n), file=out)
         return EXIT_OK
     if name == "graph-g":

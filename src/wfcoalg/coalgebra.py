@@ -83,50 +83,78 @@ class CanonicalGraph:
     def successors(self, a: Any) -> frozenset:
         return self._succ[a]
 
-    @cached_property
-    def ranking(self) -> Tuple[Dict[Any, int], Tuple[Any, ...]]:
-        """One Kahn pass over the reversed edges, done once per graph: the rank
-        of each vertex that reaches no cycle (0 without successors, else 1 +
-        the largest rank of a successor), and those vertices successors-first."""
+    def _place(self) -> Iterator[List[Any]]:
+        """The placement engine: one FIFO Kahn pass over the reversed edges, in
+        segments of vertices placed settled, after their successors.  When none
+        is ready, a segment starts with one placed unsettled: the first vertex of
+        the cycle that ``_walk`` closes from the first unplaced vertex."""
+        pending = {v: len(succ) for v, succ in self.succ}
         preds: Dict[Any, List[Any]] = {v: [] for v in self.vertices}
-        pending: Dict[Any, int] = {}
         for v, succ in self.succ:
-            pending[v] = len(succ)
             for w in succ:
                 preds[w].append(v)
-        order = [v for v in self.vertices if not pending[v]]
-        rank = dict.fromkeys(order, 0)
-        for w in order:  # grows while it is walked: a queue
-            for v in preds[w]:
-                pending[v] -= 1
-                if not pending[v]:
-                    rank[v] = 1 + max(rank[x] for x in self._succ[v])
-                    order.append(v)
-        return rank, tuple(order)
+        placed: set = set()
 
-    def find_cycle(self) -> Optional[List[Any]]:
-        """A vertex cycle if one exists, else None: the walk from the first
-        unranked vertex that steps to the least unranked successor (by
-        ``element_key``) until a vertex repeats."""
-        if self.is_acyclic():
-            return None
-        rank = self.ranking[0]
+        def settle(segment: List[Any]) -> Iterator[List[Any]]:
+            for w in segment:  # grows while it is walked: a queue
+                for v in preds[w]:
+                    pending[v] -= 1
+                    if not pending[v]:
+                        segment.append(v)
+            yield segment
+            placed.update(segment)
+
+        yield from settle([v for v in self.vertices if not pending[v]])
+        for start in self.vertices:
+            while start not in placed:
+                cut = self._walk(start, placed)[0]
+                pending[cut] = 0  # only falls from here: it is queued once
+                yield from settle([cut])
+
+    def _walk(self, v: Any, excluded: Collection) -> List[Any]:
+        """The cycle closed by the walk from v that steps to the least
+        successor outside ``excluded`` (by ``element_key``)."""
         walk: Dict[Any, int] = {}  # vertex -> step at which the walk reached it
-        v = next(v for v in self.vertices if v not in rank)
         while v not in walk:
             walk[v] = len(walk)
-            v = min((w for w in self.successors(v) if w not in rank), key=element_key)
+            v = min((w for w in self._succ[v] if w not in excluded), key=element_key)
         return list(walk)[walk[v]:]
 
+    @cached_property
+    def ranking(self) -> Dict[Any, int]:
+        """The first segment of the placement, successors first, ranked once per
+        graph: 0 without successors, else 1 + the largest rank of a successor."""
+        rank: Dict[Any, int] = {}
+        of, succ = rank.__getitem__, self._succ
+        for v in next(self._place()):
+            rank[v] = 1 + max(map(of, succ[v])) if succ[v] else 0
+        return rank
+
+    def placement(self) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
+        """Every vertex as a step (vertex, settled, after) of ``_place``;
+        ``after`` lists the unsettled vertices whose last successor it places."""
+        segments = list(self._place())
+        position = {v: i for i, v in enumerate(v for s in segments for v in s)}
+        after: Dict[Any, List[Any]] = {v: [] for v in position}
+        for s in segments[1:]:
+            after[max(self._succ[s[0]], key=position.__getitem__)].append(s[0])
+        return [(v, k == 0 or i > 0, tuple(after[v]))
+                for k, s in enumerate(segments) for i, v in enumerate(s)]
+
+    def find_cycle(self) -> Optional[List[Any]]:
+        """A vertex cycle if one exists, else None: the first unranked vertex's
+        ``_walk`` past the ranked ones."""
+        unranked = [v for v in self.vertices if v not in self.ranking]
+        return self._walk(unranked[0], self.ranking) if unranked else None
+
     def is_acyclic(self) -> bool:
-        return len(self.ranking[1]) == len(self.vertices)
+        return len(self.ranking) == len(self.vertices)
 
     def topological_order(self) -> List[Any]:
         """Vertices ordered successors-first; raises on a cycle."""
-        cycle = self.find_cycle()
-        if cycle is not None:
-            raise ValueError(f"graph has a cycle through {cycle[0]!r}")
-        return list(self.ranking[1])
+        if not self.is_acyclic():
+            raise ValueError(f"graph has a cycle through {self.find_cycle()[0]!r}")
+        return list(self.ranking)
 
 
 def _require_same_functor(a: Coalgebra, b) -> None:
@@ -237,11 +265,11 @@ def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]
 
     Yields the table key -> value of each solution, in no fixed order; with
     the default key, the state itself, that table is h.  States are assigned
-    in the order of ``plan``, which is ``search_plan(coalg)``, built once by
-    a caller that searches the same coalgebra several times; each state's
-    condition is checked as soon as h is defined on the state and its support,
-    and a state placed after its support takes only allowed(a, w) for the one
-    w computed on entry.
+    in the order of ``plan``, ``search_plan(coalg)``: the one placement pass
+    over the canonical graph that also gives the ranks, the cycle witness and
+    the evaluation order.  Each state's condition is checked once h is defined
+    on the state and its support; a settled state takes only allowed(a, w)
+    for the one w computed on entry.
     """
     if not plan:
         yield {}
@@ -294,43 +322,5 @@ def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]
 
 
 def search_plan(coalg: Coalgebra) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
-    """The order in which ``search_tables`` assigns states, as steps
-    (state, settled, after), from one Kahn pass over the canonical graph.
-
-    A state is placed, settled, once its whole support is.  When every
-    unplaced state waits on another unplaced one, a state on a cycle among
-    them is placed unsettled, found by walking from the first unplaced state
-    to its least unplaced successor.  ``after`` lists the unsettled states
-    whose support the step completes."""
-    graph = canonical_graph(coalg)
-    waiting = {a: len(succ) for a, succ in graph.succ}
-    preds: Dict[Any, List[Any]] = {a: [] for a in graph.vertices}
-    for a, succ in graph.succ:
-        for b in succ:
-            preds[b].append(a)
-    ready = [a for a in graph.vertices if not waiting[a]]
-    states = graph.vertices.elements
-    first = 0  # every state before it is placed
-    placed: set = set()
-    plan = []
-    while len(plan) < len(states):
-        settled = bool(ready)
-        if settled:
-            a = ready.pop()
-        else:
-            while states[first] in placed:
-                first += 1
-            a = states[first]
-            walk = set()
-            while a not in walk:
-                walk.add(a)
-                a = min((b for b in graph.successors(a) if b not in placed),
-                        key=element_key)
-        placed.add(a)
-        after = []
-        for b in preds[a]:
-            waiting[b] -= 1
-            if not waiting[b]:
-                (after if b in placed else ready).append(b)
-        plan.append((a, settled, tuple(after)))
-    return plan
+    """The order in which ``search_tables`` assigns states: the placement."""
+    return canonical_graph(coalg).placement()

@@ -110,9 +110,11 @@ def _printable_values(values: Iterable[int], what: str) -> Carrier:
     return Carrier(tuple(seen))
 
 
-def factorial_scheme(n_max: int):
+def factorial_scheme(n_max: int, cap: Optional[int] = None):
     """Predecessor coalgebra plus the parametric step computing n!; the
-    target is the distinct values 0!, ..., n_max!."""
+    target is the distinct values 0!, ..., n_max!; a cap bounds its n_max + 1 states."""
+    if cap is not None and n_max + 1 > cap:
+        raise CapExceeded("states of the factorial coalgebra", cap)
     target = _printable_values(accumulate(range(1, n_max + 1), mul, initial=1),
                                "factorial")
     coalg = predecessor(n_max)
@@ -141,9 +143,12 @@ def _fibonacci(n_max: int, a0: int, a1: int):
         a0, a1 = a1, a0 + a1
 
 
-def fibonacci_scheme(n_max: int, a0: int, a1: int):
+def fibonacci_scheme(n_max: int, a0: int, a1: int, cap: Optional[int] = None):
     """Fibonacci coalgebra plus the parametric step from a0, a1; the target
-    is the distinct values of the sequence up to index n_max."""
+    is the distinct values of the sequence up to index n_max; a cap bounds
+    its n_max + 1 states."""
+    if cap is not None and n_max + 1 > cap:
+        raise CapExceeded("states of the Fibonacci coalgebra", cap)
     target = _printable_values(_fibonacci(n_max, a0, a1), "Fibonacci")
     coalg = fibonacci_coalgebra(n_max)
 

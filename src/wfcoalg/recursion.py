@@ -75,7 +75,7 @@ def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
     if not graph.is_acyclic():
         return None, graph.find_cycle()
     h: Dict[Any, Any] = {}
-    for a in graph.ranking[1]:
+    for a in graph.ranking:
         h[a] = step(eval_map(coalg.functor, h.__getitem__, coalg.alpha(a)), a)
     return h, None
 

@@ -27,6 +27,8 @@ class RankChain(Sequence):
 
     def __getitem__(self, i):
         stage = range(self._len)[i]  # as for a tuple: -1 is the last, IndexError
+        if isinstance(stage, range):  # a slice: the tuple of those stages
+            return tuple(map(self.__getitem__, stage))
         return Subobject(self._carrier,
                          frozenset(a for a, r in self._rank.items() if r < stage))
 
@@ -57,7 +59,7 @@ class WfPartResult:
 def wf_part(coalg: Coalgebra) -> WfPartResult:
     """The least fixed point of next-time: the states that one rank pass over
     the canonical graph ranks, with the chain of stages up to it."""
-    rank = canonical_graph(coalg).ranking[0]
+    rank = canonical_graph(coalg).ranking
     return WfPartResult(coalg, Subobject(coalg.carrier, frozenset(rank)),
                         RankChain(coalg.carrier, rank))
 

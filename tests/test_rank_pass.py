@@ -5,7 +5,8 @@ import os
 import random
 import subprocess
 import sys
-from typing import Any, Dict, List, Optional
+from itertools import takewhile
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -15,6 +16,7 @@ from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
                      canonical_graph, element_key, hylo, is_wellfounded,
                      next_time, para_hylo, unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
+from wfcoalg.coalgebra import search_plan
 from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, quicksort, r_coalgebra)
 
@@ -67,6 +69,45 @@ def dfs_cycle(graph: CanonicalGraph) -> Optional[List[Any]]:
     return None
 
 
+def reference_plan(graph: CanonicalGraph) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
+    """The search plan as a second Kahn pass of its own, with a LIFO ready
+    stack: a vertex is placed, settled, once its whole support is; when
+    every unplaced vertex waits on another, the walk from the first unplaced
+    vertex to its least unplaced successor places the first vertex it meets
+    twice, unsettled."""
+    waiting = {a: len(succ) for a, succ in graph.succ}
+    preds: Dict[Any, List[Any]] = {a: [] for a in graph.vertices}
+    for a, succ in graph.succ:
+        for b in succ:
+            preds[b].append(a)
+    ready = [a for a in graph.vertices if not waiting[a]]
+    states = graph.vertices.elements
+    first = 0  # every state before it is placed
+    placed: set = set()
+    plan = []
+    while len(plan) < len(states):
+        settled = bool(ready)
+        if settled:
+            a = ready.pop()
+        else:
+            while states[first] in placed:
+                first += 1
+            a = states[first]
+            walk = set()
+            while a not in walk:
+                walk.add(a)
+                a = min((b for b in graph.successors(a) if b not in placed),
+                        key=element_key)
+        placed.add(a)
+        after = []
+        for b in preds[a]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                (after if b in placed else ready).append(b)
+        plan.append((a, settled, tuple(after)))
+    return plan
+
+
 def instances():
     yield from (graph_g(), r_coalgebra(), automaton(), predecessor(6),
                 fibonacci_coalgebra(6))
@@ -97,6 +138,18 @@ def test_wf_part_and_chain_match_kleene_iteration():
             s.sorted_members() for s in reference]
         assert result.chain[-1] == result.chain[-2] == result.part
         assert result.part == reference[-1]
+
+
+def test_chain_slices_as_a_tuple():
+    bounds = (None, -4, -1, 0, 1, 2, 5)
+    for c in instances():
+        chain = wf_part(c).chain
+        stages = tuple(chain)
+        for i in bounds:
+            for j in bounds:
+                for k in (None, 1, 2, -1, -3):
+                    assert chain[i:j:k] == stages[i:j:k]
+    assert wf_part(predecessor(3)).chain[1:3] == tuple(kleene_chain(predecessor(3))[1:3])
 
 
 def test_verdict_matches_both_references():
@@ -136,6 +189,80 @@ def test_topological_order_puts_successors_first():
         position = {a: i for i, a in enumerate(order)}
         for a in order:
             assert all(position[b] < position[a] for b in graph.successors(a))
+
+
+def breaks_and_segments(plan):
+    """The unsettled vertices in order, and the settled vertices between
+    them as sets."""
+    breaks, segments = [], [set()]
+    for a, settled, _ in plan:
+        if settled:
+            segments[-1].add(a)
+        else:
+            breaks.append(a)
+            segments.append(set())
+    return breaks, segments
+
+
+def test_placement_matches_the_reference_plan():
+    graphs = [canonical_graph(c) for c in instances()]
+    rng = random.Random(149)
+    graphs += [random_digraph(rng) for _ in range(600)]
+    cyclic = 0
+    for graph in graphs:
+        plan = graph.placement()
+        assert breaks_and_segments(plan) == breaks_and_segments(reference_plan(graph))
+        order = [a for a, _, _ in plan]
+        assert sorted(order, key=element_key) == sorted(graph.vertices, key=element_key)
+        position = {a: i for i, a in enumerate(order)}
+        completes = {}  # unsettled vertex -> the step that lists it in after
+        for i, (a, settled, after) in enumerate(plan):
+            if settled:
+                assert all(position[b] < i for b in graph.successors(a))
+            for b in after:
+                assert b not in completes
+                completes[b] = a
+        unsettled = [a for a, settled, _ in plan if not settled]
+        assert sorted(completes, key=element_key) == sorted(unsettled, key=element_key)
+        for b, a in completes.items():
+            assert a == max(graph.successors(b), key=position.__getitem__)
+        prefix = takewhile(lambda step: step[1], plan)
+        assert [a for a, _, _ in prefix] == list(graph.ranking)
+        if unsettled:
+            cyclic += 1
+            assert unsettled[0] == graph.find_cycle()[0]
+    assert 100 < cyclic < len(graphs) - 100
+
+
+def test_search_plan_is_the_placement():
+    for c in instances():
+        assert search_plan(c) == canonical_graph(c).placement()
+
+
+def self_loop_chain(n: int) -> CanonicalGraph:
+    """Vertex i -> {i - 1, i}, the carrier in descending order: every
+    placement step after the first stall walks back to the unplaced end."""
+    vertices = tuple(range(n - 1, -1, -1))
+    return CanonicalGraph(Carrier(vertices), tuple(
+        (i, frozenset({max(i - 1, 0), i})) for i in vertices))
+
+
+def test_the_rank_pass_stops_at_the_first_stall(monkeypatch):
+    walks = []
+    real = CanonicalGraph._walk
+
+    def counting(self, v, excluded):
+        walks.append(v)
+        return real(self, v, excluded)
+
+    monkeypatch.setattr(CanonicalGraph, "_walk", counting)
+    graph = self_loop_chain(300)
+    assert graph.ranking == {} and not graph.is_acyclic()
+    assert walks == []
+    assert graph.find_cycle() == [0]
+    assert walks == [299]
+    assert [a for a, settled, _ in graph.placement() if not settled] == list(range(300))
+    assert walks == [299] * 301
 
 
 # --- recursion on the pass --------------------------------------------------------
