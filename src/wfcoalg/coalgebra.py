@@ -11,14 +11,17 @@ from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
 from .finset import Carrier, FinMap, Subobject, capped_power, element_key
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, check_value,
-                      eval_map, eval_obj, support)
+                      eval_map, eval_obj)
 
 DEFAULT_HOM_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
 class Coalgebra:
-    """A carrier together with a total structure map into F(carrier)."""
+    """A carrier together with a total structure map into F(carrier).
+
+    ``supports``, aligned with the carrier like ``structure``, holds the least
+    support of each state's value, which validating the value collects."""
 
     functor: FunctorExpr
     carrier: Carrier
@@ -27,8 +30,8 @@ class Coalgebra:
     def __post_init__(self):
         if len(self.structure) != len(self.carrier):
             raise ValueError("structure table does not cover the carrier")
-        for v in self.structure:
-            check_value(self.functor, self.carrier, v)
+        object.__setattr__(self, "supports", tuple(
+            check_value(self.functor, self.carrier, v) for v in self.structure))
         object.__setattr__(self, "_alpha",
                            dict(zip(self.carrier.elements, self.structure)))
 
@@ -87,13 +90,16 @@ class CanonicalGraph:
         """The placement engine: one FIFO Kahn pass over the reversed edges, in
         segments of vertices placed settled, after their successors.  When none
         is ready, a segment starts with one placed unsettled: the first vertex of
-        the cycle that ``_walk`` closes from the first unplaced vertex."""
+        the cycle that ``_walk`` closes from the first unplaced vertex.  The walk
+        is kept, cut before its first newly placed vertex: its steps up to there
+        are still to the least unplaced successor, as in a fresh walk."""
         pending = {v: len(succ) for v, succ in self.succ}
         preds: Dict[Any, List[Any]] = {v: [] for v in self.vertices}
         for v, succ in self.succ:
             for w in succ:
                 preds[w].append(v)
         placed: set = set()
+        walk: Dict[Any, int] = {}
 
         def settle(segment: List[Any]) -> Iterator[List[Any]]:
             for w in segment:  # grows while it is walked: a queue
@@ -103,22 +109,28 @@ class CanonicalGraph:
                         segment.append(v)
             yield segment
             placed.update(segment)
+            keep = min((walk[w] for w in segment if w in walk), default=len(walk))
+            while len(walk) > keep:
+                walk.popitem()
 
         yield from settle([v for v in self.vertices if not pending[v]])
         for start in self.vertices:
             while start not in placed:
-                cut = self._walk(start, placed)[0]
+                walk.setdefault(start, 0)  # a walk left over starts at start
+                cut = self._walk(walk, placed)
                 pending[cut] = 0  # only falls from here: it is queued once
                 yield from settle([cut])
 
-    def _walk(self, v: Any, excluded: Collection) -> List[Any]:
-        """The cycle closed by the walk from v that steps to the least
-        successor outside ``excluded`` (by ``element_key``)."""
-        walk: Dict[Any, int] = {}  # vertex -> step at which the walk reached it
-        while v not in walk:
-            walk[v] = len(walk)
+    def _walk(self, walk: Dict[Any, int], excluded: Collection) -> Any:
+        """Extend the nonempty ``walk`` (vertex -> step at which it was reached)
+        by steps to the least successor outside ``excluded`` (by ``element_key``)
+        until it meets itself; return the vertex met, which starts the cycle."""
+        v = next(reversed(walk))
+        while True:
             v = min((w for w in self._succ[v] if w not in excluded), key=element_key)
-        return list(walk)[walk[v]:]
+            if v in walk:
+                return v
+            walk[v] = len(walk)
 
     @cached_property
     def ranking(self) -> Dict[Any, int]:
@@ -144,8 +156,12 @@ class CanonicalGraph:
     def find_cycle(self) -> Optional[List[Any]]:
         """A vertex cycle if one exists, else None: the first unranked vertex's
         ``_walk`` past the ranked ones."""
-        unranked = [v for v in self.vertices if v not in self.ranking]
-        return self._walk(unranked[0], self.ranking) if unranked else None
+        for v in self.vertices:
+            if v not in self.ranking:
+                walk = {v: 0}
+                met = self._walk(walk, self.ranking)
+                return list(walk)[walk[met]:]
+        return None
 
     def is_acyclic(self) -> bool:
         return len(self.ranking) == len(self.vertices)
@@ -175,14 +191,11 @@ def next_time(coalg: Coalgebra, s: Subobject) -> Subobject:
     if s.of != coalg.carrier:
         raise CarrierMismatch("subobject is not of the coalgebra carrier")
     return Subobject(coalg.carrier, frozenset(
-        a for a in coalg.carrier
-        if support(coalg.functor, coalg.carrier, coalg.alpha(a)).members <= s.members))
+        a for a, supp in zip(coalg.carrier, coalg.supports) if supp <= s.members))
 
 
 def canonical_graph(coalg: Coalgebra) -> CanonicalGraph:
-    return CanonicalGraph(coalg.carrier, tuple(
-        (a, support(coalg.functor, coalg.carrier, coalg.alpha(a)).members)
-        for a in coalg.carrier))
+    return CanonicalGraph(coalg.carrier, tuple(zip(coalg.carrier, coalg.supports)))
 
 
 def induced_subcoalgebra(coalg: Coalgebra, s: Subobject) -> Optional[Coalgebra]:

@@ -42,13 +42,14 @@ def quicksort_functor(alphabet: Carrier):
 
 
 def lists_up_to(alphabet: Carrier, max_len: int, cap: Optional[int] = None) -> Carrier:
-    """All words of length <= max_len; with a cap, their number
-    (sum of k^i, i <= max_len) is counted, saturating, before any is built."""
+    """All words of length <= max_len; with a cap, their letters (sum of
+    i * k^i, i <= max_len), which bound both the memory and the number of
+    words, are counted, saturating, before any word is built."""
     if cap is not None:
-        count = power = 1
-        for _ in range(max_len):
+        count, power = 0, 1
+        for i in range(1, max_len + 1):
             power *= len(alphabet)
-            count += power
+            count += i * power
             if count > cap:
                 raise CapExceeded(f"lists of length <= {max_len} over "
                                   f"{len(alphabet)} letters", cap)

@@ -13,10 +13,11 @@ Values of ``F X`` are immutable tagged trees (``FValue``); equality is
 structural with sets kept in canonical sorted order.
 
 Each node kind owns its operations as methods: ``size`` (|F X|), ``enum``
-(the elements of F X), ``fmap`` (F f), ``check`` (membership in F X),
-``support_elems`` (least supports) and ``preserves_inverse_images``.  A
-composite node recurses through its children's methods.  The module-level
-functions below are the entry points the rest of the package calls.
+(the elements of F X), ``fmap`` (F f), ``check`` (membership in F X, which
+also collects the least support: ``Id`` appends its element, an R pair both
+of its elements) and ``preserves_inverse_images``.  A composite node
+recurses through its children's methods.  The module-level functions below
+are the entry points the rest of the package calls.
 """
 
 from __future__ import annotations
@@ -58,12 +59,9 @@ class Const(FunctorExpr):
             raise MalformedValue(f"expected constant value, got {v!r}")
         return v
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, ConstVal) and v.atom in self.values):
             raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        return iter(())
 
     def preserves_inverse_images(self) -> bool:
         return True
@@ -82,12 +80,10 @@ class Id(FunctorExpr):
             raise MalformedValue(f"expected identity value, got {v!r}")
         return IdVal(f(v.element))
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, IdVal) and v.element in x):
             raise MalformedValue(f"{v!r} is not an element of the carrier")
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        yield v.element
+        out.append(v.element)
 
     def preserves_inverse_images(self) -> bool:
         return True
@@ -110,13 +106,10 @@ class Sum(FunctorExpr):
             raise MalformedValue(f"expected injection value, got {v!r}")
         return InjVal(v.index, self.parts[v.index].fmap(f, v.value))
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, InjVal) and 0 <= v.index < len(self.parts)):
             raise MalformedValue(f"{v!r} is not a valid injection")
-        self.parts[v.index].check(x, v.value)
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        return self.parts[v.index].support_elems(v.value)
+        self.parts[v.index].check(x, v.value, out)
 
     def preserves_inverse_images(self) -> bool:
         return all(p.preserves_inverse_images() for p in self.parts)
@@ -141,15 +134,11 @@ class Prod(FunctorExpr):
             raise MalformedValue(f"expected tuple value, got {v!r}")
         return TupleVal(tuple(p.fmap(f, c) for p, c in zip(self.parts, v.items)))
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, TupleVal) and len(v.items) == len(self.parts)):
             raise MalformedValue(f"{v!r} is not a valid tuple")
         for p, c in zip(self.parts, v.items):
-            p.check(x, c)
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        for p, c in zip(self.parts, v.items):
-            yield from p.support_elems(c)
+            p.check(x, c, out)
 
     def preserves_inverse_images(self) -> bool:
         return all(p.preserves_inverse_images() for p in self.parts)
@@ -180,17 +169,13 @@ class Exp(FunctorExpr):
             raise MalformedValue(f"expected function value, got {v!r}")
         return FuncVal(tuple((s, self.arg.fmap(f, c)) for s, c in v.entries))
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not isinstance(v, FuncVal):
             raise MalformedValue(f"{v!r} is not a function value")
         if tuple(s for s, _ in v.entries) != self.alphabet.elements:
             raise MalformedValue(f"{v!r} does not cover the alphabet in order")
         for _, c in v.entries:
-            self.arg.check(x, c)
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        for _, c in v.entries:
-            yield from self.arg.support_elems(c)
+            self.arg.check(x, c, out)
 
     def preserves_inverse_images(self) -> bool:
         return self.arg.preserves_inverse_images()
@@ -213,18 +198,14 @@ class PowFin(FunctorExpr):
             raise MalformedValue(f"expected set value, got {v!r}")
         return SetVal.of(self.arg.fmap(f, c) for c in v.items)
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not isinstance(v, SetVal):
             raise MalformedValue(f"{v!r} is not a set value")
         keys = [c.key() for c in v.items]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise MalformedValue(f"{v!r} is not in canonical set order")
         for c in v.items:
-            self.arg.check(x, c)
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        for c in v.items:
-            yield from self.arg.support_elems(c)
+            self.arg.check(x, c, out)
 
     def preserves_inverse_images(self) -> bool:
         return self.arg.preserves_inverse_images()
@@ -250,15 +231,13 @@ class RFunctor(FunctorExpr):
             return RPoint() if a == b else RPair(a, b)
         raise MalformedValue(f"expected R value, got {v!r}")
 
-    def check(self, x: Carrier, v: FValue) -> None:
+    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if isinstance(v, RPoint):
             return
         if isinstance(v, RPair) and v.fst in x and v.snd in x:
+            out += (v.fst, v.snd)
             return
         raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
-
-    def support_elems(self, v: FValue) -> Iterator[Any]:
-        return iter((v.fst, v.snd) if isinstance(v, RPair) else ())
 
     def preserves_inverse_images(self) -> bool:
         return False
@@ -378,14 +357,17 @@ def eval_map(expr: FunctorExpr, f: Callable[[Any], Any], v: FValue) -> FValue:
     return expr.fmap(f, v)
 
 
-def check_value(expr: FunctorExpr, x: Carrier, v: FValue) -> None:
-    """Raise MalformedValue unless v is a well-formed element of F X."""
-    expr.check(x, v)
+def check_value(expr: FunctorExpr, x: Carrier, v: FValue) -> frozenset:
+    """The least support of v, the elements of X it mentions; raise
+    MalformedValue unless v is a well-formed element of F X."""
+    out: List[Any] = []
+    expr.check(x, v, out)
+    return frozenset(out)
 
 
 def support(expr: FunctorExpr, x: Carrier, v: FValue) -> Subobject:
     """The least subset S of X with v in the image of F(S -> X)."""
-    return Subobject(x, frozenset(expr.support_elems(v)))
+    return Subobject(x, check_value(expr, x, v))
 
 
 def in_image(expr: FunctorExpr, s: Subobject, v: FValue) -> bool:

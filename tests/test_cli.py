@@ -255,12 +255,23 @@ class TestSequenceDemos:
             EXIT_CAP, "cap exceeded: lists of length <= 12 over 12 letters: "
                       "more than 10000000\n")
 
-    def test_quicksort_cap_is_the_list_count(self):
-        # 3 letters, length <= 3: 1 + 3 + 9 + 27 = 40 lists
+    def test_quicksort_cap_is_the_letter_count(self):
+        # 3 letters, length <= 3: 40 lists of 1*3 + 2*9 + 3*27 = 102 letters
         assert run("demo", "quicksort", "--input", "c,a,b",
-                   "--max-enum", "40") == (EXIT_OK, "a,b,c\n")
+                   "--max-enum", "102") == (EXIT_OK, "a,b,c\n")
         assert run("demo", "quicksort", "--input", "c,a,b",
-                   "--max-enum", "39")[0] == EXIT_CAP
+                   "--max-enum", "101")[0] == EXIT_CAP
+        # one letter, length <= 3: 4 lists of 0 + 1 + 2 + 3 = 6 letters
+        assert run("demo", "quicksort", "--input", "a,a,a",
+                   "--max-enum", "6") == (EXIT_OK, "a,a,a\n")
+        assert run("demo", "quicksort", "--input", "a,a,a",
+                   "--max-enum", "5")[0] == EXIT_CAP
+
+    def test_quicksort_on_one_repeated_letter_is_capped_by_its_letters(self):
+        # 10,001 lists, well under the cap, but 5e7 letters: over 1 GB to build
+        assert run("demo", "quicksort", "--input", ",".join("a" * 10 ** 4)) == (
+            EXIT_CAP, "cap exceeded: lists of length <= 10000 over 1 letters: "
+                      "more than 10000000\n")
 
 
 class TestBounds:

@@ -111,6 +111,12 @@ def eval_map_ref(expr, fn, v):
 
 
 def check_ref(expr, x, v):
+    """The former check, which returned nothing, then the least support."""
+    well_formed_ref(expr, x, v)
+    return frozenset(support_ref(expr, v))
+
+
+def well_formed_ref(expr, x, v):
     if isinstance(expr, Const):
         if not (isinstance(v, ConstVal) and v.atom in expr.values):
             raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
@@ -120,19 +126,19 @@ def check_ref(expr, x, v):
     elif isinstance(expr, Sum):
         if not (isinstance(v, InjVal) and 0 <= v.index < len(expr.parts)):
             raise MalformedValue(f"{v!r} is not a valid injection")
-        check_ref(expr.parts[v.index], x, v.value)
+        well_formed_ref(expr.parts[v.index], x, v.value)
     elif isinstance(expr, Prod):
         if not (isinstance(v, TupleVal) and len(v.items) == len(expr.parts)):
             raise MalformedValue(f"{v!r} is not a valid tuple")
         for p, c in zip(expr.parts, v.items):
-            check_ref(p, x, c)
+            well_formed_ref(p, x, c)
     elif isinstance(expr, Exp):
         if not isinstance(v, FuncVal):
             raise MalformedValue(f"{v!r} is not a function value")
         if tuple(s for s, _ in v.entries) != expr.alphabet.elements:
             raise MalformedValue(f"{v!r} does not cover the alphabet in order")
         for _, c in v.entries:
-            check_ref(expr.arg, x, c)
+            well_formed_ref(expr.arg, x, c)
     elif isinstance(expr, PowFin):
         if not isinstance(v, SetVal):
             raise MalformedValue(f"{v!r} is not a set value")
@@ -140,7 +146,7 @@ def check_ref(expr, x, v):
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise MalformedValue(f"{v!r} is not in canonical set order")
         for c in v.items:
-            check_ref(expr.arg, x, c)
+            well_formed_ref(expr.arg, x, c)
     elif isinstance(expr, RFunctor):
         if isinstance(v, RPoint):
             return
@@ -151,22 +157,23 @@ def check_ref(expr, x, v):
         raise TypeError(f"unknown functor node {expr!r}")
 
 
-def support_elems_ref(expr, v):
+def support_ref(expr, v):
+    """The former ``support_elems`` methods: the carrier elements v mentions."""
     if isinstance(expr, Const):
         return
     elif isinstance(expr, Id):
         yield v.element
     elif isinstance(expr, Sum):
-        yield from support_elems_ref(expr.parts[v.index], v.value)
+        yield from support_ref(expr.parts[v.index], v.value)
     elif isinstance(expr, Prod):
         for p, c in zip(expr.parts, v.items):
-            yield from support_elems_ref(p, c)
+            yield from support_ref(p, c)
     elif isinstance(expr, Exp):
         for _, c in v.entries:
-            yield from support_elems_ref(expr.arg, c)
+            yield from support_ref(expr.arg, c)
     elif isinstance(expr, PowFin):
         for c in v.items:
-            yield from support_elems_ref(expr.arg, c)
+            yield from support_ref(expr.arg, c)
     elif isinstance(expr, RFunctor):
         if isinstance(v, RPair):
             yield v.fst
@@ -299,7 +306,25 @@ def test_support():
     for f in functors(7):
         for x in CARRIERS:
             for v in eval_obj(f, x):
-                assert support(f, x, v) == Subobject(x, frozenset(support_elems_ref(f, v)))
+                assert support(f, x, v) == Subobject(x, frozenset(support_ref(f, v)))
+
+
+def test_check_value_returns_the_least_support():
+    rng = random.Random(10)
+    sizes = set()
+    for f in functors(10):
+        for x in CARRIERS:
+            for v in eval_obj(f, x):
+                supp = check_value(f, x, v)
+                assert supp == frozenset(support_ref(f, v))
+                sizes.add(len(supp))
+            # support validates too: a value over a larger carrier is refused
+            foreign = eval_obj(f, CARRIERS[-1])
+            for v in rng.sample(foreign, min(10, len(foreign))):
+                kind, expected = outcome(check_ref, f, x, v)
+                assert outcome(support, f, x, v) == (
+                    (kind, expected) if kind == "malformed" else (kind, Subobject(x, expected)))
+    assert sizes >= {0, 1, 2, 3}
 
 
 def test_preserves_inverse_images():

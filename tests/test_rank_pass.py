@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import takewhile
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -16,6 +17,7 @@ from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
                      canonical_graph, element_key, hylo, is_wellfounded,
                      next_time, para_hylo, unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
+from wfcoalg import functor as functor_module
 from wfcoalg.coalgebra import search_plan
 from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, quicksort, r_coalgebra)
@@ -251,9 +253,9 @@ def test_the_rank_pass_stops_at_the_first_stall(monkeypatch):
     walks = []
     real = CanonicalGraph._walk
 
-    def counting(self, v, excluded):
-        walks.append(v)
-        return real(self, v, excluded)
+    def counting(self, walk, excluded):
+        walks.append(next(iter(walk)))  # the vertex the walk started from
+        return real(self, walk, excluded)
 
     monkeypatch.setattr(CanonicalGraph, "_walk", counting)
     graph = self_loop_chain(300)
@@ -263,6 +265,19 @@ def test_the_rank_pass_stops_at_the_first_stall(monkeypatch):
     assert walks == [299]
     assert [a for a, settled, _ in graph.placement() if not settled] == list(range(300))
     assert walks == [299] * 301
+
+
+def test_the_placement_resumes_its_walk():
+    # every break of the chain places the vertex at the walk's end, so a walk
+    # restarted from the first unplaced vertex made the placement quadratic:
+    # about 16 s at 4,000 vertices
+    for n in (1, 2, 300):
+        assert self_loop_chain(n).placement() == reference_plan(self_loop_chain(n))
+    graph = self_loop_chain(4000)
+    start = time.perf_counter()
+    plan = graph.placement()
+    assert time.perf_counter() - start < 1.0
+    assert plan == [(i, False, (i,)) for i in range(4000)]  # the reference's plan
 
 
 # --- recursion on the pass --------------------------------------------------------
@@ -293,19 +308,27 @@ def test_deep_reversed_chain_needs_no_recursion():
 
 
 def test_hylo_computes_each_support_once(monkeypatch):
+    checks, supports = [], []
+    real_check, real_support = functor_module.check_value, functor_module.support
+
+    def counting_check(*args):
+        checks.append(args[2])
+        return real_check(*args)
+
+    def counting_support(*args):
+        supports.append(args[2])
+        return real_support(*args)
+
+    monkeypatch.setattr(coalgebra_module, "check_value", counting_check)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wfcoalg") and getattr(module, "support", None) is real_support:
+            monkeypatch.setattr(module, "support", counting_support)
     coalg, alg = quicksort(("a", "b", "c"), 5)
-    real = coalgebra_module.support
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(coalgebra_module, "support", counting)
+    assert len(coalg.carrier) == 364
+    assert checks == list(coalg.structure)  # once per state, as it is built
     h = hylo(coalg, alg)
     assert h(("c", "a", "b")) == ("a", "b", "c")
-    assert len(coalg.carrier) == 364
-    assert len(calls) == len(coalg.carrier)
+    assert len(checks) == len(coalg.carrier) and supports == []
 
 
 FICKLE_SCRIPT = """
