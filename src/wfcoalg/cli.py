@@ -2,13 +2,14 @@
 
 Exit codes: 0 the property holds / the value was computed, 1 the property
 fails (a witness is printed), 2 usage or parse error, 3 an enumeration cap
-was exceeded.
+was exceeded, 141 (as for SIGPIPE) stdout was closed before all was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Optional
 
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141
 
 
 def _fmt_members(members) -> str:
@@ -109,11 +111,10 @@ def _cmd_hylo(args, out, parametric: bool) -> int:
 def _cmd_initial_chain(args, out) -> int:
     doc = _load_document(args)
     chain = initial_chain(doc.functor, args.max_depth, cap=args.max_enum)
-    for i, stage in enumerate(chain.index_stages):  # sizes only: no closed terms
-        print(f"W{i}: {len(stage)} elements", file=out)
+    out.writelines(f"W{i}: {size} elements\n" for i, size in enumerate(chain.sizes))
     if chain.stabilized:
         print(f"stabilized at index {chain.stable_index}; "
-              f"|mu F| = {len(chain.index_stages[chain.stable_index])}", file=out)
+              f"|mu F| = {chain.sizes[chain.stable_index]}", file=out)
         return EXIT_OK
     if chain.cap_exceeded is not None:
         print(f"cap exceeded: {chain.cap_exceeded}", file=out)
@@ -284,22 +285,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        return args.handler(args, out)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=out)
-        return EXIT_CAP
-    except (FileNotFoundError, WfcoalgError) as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_USAGE
+        try:
+            args = build_parser().parse_args(argv)
+            return args.handler(args, out)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
+        except ParseError as exc:
+            print(f"parse error: {exc}", file=out)
+            return EXIT_USAGE
+        except CapExceeded as exc:
+            print(f"cap exceeded: {exc}", file=out)
+            return EXIT_CAP
+        except (FileNotFoundError, WfcoalgError) as exc:
+            print(f"error: {exc}", file=out)
+            return EXIT_USAGE
+        finally:
+            out.flush()  # so a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

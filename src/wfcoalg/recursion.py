@@ -2,18 +2,17 @@
 
 ``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism of
 a coalgebra whose well-foundedness has been verified (the termination
-certificate).  ``initial_chain`` builds W_{i+1} = F(W_i) over indices, as
-F(range |W_i|), and folds closed terms only when they are read.
-``recursive_oracle``/``parametric_oracle`` decide the defining universal
-quantification ("every algebra has exactly one solution") for every algebra
-on each carrier up to a size bound: a fail is a conclusive counterexample,
-a pass is evidence only.  Neither enumerates the algebras.  A search over
-candidate maps (``search_tables``, shared with ``find_homs``) gives the
-table entries each candidate forces; every table has exactly one solution
-iff the forced tables are pairwise incompatible and their cylinders fill
-the table space, and where that fails a descent in lexicographic order
-finds the first table that does not, which is the witness a scan of every
-table would report.
+certificate).  ``initial_chain`` counts |W_{i+1}| = |F(W_i)| and builds its
+stages only when read.  ``recursive_oracle``/``parametric_oracle`` decide
+the defining universal quantification ("every algebra has exactly one
+solution") for every algebra on each carrier up to a size bound: a fail is
+a conclusive counterexample, a pass is evidence only.  Neither enumerates
+the algebras.  A search over candidate maps (``search_tables``, shared with
+``find_homs``) gives the table entries each candidate forces; every table
+has exactly one solution iff the forced tables are pairwise incompatible
+and their cylinders fill the table space, and where that fails a descent in
+lexicographic order finds the first table that does not, which is the
+witness a scan of every table would report.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
                      NotWellFounded)
 from .finset import Carrier, FinMap, capped_power
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
-                      eval_obj, preserves_inverse_images)
+                      eval_obj, preserves_inverse_images, size_obj)
 from .coalgebra import (Algebra, Coalgebra, canonical_graph, search_plan,
                         search_tables, solution_maps)
 
@@ -86,19 +85,40 @@ def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
 class InitialChain:
     """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps.
 
-    ``index_stages[i + 1]`` is F(range |W_i|) in key order; ``index_maps[i]``
-    is w_{i,i+1} as positions in stage i+1.  ``stages`` and ``maps`` are their
-    closed terms, folded on first access.  The chain stabilizes at the first
-    index whose connecting map is a bijection, and that stage is the initial
+    ``sizes[i]`` is |W_i|.  Built when first read, against ``sizes``:
+    ``index_stages[i + 1]``, F(range |W_i|) in key order; ``index_maps[i]``,
+    w_{i,i+1} as positions in stage i + 1; ``stages``/``maps``, closed terms.
+    The chain stabilizes where a connecting map is a bijection, at the initial
     algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
     """
 
     functor: FunctorExpr
-    index_stages: Tuple[Tuple[FValue, ...], ...]
-    index_maps: Tuple[Tuple[int, ...], ...]
+    sizes: Tuple[int, ...]
     stabilized: bool
     stable_index: Optional[int] = None
     cap_exceeded: Optional[CapExceeded] = None
+
+    @cached_property
+    def index_stages(self) -> Tuple[Tuple[FValue, ...], ...]:
+        stages: List[Tuple[FValue, ...]] = [()]
+        for size in self.sizes[1:]:
+            n = len(stages[-1])
+            if size_obj(self.functor, n, size) != size:  # counted before it is built
+                raise InternalConsistencyError(f"W{len(stages)} is not of size {size}")
+            values = eval_obj(self.functor, Carrier(tuple(range(n))), cap=size)
+            stages.append(tuple(sorted(values, key=lambda v: v.key())))
+        return tuple(stages)
+
+    @cached_property
+    def index_maps(self) -> Tuple[Tuple[int, ...], ...]:
+        s, maps, w = self.index_stages, [], ()
+        for i in range(len(s) - 1):  # w_{i,i+1} = F(w_{i-1,i}), from the empty map
+            pos = {v: j for j, v in enumerate(s[i + 1])}
+            w = tuple(pos[eval_map(self.functor, w.__getitem__, v)] for v in s[i])
+            if len(set(w)) != len(w):
+                raise InternalConsistencyError(f"w_{i},{i + 1} is not injective")
+            maps.append(w)
+        return tuple(maps)
 
     @cached_property
     def stages(self) -> Tuple[Carrier, ...]:
@@ -132,22 +152,15 @@ class InitialChain:
 
 def initial_chain(functor: FunctorExpr, max_depth: int,
                   cap: int = DEFAULT_ENUM_CAP) -> InitialChain:
-    stages: List[Tuple[FValue, ...]] = [()]
-    maps: List[Tuple[int, ...]] = []
+    sizes = [0]
     for i in range(max_depth + 1):
-        try:
-            values = eval_obj(functor, Carrier(tuple(range(len(stages[i])))), cap=cap)
-        except CapExceeded as exc:
-            return InitialChain(functor, tuple(stages), tuple(maps), False, None, exc)
-        nxt = tuple(sorted(values, key=lambda v: v.key()))
-        pos = {v: j for j, v in enumerate(nxt)}
-        prev = maps[-1] if maps else ()
-        w = tuple(pos[eval_map(functor, prev.__getitem__, v)] for v in stages[i])
-        stages.append(nxt)
-        maps.append(w)
-        if len(stages[i]) == len(nxt) and len(set(w)) == len(w):
-            return InitialChain(functor, tuple(stages), tuple(maps), True, i)
-    return InitialChain(functor, tuple(stages), tuple(maps), False)
+        sizes.append(size_obj(functor, sizes[i], cap))
+        if sizes[-1] > cap:
+            return InitialChain(functor, tuple(sizes[:-1]), False, None,
+                                CapExceeded("functor enumeration", cap))
+        if sizes[i] == sizes[-1]:  # F keeps injections: w_{i,i+1} is a bijection
+            return InitialChain(functor, tuple(sizes), True, i)
+    return InitialChain(functor, tuple(sizes), False)
 
 
 # --- unfolding into the term algebra ------------------------------------------

@@ -1,14 +1,19 @@
 import io
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wfcoalg
 from wfcoalg import Carrier, eval_obj, parse_functor, render_value
-from wfcoalg.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
+from wfcoalg.cli import (EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
+                         build_parser, main)
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -360,6 +365,48 @@ class TestErrors:
         first = run("wf-part", graph_file)
         second = run("wf-part", graph_file)
         assert first == second
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``| head -c 100``) ends the CLI with
+    EXIT_PIPE and nothing on stderr, not with a traceback."""
+
+    def cli(self, *argv, stdout):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(wfcoalg.__file__).resolve().parents[1]))
+        return subprocess.Popen([sys.executable, "-m", "wfcoalg.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+    def test_reader_leaves_after_100_bytes(self, tmp_path):
+        # about 480 kB of output, far past what the pipe buffers
+        names = [f"s{i:05d}" for i in range(20_000)]
+        doc = tmp_path / "loops.txt"
+        doc.write_text("functor = P(X)\ncarrier A = " + " ".join(names) +
+                       "\ncoalgebra C : A\n" + "".join(
+                           f"  {b} -> {{{a}, {b}}}\n" for a, b in zip(names, names[1:])) +
+                       f"  {names[0]} -> {{}}\n")
+        proc = self.cli("canonical-graph", str(doc), stdout=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        assert len(head) == 100 and head.startswith(b"s00000 ->\ns00001 -> s00000 s00001\n")
+        proc.stdout.close()
+        assert proc.communicate(timeout=60)[1] == b""  # no traceback
+        assert proc.returncode == EXIT_PIPE
+
+    def test_no_reader_at_all(self, graph_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self.cli("check-wf", graph_file, stdout=write_end)
+        os.close(write_end)
+        assert proc.communicate(timeout=60)[1] == b""  # no traceback
+        assert proc.returncode == EXIT_PIPE
+
+    def test_a_stream_of_the_caller_keeps_its_error(self, graph_file):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with pytest.raises(BrokenPipeError):
+            main(["check-wf", graph_file], out=Closed())
 
 
 # --- the cap paths under generated documents and caps --------------------------

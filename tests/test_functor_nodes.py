@@ -5,8 +5,8 @@ included) over carriers of size 0 to 3."""
 import random
 from itertools import product
 
-from wfcoalg import (Carrier, Const, ConstVal, Exp, FuncVal, Id, IdVal, InjVal,
-                     MalformedValue, PowFin, Prod, RFunctor, RPair, RPoint,
+from wfcoalg import (Carrier, Const, ConstVal, Exp, FinMap, FuncVal, Id, IdVal,
+                     InjVal, MalformedValue, PowFin, Prod, RFunctor, RPair, RPoint,
                      SetVal, Subobject, Sum, TupleVal, eval_map, eval_obj,
                      preserves_inverse_images, support)
 from wfcoalg.finset import capped_power
@@ -335,3 +335,25 @@ def test_preserves_inverse_images():
         verdicts.add(preserves_inverse_images(f))
         assert preserves_inverse_images(f) == preserves_ref(f)
     assert verdicts == {True, False}
+
+
+def test_fmap_preserves_injections():
+    """F of an injective map is injective on F of its domain, the empty map
+    into Y included.  ``initial_chain`` counts its stages on this: each
+    connecting map is then injective, and a bijection iff the sizes agree."""
+    rng = random.Random(11)
+    atoms = [0, 1, 2, 3, 4, "a", "b", "c", "d", ("p", 0)]
+    checked = set()
+    for f in functors(10):
+        for _ in range(6):
+            x = Carrier(tuple(rng.sample(atoms, rng.randint(0, 3))))
+            y = Carrier(tuple(rng.sample(atoms, rng.randint(len(x), len(x) + 2))))
+            g = FinMap(x, y, tuple(rng.sample(y.elements, len(x))))
+            values = eval_obj(f, x)
+            assert len(values) == size_obj(f, len(x))  # what the chain counts
+            images = [eval_map(f, g, v) for v in values]
+            assert len(set(images)) == len(values), (f, g)
+            for w in images:
+                check_value(f, y, w)  # each image lies in F(Y)
+            checked.add((len(x), len(y)))
+    assert {(0, 0), (0, 2), (3, 3), (3, 5)} <= checked

@@ -1,14 +1,17 @@
-"""The initial chain built over indices against the closed-term chain it
-replaces: every public field agrees on named and generated functors."""
+"""The counted initial chain, and the stages over indices it builds on
+demand, against the closed-term chain: every public field agrees on named
+and generated functors."""
 
 import io
 import random
+import sys
 from typing import List, NamedTuple, Optional
 
 import pytest
 
-from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, FinMap,
-                     eval_map, eval_obj, initial_chain, parse_functor)
+from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
+                     Id, InitialChain, InternalConsistencyError, Sum, eval_map,
+                     eval_obj, initial_chain, parse_functor)
 from wfcoalg import cli
 from wfcoalg.functor import DEFAULT_ENUM_CAP
 
@@ -73,6 +76,7 @@ CAP = 5_000
 def assert_agrees(functor, max_depth: int, cap: int) -> None:
     chain = initial_chain(functor, max_depth, cap=cap)
     ref = closed_chain(functor, max_depth, cap)
+    assert list(chain.sizes) == [len(s) for s in ref.stages]
     assert [len(s) for s in chain.index_stages] == [len(s) for s in ref.stages]
     assert chain.stages == tuple(ref.stages)
     assert [w.values for w in chain.maps] == [w.values for w in ref.maps]
@@ -137,7 +141,61 @@ def test_cli_prints_sizes_without_folding_closed_terms(tmp_path, monkeypatch):
     assert cli.main(["initial-chain", str(doc), "--max-depth", "300"], out=out) == 1
     assert out.getvalue().splitlines()[-2:] == [
         "W301: 301 elements", "not stabilized within the depth bound"]
-    assert "stages" not in vars(built[0]) and "maps" not in vars(built[0])
+    assert not {"stages", "maps", "index_stages", "index_maps"} & set(vars(built[0]))
+
+
+@pytest.mark.parametrize("functor, depth, code, last", [
+    ("P(X)", 5, 3, "W5: 65536 elements"),
+    ("1 + X", 300, 1, "W301: 301 elements")])
+def test_cli_counts_the_chain_without_enumerating(tmp_path, monkeypatch,
+                                                  functor, depth, code, last):
+    calls = {"eval_obj": 0, "eval_map": 0}
+    for name in calls:
+        original = getattr(sys.modules["wfcoalg.functor"], name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for module in [m for n, m in sys.modules.items() if n.startswith("wfcoalg")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    doc = tmp_path / "f.txt"
+    doc.write_text(f"functor = {functor}\n")
+    out = io.StringIO()
+    assert cli.main(["initial-chain", str(doc), "--max-depth", str(depth)], out=out) == code
+    assert out.getvalue().splitlines()[-2] == last
+    assert calls == {"eval_obj": 0, "eval_map": 0}
+    initial_chain(parse_functor(functor, {}), 3).index_maps  # the counters count
+    assert calls["eval_obj"] > 0 and calls["eval_map"] > 0
+
+
+# --- the stages over indices are checked against the count ------------------------
+
+class Forgetful(Sum):
+    """1 + X whose F f sends every value to the constant: not injective."""
+
+    def fmap(self, f, v):
+        return next(self.enum(Carrier.empty()))
+
+
+ONE_PLUS_X = Sum((Const(Carrier(("*",))), Id()))
+
+
+@pytest.mark.parametrize("sizes", [(0, 1, 3), (0, 1, 1), (0, 2, 3), (0, 0)])
+def test_a_stage_of_the_wrong_size_is_an_internal_error(sizes):
+    chain = InitialChain(ONE_PLUS_X, sizes, False)
+    with pytest.raises(InternalConsistencyError, match="is not of size"):
+        chain.index_stages
+    with pytest.raises(InternalConsistencyError):
+        chain.stages
+
+
+def test_a_non_injective_connecting_map_is_an_internal_error():
+    chain = initial_chain(Forgetful(ONE_PLUS_X.parts), 3)
+    assert chain.sizes == (0, 1, 2, 3, 4) and not chain.stabilized
+    assert [len(s) for s in chain.index_stages] == [0, 1, 2, 3, 4]
+    with pytest.raises(InternalConsistencyError, match="w_2,3 is not injective"):
+        chain.index_maps
 
 
 def test_cli_exits_3_when_the_cap_stops_p_of_x(tmp_path):
