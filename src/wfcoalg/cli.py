@@ -1,5 +1,8 @@
 """Batch command-line front end.
 
+A command takes only the options it reads (see ``COMMANDS`` and ``demo``);
+naming any other option is a usage error.
+
 Exit codes: 0 the property holds / the value was computed, 1 the property
 fails (a witness is printed), 2 usage or parse error, 3 an enumeration cap
 was exceeded, 141 (as for SIGPIPE) stdout was closed before all was written.
@@ -15,7 +18,8 @@ from typing import Optional
 
 from .errors import CapExceeded, WfcoalgError
 from .finset import Subobject, all_subsets, element_key
-from .coalgebra import canonical_graph, is_cartesian, is_subcoalgebra, next_time
+from .coalgebra import (DEFAULT_SEARCH_CAP, canonical_graph, is_cartesian,
+                        is_subcoalgebra, next_time)
 from .wellfounded import is_wellfounded, wf_part
 from .recursion import (find_homs, hylo, initial_chain, para_hylo,
                         parametric_oracle, recursive_oracle)
@@ -57,8 +61,7 @@ def _demo_document(name: str) -> SpecDocument:
     raise WfcoalgError(f"no built-in document {name!r} (try graph-g, r-coalgebra)")
 
 
-def _cmd_check_wf(args, out) -> int:
-    doc = _load_document(args)
+def _cmd_check_wf(doc, args, out) -> int:
     coalg = doc.the_coalgebra(args.coalgebra)
     result = wf_part(coalg)
     if result.part.is_full():
@@ -69,8 +72,7 @@ def _cmd_check_wf(args, out) -> int:
     return EXIT_FAIL
 
 
-def _cmd_wf_part(args, out) -> int:
-    doc = _load_document(args)
+def _cmd_wf_part(doc, args, out) -> int:
     result = wf_part(doc.the_coalgebra(args.coalgebra))
     for i, members in enumerate(result.chain.sorted_stages()):
         print(f"step {i}: {_fmt_members(members)}", file=out)
@@ -78,8 +80,7 @@ def _cmd_wf_part(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_canonical_graph(args, out) -> int:
-    doc = _load_document(args)
+def _cmd_canonical_graph(doc, args, out) -> int:
     graph = canonical_graph(doc.the_coalgebra(args.coalgebra))
     if args.dot:
         print("digraph canonical {", file=out)
@@ -95,8 +96,7 @@ def _cmd_canonical_graph(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_hylo(args, out, parametric: bool) -> int:
-    doc = _load_document(args)
+def _cmd_hylo(doc, args, out, parametric: bool) -> int:
     coalg = doc.the_coalgebra(args.coalgebra)
     if parametric:
         par = doc.the_paralgebra(args.paralgebra)
@@ -108,8 +108,7 @@ def _cmd_hylo(args, out, parametric: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_initial_chain(args, out) -> int:
-    doc = _load_document(args)
+def _cmd_initial_chain(doc, args, out) -> int:
     chain = initial_chain(doc.functor, args.max_depth, cap=args.max_enum)
     out.writelines(f"W{i}: {size} elements\n" for i, size in enumerate(chain.sizes))
     if chain.stabilized:
@@ -123,8 +122,7 @@ def _cmd_initial_chain(args, out) -> int:
     return EXIT_FAIL
 
 
-def _cmd_find_homs(args, out) -> int:
-    doc = _load_document(args)
+def _cmd_find_homs(doc, args, out) -> int:
     coalg = doc.the_coalgebra(args.coalgebra)
     alg = doc.the_algebra(args.algebra)
     homs = find_homs(coalg, alg, cap=args.max_enum)
@@ -135,8 +133,7 @@ def _cmd_find_homs(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args, out, parametric: bool) -> int:
-    doc = _load_document(args)
+def _cmd_oracle(doc, args, out, parametric: bool) -> int:
     coalg = doc.the_coalgebra(args.coalgebra)
     run = parametric_oracle if parametric else recursive_oracle
     verdict = run(coalg, args.max_carrier, cap=args.max_enum)
@@ -184,12 +181,13 @@ def _cmd_demo(args, out) -> int:
     if name == "r-coalgebra":
         c = demos.r_coalgebra()
         print(f"well-founded: {is_wellfounded(c)}", file=out)
-        rec = recursive_oracle(c, args.max_carrier)
-        par = parametric_oracle(c, args.max_carrier)
+        rec = recursive_oracle(c, args.max_carrier, cap=args.max_enum)
+        par = parametric_oracle(c, args.max_carrier, cap=args.max_enum)
         print(f"recursive oracle: {rec.status} "
               f"(sizes {list(rec.sizes_checked)})", file=out)
         print(f"parametric oracle: {par.status}", file=out)
-        return EXIT_OK
+        undecided = any(v.passed() and not v.complete for v in (rec, par))
+        return EXIT_CAP if undecided else EXIT_OK
     if name == "automaton":
         c = demos.automaton()
         verdict = is_wellfounded(c)
@@ -213,6 +211,35 @@ def natural(text: str) -> int:
     return value
 
 
+OPTIONS = {  # the --max-* options are the bounds
+    "--coalgebra": dict(help="coalgebra name in the document"),
+    "--algebra": dict(help="algebra name in the document"),
+    "--paralgebra": dict(help="paralgebra name in the document"),
+    "--dot": dict(action="store_true", help="emit graphviz dot"),
+    "--max-enum": dict(type=natural, default=DEFAULT_SEARCH_CAP, help="enumeration cap"),
+    "--max-carrier": dict(type=natural, default=2, help="largest oracle carrier size"),
+    "--max-depth": dict(type=natural, default=16, help="initial-chain depth bound"),
+}
+ORACLE_BOUNDS = ("--max-enum", "--max-carrier")
+
+# Each document command: its handler, its other options, and the bounds it reads.
+COMMANDS = {
+    "check-wf": (_cmd_check_wf, ("--coalgebra",), ()),
+    "wf-part": (_cmd_wf_part, ("--coalgebra",), ()),
+    "canonical-graph": (_cmd_canonical_graph, ("--coalgebra", "--dot"), ()),
+    "hylo": (functools.partial(_cmd_hylo, parametric=False),
+             ("--coalgebra", "--algebra"), ()),
+    "para-hylo": (functools.partial(_cmd_hylo, parametric=True),
+                  ("--coalgebra", "--paralgebra"), ()),
+    "initial-chain": (_cmd_initial_chain, (), ("--max-enum", "--max-depth")),
+    "find-homs": (_cmd_find_homs, ("--coalgebra", "--algebra"), ("--max-enum",)),
+    "oracle-recursive": (functools.partial(_cmd_oracle, parametric=False),
+                         ("--coalgebra",), ORACLE_BOUNDS),
+    "oracle-parametric": (functools.partial(_cmd_oracle, parametric=True),
+                          ("--coalgebra",), ORACLE_BOUNDS),
+}
+
+
 @functools.cache  # parse_args reads the parser; it never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -220,56 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Workbench for well-founded and recursive coalgebras "
                     "of finite set functors.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_doc=True):
-        if needs_doc:
-            p.add_argument("spec", nargs="?", help="spec document file")
-            p.add_argument("--demo", dest="demo_doc", metavar="NAME",
-                           help="use a built-in document instead of a file")
-            p.add_argument("--coalgebra", help="coalgebra name in the document")
-        p.add_argument("--max-enum", type=natural, default=10_000_000,
-                       help="enumeration cap")
-        p.add_argument("--max-carrier", type=natural, default=2,
-                       help="largest oracle carrier size")
-        p.add_argument("--max-depth", type=natural, default=16,
-                       help="initial-chain depth bound")
-
-    for cmd, fn in [("check-wf", _cmd_check_wf), ("wf-part", _cmd_wf_part)]:
-        p = sub.add_parser(cmd)
-        common(p)
-        p.set_defaults(handler=fn)
-
-    p = sub.add_parser("canonical-graph")
-    common(p)
-    p.add_argument("--dot", action="store_true", help="emit graphviz dot")
-    p.set_defaults(handler=_cmd_canonical_graph)
-
-    p = sub.add_parser("hylo")
-    common(p)
-    p.add_argument("--algebra", help="algebra name in the document")
-    p.set_defaults(handler=lambda a, o: _cmd_hylo(a, o, parametric=False))
-
-    p = sub.add_parser("para-hylo")
-    common(p)
-    p.add_argument("--paralgebra", help="paralgebra name in the document")
-    p.set_defaults(handler=lambda a, o: _cmd_hylo(a, o, parametric=True))
-
-    p = sub.add_parser("initial-chain")
-    common(p)
-    p.set_defaults(handler=_cmd_initial_chain)
-
-    p = sub.add_parser("find-homs")
-    common(p)
-    p.add_argument("--algebra", help="algebra name in the document")
-    p.set_defaults(handler=_cmd_find_homs)
-
-    p = sub.add_parser("oracle-recursive")
-    common(p)
-    p.set_defaults(handler=lambda a, o: _cmd_oracle(a, o, parametric=False))
-
-    p = sub.add_parser("oracle-parametric")
-    common(p)
-    p.set_defaults(handler=lambda a, o: _cmd_oracle(a, o, parametric=True))
+    for name, (_, options, bounds) in COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("spec", nargs="?", help="spec document file")
+        p.add_argument("--demo", dest="demo_doc", metavar="NAME",
+                       help="use a built-in document instead of a file")
+        for option in options + bounds:
+            p.add_argument(option, **OPTIONS[option])
 
     p = sub.add_parser("demo")
     p.add_argument("name", help="graph-g | r-coalgebra | quicksort | "
@@ -278,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=natural, default=5)
     p.add_argument("--a0", type=int, default=0)
     p.add_argument("--a1", type=int, default=1)
-    common(p, needs_doc=False)
-    p.set_defaults(handler=_cmd_demo)
+    for option in ORACLE_BOUNDS:
+        p.add_argument(option, **OPTIONS[option])
     return parser
 
 
@@ -288,7 +272,9 @@ def main(argv: Optional[list] = None, out=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            return args.handler(args, out)
+            if args.command == "demo":
+                return _cmd_demo(args, out)
+            return COMMANDS[args.command][0](_load_document(args), args, out)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
         except ParseError as exc:

@@ -13,7 +13,7 @@ from .finset import Carrier, FinMap, Subobject, capped_power, element_key
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, check_value,
                       eval_map, eval_obj)
 
-DEFAULT_HOM_CAP = 10_000_000
+DEFAULT_SEARCH_CAP = 10_000_000  # maps searched: homs, find_homs, oracles, --max-enum
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def coproduct(c1: Coalgebra, c2: Coalgebra) -> Tuple[Coalgebra, FinMap, FinMap]:
 
 
 def enumerate_homs(src: Coalgebra, dst: Coalgebra,
-                   cap: int = DEFAULT_HOM_CAP) -> Iterator[FinMap]:
+                   cap: int = DEFAULT_SEARCH_CAP) -> Iterator[FinMap]:
     """All coalgebra homomorphisms src -> dst, in lexicographic table order."""
     _require_same_functor(src, dst)
     if capped_power(len(dst.carrier), len(src.carrier), cap) > cap:

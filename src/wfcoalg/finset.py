@@ -73,9 +73,8 @@ class FinMap:
     def __post_init__(self):
         if len(self.values) != len(self.dom):
             raise ValueError("map table does not cover the domain")
-        cod_set = set(self.cod.elements)
         for v in self.values:
-            if v not in cod_set:
+            if v not in self.cod:
                 raise ValueError(f"image element {v!r} not in codomain")
         object.__setattr__(self, "_table", dict(zip(self.dom.elements, self.values)))
 
@@ -115,7 +114,7 @@ class FinMap:
         return len(set(self.values)) == len(self.values)
 
     def is_surjective(self) -> bool:
-        return set(self.values) == set(self.cod.elements)
+        return set(self.values) == self.cod._set
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,8 @@ from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
 from .finset import Carrier, FinMap, capped_power
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
                       eval_obj, preserves_inverse_images, size_obj)
-from .coalgebra import (Algebra, Coalgebra, canonical_graph, search_plan,
-                        search_tables, solution_maps)
-
-DEFAULT_ORACLE_CAP = 10_000_000
+from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, canonical_graph,
+                        search_plan, search_tables, solution_maps)
 
 Term = FValue  # a closed F-tree: an unfolded state, or a folded chain element
 
@@ -194,7 +192,7 @@ def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
 # --- morphism search and oracles ------------------------------------------------
 
 def find_homs(coalg: Coalgebra, alg: Algebra,
-              cap: int = DEFAULT_ORACLE_CAP) -> List[FinMap]:
+              cap: int = DEFAULT_SEARCH_CAP) -> List[FinMap]:
     """All coalgebra-to-algebra morphisms, in lexicographic table order."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
@@ -325,12 +323,12 @@ def _fills(n: int, r: int, exponents: List[int]) -> bool:
 
 
 def recursive_oracle(coalg: Coalgebra, max_carrier: int,
-                     cap: int = DEFAULT_ORACLE_CAP) -> OracleVerdict:
+                     cap: int = DEFAULT_SEARCH_CAP) -> OracleVerdict:
     """Check unique solvability against every algebra on carriers up to the bound."""
     return _oracle(coalg, max_carrier, cap, parametric=False)
 
 
 def parametric_oracle(coalg: Coalgebra, max_carrier: int,
-                      cap: int = DEFAULT_ORACLE_CAP) -> OracleVerdict:
+                      cap: int = DEFAULT_SEARCH_CAP) -> OracleVerdict:
     """As recursive_oracle, but the operation also sees the original state."""
     return _oracle(coalg, max_carrier, cap, parametric=True)

@@ -41,7 +41,7 @@ from .errors import WfcoalgError
 from .finset import Carrier
 from .functor import (Const, ConstVal, Exp, FValue, FuncVal, FunctorExpr, Id,
                       IdVal, InjVal, PowFin, Prod, RFunctor, RPair, RPoint,
-                      SetVal, Sum, TupleVal, eval_obj)
+                      SetVal, Sum, TupleVal, size_obj)
 from .coalgebra import Algebra, Coalgebra
 
 
@@ -486,8 +486,8 @@ def parse_spec(text: str) -> SpecDocument:
                 doc.algebras[name] = Algebra.from_table(functor, target, table)
             except ValueError as exc:
                 raise ParseError(f"algebra {name!r}: {exc}", lineno, 1) from exc
-        else:  # the rows are distinct members of F(target) x source
-            if len(table) < len(eval_obj(functor, target)) * len(source):
+        else:  # the rows are distinct in F(target) x source: count up to len(table)
+            if size_obj(functor, len(target), len(table)) * len(source) > len(table):
                 raise ParseError(f"paralgebra {name!r} table is not total", lineno, 1)
             doc.paralgebras[name] = ParAlgebra(target, source, table)
 

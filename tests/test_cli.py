@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import random
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import wfcoalg
 from wfcoalg import Carrier, eval_obj, parse_functor, render_value
-from wfcoalg.cli import (EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PIPE, EXIT_USAGE,
-                         build_parser, main)
+from wfcoalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PIPE,
+                         EXIT_USAGE, ORACLE_BOUNDS, build_parser, main)
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -201,6 +202,13 @@ class TestDemos:
         assert "recursive oracle: pass" in text
         assert "parametric oracle: fail" in text
 
+    def test_r_coalgebra_with_an_undecided_oracle_is_a_cap(self):
+        # at cap 1 the size-2 carrier is not checked: a pass that is evidence of nothing
+        assert run("demo", "r-coalgebra", "--max-enum", "1") == (
+            EXIT_CAP, "well-founded: False\nrecursive oracle: pass (sizes [1])\n"
+                      "parametric oracle: pass\n")
+        assert run("oracle-recursive", "--demo", "r-coalgebra", "--max-enum", "1")[0] == EXIT_CAP
+
 
 @pytest.fixture
 def int_str_limit():
@@ -297,6 +305,75 @@ class TestBounds:
         assert run("initial-chain", "--demo", "r-coalgebra", "--max-depth", "0") == (
             EXIT_FAIL, "W0: 0 elements\nW1: 1 elements\n"
                        "not stabilized within the depth bound\n")
+
+
+class TestOptionsAreRead:
+    DOC = {"spec", "--demo"}
+
+    def test_each_command_takes_only_what_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        taken = {name: {a.option_strings[0] if a.option_strings else a.dest
+                        for a in p._actions if not isinstance(a, argparse._HelpAction)}
+                 for name, p in sub.choices.items()}
+        assert taken == {
+            "check-wf": self.DOC | {"--coalgebra"},
+            "wf-part": self.DOC | {"--coalgebra"},
+            "canonical-graph": self.DOC | {"--coalgebra", "--dot"},
+            "hylo": self.DOC | {"--coalgebra", "--algebra"},
+            "para-hylo": self.DOC | {"--coalgebra", "--paralgebra"},
+            "initial-chain": self.DOC | {"--max-enum", "--max-depth"},
+            "find-homs": self.DOC | {"--coalgebra", "--algebra", "--max-enum"},
+            "oracle-recursive": self.DOC | {"--coalgebra", "--max-enum", "--max-carrier"},
+            "oracle-parametric": self.DOC | {"--coalgebra", "--max-enum", "--max-carrier"},
+            "demo": {"name", "--input", "--n", "--a0", "--a1", "--max-enum",
+                     "--max-carrier"},
+        }
+        assert sum(map(len, taken.values())) == 44
+
+    @pytest.mark.parametrize("argv", [
+        ("check-wf", "--demo", "r-coalgebra", "--max-enum", "5"),
+        ("initial-chain", "--demo", "r-coalgebra", "--coalgebra", "C"),
+        ("demo", "graph-g", "--max-depth", "3"),
+    ])
+    def test_an_unread_option_is_a_usage_error(self, argv):
+        assert run(*argv) == (EXIT_USAGE, "")
+
+    @pytest.mark.parametrize("command, bound", [
+        *((c, b) for c, (_, _, bounds) in COMMANDS.items() for b in bounds),
+        *(("demo", b) for b in ORACLE_BOUNDS)])
+    def test_every_bound_a_command_takes_changes_its_result(self, pred_file,
+                                                           command, bound):
+        target = "r-coalgebra" if command == "demo" else pred_file
+        assert run(command, target, bound, "0") != run(command, target)
+
+
+class TestParalgebraTotality:
+    """Totality is counted, so |F(target)| may pass the enumeration cap."""
+
+    HEAD = ("functor = P(X)\ncarrier A = a\ncarrier B = " +
+            " ".join(f"b{i}" for i in range(17)) +  # |P(B)| = 131,072
+            "\ncoalgebra C : A\n  a -> {}\nparalgebra Q : B @ A\n")
+
+    def check_wf(self, tmp_path, text):
+        doc = tmp_path / "par.txt"
+        doc.write_text(text)
+        return run("check-wf", str(doc))
+
+    def test_one_row_is_not_total(self, tmp_path):
+        assert self.check_wf(tmp_path, self.HEAD + "  {} @ a -> b0\n") == (
+            EXIT_USAGE, "parse error: line 6, column 1: paralgebra 'Q' table is not total\n")
+
+    def test_every_row_over_a_large_target_loads(self, tmp_path):
+        rows = ("  {" + ", ".join(f"b{i}" for i in range(17) if mask >> i & 1) +
+                "} @ a -> b0\n" for mask in range(2 ** 17))
+        assert self.check_wf(tmp_path, self.HEAD + "".join(rows)) == (
+            EXIT_OK, "well-founded\n")
+
+    def test_no_rows_over_an_empty_source_load(self, tmp_path):
+        assert self.check_wf(tmp_path, "functor = P(X)\ncarrier A = a\ncarrier E =\n"
+                             "coalgebra C : A\n  a -> {}\nparalgebra Q : A @ E\n") == (
+            EXIT_OK, "well-founded\n")
 
 
 class TestOneParserPerProcess:
@@ -411,6 +488,11 @@ class TestClosedStdout:
 
 # --- the cap paths under generated documents and caps --------------------------
 
+def bounds_of(command, values):
+    """The bounds ``command`` reads, as COMMANDS lists them, set to ``values``."""
+    return [arg for bound in COMMANDS[command][2] for arg in (bound, str(values[bound]))]
+
+
 FUZZ_FUNCTORS = ("1 + X", "2 * X", "P(X)", "R", "X * X + 1", "X ^ S", "P(1 + X)")
 
 
@@ -445,8 +527,11 @@ def test_cap_paths_end_in_a_documented_exit(tmp_path, seed, functor_text,
                                             command, cap, bound):
     doc = tmp_path / "fuzz.txt"
     doc.write_text(fuzz_document(random.Random(seed), functor_text))
-    code, _ = run(command, str(doc), "--max-enum", str(cap),
-                  "--max-carrier", str(bound), "--max-depth", str(bound))
+    argv = [command, str(doc), *bounds_of(command, {"--max-enum": cap,
+                                                    "--max-carrier": bound,
+                                                    "--max-depth": bound})]
+    build_parser().parse_args(argv)  # no option the command does not read
+    code, _ = run(*argv)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_CAP)
 
 
@@ -489,6 +574,8 @@ def test_document_commands_end_in_a_documented_exit(tmp_path, seed, functor_text
     rng = random.Random(seed)
     doc = tmp_path / "fuzz.txt"
     doc.write_text(damage(rng, fuzz_document(rng, functor_text), edit))
-    code, _ = run(command[0], str(doc), *command[1:], "--max-enum", "1000",
-                  "--max-carrier", "2", "--max-depth", "3")
+    argv = [command[0], str(doc), *command[1:], *bounds_of(
+        command[0], {"--max-enum": 1000, "--max-carrier": 2, "--max-depth": 3})]
+    build_parser().parse_args(argv)  # no option the command does not read
+    code, _ = run(*argv)
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_CAP)
