@@ -15,7 +15,7 @@ from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, canonical_graph,
                         is_cartesian, is_coalgebra_hom, is_subcoalgebra,
                         next_time, quotient)
 from .wellfounded import WfPartResult, coreflect, is_wellfounded, wf_part
-from .recursion import (InitialChain, OracleVerdict, OracleWitness, Term,
+from .recursion import (InitialChain, OracleVerdict, OracleWitness,
                         UnfoldResult, find_homs, hylo, initial_chain,
                         para_hylo, parametric_oracle, recursive_oracle,
                         unfold_to_mu)

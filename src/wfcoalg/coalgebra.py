@@ -10,8 +10,8 @@ from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
 from .finset import Carrier, FinMap, Subobject, capped_power, element_key
-from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, check_value,
-                      eval_map, eval_obj)
+from .functor import (FunctorExpr, FValue, check_value, eval_map, eval_obj,
+                      size_obj)
 
 DEFAULT_SEARCH_CAP = 10_000_000  # maps searched: homs, find_homs, oracles, --max-enum
 
@@ -59,14 +59,18 @@ class Algebra:
 
     @staticmethod
     def from_table(functor: FunctorExpr, carrier: Carrier,
-                   table: Dict[FValue, Any], cap: int = DEFAULT_ENUM_CAP) -> "Algebra":
-        domain = eval_obj(functor, carrier, cap=cap)
-        missing = [v for v in domain if v not in table]
-        if missing:
-            raise ValueError(f"algebra table is not total; missing {missing[0]!r}")
+                   table: Dict[FValue, Any]) -> "Algebra":
+        """Total iff its keys, each checked in F(carrier), count |F(carrier)|."""
         for v, x in table.items():
+            check_value(functor, carrier, v)
             if x not in carrier:
                 raise ValueError(f"algebra result {x!r} outside the carrier")
+        if size_obj(functor, len(carrier), len(table)) > len(table):
+            try:
+                missing = next(v for v in eval_obj(functor, carrier) if v not in table)
+            except CapExceeded:
+                raise ValueError("algebra table is not total") from None
+            raise ValueError(f"algebra table is not total; missing {missing!r}")
         return Algebra(functor, carrier, table.__getitem__, dict(table))
 
     def apply(self, v: FValue) -> Any:

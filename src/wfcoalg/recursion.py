@@ -2,17 +2,19 @@
 
 ``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism of
 a coalgebra whose well-foundedness has been verified (the termination
-certificate).  ``initial_chain`` counts |W_{i+1}| = |F(W_i)| and builds its
-stages only when read.  ``recursive_oracle``/``parametric_oracle`` decide
-the defining universal quantification ("every algebra has exactly one
-solution") for every algebra on each carrier up to a size bound: a fail is
-a conclusive counterexample, a pass is evidence only.  Neither enumerates
-the algebras.  A search over candidate maps (``search_tables``, shared with
-``find_homs``) gives the table entries each candidate forces; every table
-has exactly one solution iff the forced tables are pairwise incompatible
-and their cylinders fill the table space, and where that fails a descent in
-lexicographic order finds the first table that does not, which is the
-witness a scan of every table would report.
+certificate).  ``initial_chain`` counts |W_{i+1}| = |F(W_i)|; its stages,
+over positions, and mu F, on the positions of the stable stage, are built
+only when read.  ``unfold_to_mu`` interns one node per distinct closed term.
+``recursive_oracle``/``parametric_oracle`` decide the defining universal
+quantification ("every algebra has exactly one solution") for every algebra
+on each carrier up to a size bound: a fail is a conclusive counterexample, a
+pass is evidence only.  Neither enumerates the algebras.  A search over
+candidate maps (``search_tables``, shared with ``find_homs``) gives the
+table entries each candidate forces; every table has exactly one solution
+iff the forced tables are pairwise incompatible and their cylinders fill the
+table space, and where that fails a descent in lexicographic order finds the
+first table that does not, which is the witness a scan of every table would
+report.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
                       eval_obj, preserves_inverse_images, size_obj)
 from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, canonical_graph,
                         search_plan, search_tables, solution_maps)
-
-Term = FValue  # a closed F-tree: an unfolded state, or a folded chain element
 
 
 # --- certified evaluation -----------------------------------------------------
@@ -81,13 +81,13 @@ def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
 
 @dataclass(frozen=True)
 class InitialChain:
-    """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps.
+    """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps, over positions.
 
     ``sizes[i]`` is |W_i|.  Built when first read, against ``sizes``:
-    ``index_stages[i + 1]``, F(range |W_i|) in key order; ``index_maps[i]``,
-    w_{i,i+1} as positions in stage i + 1; ``stages``/``maps``, closed terms.
-    The chain stabilizes where a connecting map is a bijection, at the initial
-    algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
+    ``stages[i + 1]``, F(range |W_i|) in key order, so each value names
+    elements of W_i by position; ``maps[i]``, w_{i,i+1} as positions in stage
+    i + 1.  The chain stabilizes where a connecting map is a bijection, at the
+    initial algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
     """
 
     functor: FunctorExpr
@@ -97,7 +97,7 @@ class InitialChain:
     cap_exceeded: Optional[CapExceeded] = None
 
     @cached_property
-    def index_stages(self) -> Tuple[Tuple[FValue, ...], ...]:
+    def stages(self) -> Tuple[Tuple[FValue, ...], ...]:
         stages: List[Tuple[FValue, ...]] = [()]
         for size in self.sizes[1:]:
             n = len(stages[-1])
@@ -108,8 +108,8 @@ class InitialChain:
         return tuple(stages)
 
     @cached_property
-    def index_maps(self) -> Tuple[Tuple[int, ...], ...]:
-        s, maps, w = self.index_stages, [], ()
+    def maps(self) -> Tuple[Tuple[int, ...], ...]:
+        s, maps, w = self.stages, [], ()
         for i in range(len(s) - 1):  # w_{i,i+1} = F(w_{i-1,i}), from the empty map
             pos = {v: j for j, v in enumerate(s[i + 1])}
             w = tuple(pos[eval_map(self.functor, w.__getitem__, v)] for v in s[i])
@@ -118,34 +118,19 @@ class InitialChain:
             maps.append(w)
         return tuple(maps)
 
-    @cached_property
-    def stages(self) -> Tuple[Carrier, ...]:
-        terms: List[Tuple[FValue, ...]] = [()]
-        for values in self.index_stages[1:]:
-            terms.append(tuple(eval_map(self.functor, terms[-1].__getitem__, v)
-                               for v in values))
-        return tuple(map(Carrier, terms))
-
-    @cached_property
-    def maps(self) -> Tuple[FinMap, ...]:
-        s = self.stages
-        return tuple(FinMap(s[i], s[i + 1], tuple(s[i + 1].elements[j] for j in w))
-                     for i, w in enumerate(self.index_maps))
-
-    def mu_carrier(self) -> Carrier:
+    def mu_coalgebra(self) -> Coalgebra:
+        """The initial algebra, structure inverted, on the positions of the
+        stable stage k: position j is the value ``stages[k + 1][maps[k][j]]``."""
         if not self.stabilized:
             raise ValueError("chain did not stabilize")
-        return self.stages[self.stable_index]
+        k = self.stable_index
+        return Coalgebra(self.functor, Carrier(tuple(range(self.sizes[k]))),
+                         tuple(map(self.stages[k + 1].__getitem__, self.maps[k])))
 
-    def mu_algebra(self, cap: int = DEFAULT_ENUM_CAP) -> Algebra:
-        """The initial algebra: the inverse of the stabilizing bijection."""
-        mu, w = self.mu_carrier(), self.maps[self.stable_index]
-        return Algebra.from_table(self.functor, mu, dict(zip(w.values, mu)), cap=cap)
-
-    def mu_coalgebra(self) -> Coalgebra:
-        """The initial algebra as a coalgebra (structure inverted)."""
-        return Coalgebra(self.functor, self.mu_carrier(),
-                         self.maps[self.stable_index].values)
+    def mu_algebra(self) -> Algebra:
+        """The initial algebra: the inverse of ``mu_coalgebra``'s structure."""
+        mu = self.mu_coalgebra()
+        return Algebra.from_table(self.functor, mu.carrier, dict(zip(mu.structure, mu.carrier)))
 
 
 def initial_chain(functor: FunctorExpr, max_depth: int,
@@ -161,32 +146,36 @@ def initial_chain(functor: FunctorExpr, max_depth: int,
     return InitialChain(functor, tuple(sizes), False)
 
 
-# --- unfolding into the term algebra ------------------------------------------
+# --- unfolding into the initial algebra ---------------------------------------
 
 @dataclass(frozen=True)
 class UnfoldResult:
-    """Either a total unfolding into closed terms or a cycle witness.
-
-    For functors with an R leaf a cycle report is sound but incomplete: a
-    coalgebra-to-algebra morphism into the initial algebra may still exist
-    (search with find_homs).
+    """Either a total unfolding or a cycle witness.  ``nodes`` holds one
+    F-value over node ids per distinct closed term, each after the nodes it
+    names; ``mapping`` gives each state's node id.  For functors with an R
+    leaf a cycle report is sound but incomplete: a coalgebra-to-algebra
+    morphism into the initial algebra may still exist (search with find_homs).
     """
 
-    mapping: Optional[Tuple[Tuple[Any, Term], ...]]
+    nodes: Optional[Tuple[FValue, ...]]
+    mapping: Optional[Tuple[Tuple[Any, int], ...]]
     cycle: Optional[Tuple[Any, ...]]
     complete: bool
 
-    def as_dict(self) -> Dict[Any, Term]:
+    def as_dict(self) -> Dict[Any, int]:
         return dict(self.mapping or ())
 
 
 def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
-    """Unfold each state to its closed term when the canonical graph is acyclic."""
-    h, cycle = _fold(coalg, lambda value, _a: value)
+    """Unfold each state to its closed term when the canonical graph is acyclic.
+    By induction on rank, two states get one node iff their terms are equal."""
+    ids: Dict[FValue, int] = {}
+    h, cycle = _fold(coalg, lambda value, _a: ids.setdefault(value, len(ids)))
     complete = preserves_inverse_images(coalg.functor)
     if cycle is not None:
-        return UnfoldResult(None, tuple(cycle), complete)
-    return UnfoldResult(tuple((a, h[a]) for a in coalg.carrier), None, complete)
+        return UnfoldResult(None, None, tuple(cycle), complete)
+    return UnfoldResult(tuple(ids), tuple((a, h[a]) for a in coalg.carrier),
+                        None, complete)
 
 
 # --- morphism search and oracles ------------------------------------------------

@@ -77,11 +77,16 @@ def _locate(text: str, line: int, col: int, k: int) -> Tuple[int, int]:
 
 # --- functor expressions ------------------------------------------------------
 
+MAX_NESTING = 100  # brackets and exponents around any part of a functor
+
+
 def parse_functor(text: str, carriers: Dict[str, Carrier],
                   line: int = 1, col: int = 1) -> FunctorExpr:
-    """Parse a functor expression that starts at (line, col) of a document."""
+    """Parse a functor expression that starts at (line, col) of a document.
+    Each parser returns its expression and its nesting; a bracket is refused
+    as it opens past ``MAX_NESTING`` and any nesting past it where it closes."""
     toks = _scan(text) + [None]  # None past the last token
-    pos = 0
+    pos = level = 0
 
     def fail(message: str, k: int):
         raise ParseError(message, *_locate(text, line, col, k))
@@ -98,50 +103,56 @@ def parse_functor(text: str, carriers: Dict[str, Carrier],
         if take() != want:
             fail(f"expected {want!r}, found {toks[pos - 1]!r}", pos - 1)
 
+    def nested(depth: int, k: int) -> int:
+        if depth > MAX_NESTING:
+            fail(f"functor nested more than {MAX_NESTING} deep", k)
+        return depth
+
     def chain(op: str, operand, node):
         parts = [operand()]
         while toks[pos] == op:
             take()
             parts.append(operand())
-        return parts[0] if len(parts) == 1 else node(tuple(parts))
+        exprs, depths = zip(*parts)
+        return (exprs[0] if len(exprs) == 1 else node(exprs)), max(depths)
 
-    def sum_() -> FunctorExpr:  # a sum of products of exponents
+    def sum_():  # a sum of products of exponents
         return chain("+", lambda: chain("*", exp, Prod), Sum)
 
-    def exp() -> FunctorExpr:
-        base = atom()
+    def exp():
+        base, depth = atom()
         while toks[pos] == "^":
             take()
             tok = take()
-            if not _NAME_RE.match(tok) or tok not in carriers:
-                fail(f"unknown alphabet {tok!r}", pos - 1)
-            base = Exp(carriers[tok], base)
-        return base
+            if not _NAME_RE.match(tok) or not carriers.get(tok):
+                what = "empty" if tok in carriers else "unknown"
+                fail(f"{what} alphabet {tok!r}", pos - 1)
+            base, depth = Exp(carriers[tok], base), nested(depth + 1, pos - 2)
+        return base, depth
 
-    def atom() -> FunctorExpr:
+    def atom():
+        nonlocal level
         tok = take()
-        if tok == "X":
-            return Id()
-        if tok == "R":
-            return RFunctor()
-        if tok == "P":
-            expect("(")
-            inner = sum_()
+        if tok in ("X", "R"):
+            return (Id() if tok == "X" else RFunctor()), 0
+        if tok in ("P", "("):
+            start = pos - 1
+            if tok == "P":
+                expect("(")
+            level = nested(level + 1, start)
+            inner, depth = sum_()
+            level -= 1
             expect(")")
-            return PowFin(inner)
+            return (PowFin(inner) if tok == "P" else inner), nested(depth + 1, start)
         if tok.isdigit():
-            return Const(Carrier(tuple(f"u{i}" for i in range(int(tok)))))
-        if tok == "(":
-            inner = sum_()
-            expect(")")
-            return inner
+            return Const(Carrier(tuple(f"u{i}" for i in range(int(tok))))), 0
         if _NAME_RE.match(tok):
             if tok not in carriers:
                 fail(f"unknown carrier {tok!r}", pos - 1)
-            return Const(carriers[tok])
+            return Const(carriers[tok]), 0
         fail(f"unexpected {tok!r}", pos - 1)
 
-    expr = sum_()
+    expr, _ = sum_()
     if toks[pos] is not None:
         fail(f"trailing input {toks[pos]!r}", pos)
     return expr
@@ -156,16 +167,12 @@ def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
         if isinstance(e, PowFin):
             return f"P({go(e.arg, 0)})"
         if isinstance(e, Const):
-            name = carrier_names.get(e.values)
-            if name is not None:
-                return name
-            return str(len(e.values))
+            return carrier_names.get(e.values) or str(len(e.values))
         if isinstance(e, Exp):
             name = carrier_names.get(e.alphabet)
             if name is None:
                 raise ValueError("exponent alphabet has no document name")
-            body = f"{go(e.arg, 3)}^{name}"
-            return body
+            return f"{go(e.arg, 3)}^{name}"
         if isinstance(e, Prod):
             body = " * ".join(go(p, 2) for p in e.parts)
             return f"({body})" if level >= 2 else body

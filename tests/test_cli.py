@@ -15,6 +15,7 @@ import wfcoalg
 from wfcoalg import Carrier, eval_obj, parse_functor, render_value
 from wfcoalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PIPE,
                          EXIT_USAGE, ORACLE_BOUNDS, build_parser, main)
+from wfcoalg.textform import MAX_NESTING
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -374,6 +375,36 @@ class TestParalgebraTotality:
         assert self.check_wf(tmp_path, "functor = P(X)\ncarrier A = a\ncarrier E =\n"
                              "coalgebra C : A\n  a -> {}\nparalgebra Q : A @ E\n") == (
             EXIT_OK, "well-founded\n")
+
+
+class TestAlgebraTotality:
+    """Algebra tables are counted too; past the enumeration cap a table that
+    is not total names no missing value."""
+
+    def test_one_row_over_a_large_target_is_not_total(self, tmp_path):
+        doc = tmp_path / "alg.txt"
+        doc.write_text(TestParalgebraTotality.HEAD.replace(
+            "paralgebra Q : B @ A", "algebra E : B") + "  {} -> b0\n")
+        assert run("hylo", str(doc)) == (
+            EXIT_USAGE,
+            "parse error: line 6, column 1: algebra 'E': algebra table is not total\n")
+
+
+class TestDeepFunctors:
+    """A functor nested past the bound is a parse error, not a traceback."""
+
+    @pytest.mark.parametrize("opening, code", [("P(", EXIT_CAP), ("(", EXIT_OK)])
+    def test_initial_chain_at_and_past_the_nesting_bound(self, tmp_path, opening, code):
+        doc = tmp_path / "deep.txt"
+        for depth, want in ((MAX_NESTING, code), (MAX_NESTING + 1, EXIT_USAGE)):
+            doc.write_text(f"functor = {opening * depth}X{')' * depth}\n")
+            assert run("initial-chain", str(doc))[0] == want
+
+    def test_an_empty_alphabet_is_a_parse_error(self, tmp_path):
+        doc = tmp_path / "empty.txt"
+        doc.write_text("carrier L =\nfunctor = X ^ L\n")
+        assert run("initial-chain", str(doc)) == (
+            EXIT_USAGE, "parse error: line 2, column 15: empty alphabet 'L'\n")
 
 
 class TestOneParserPerProcess:

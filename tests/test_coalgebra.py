@@ -9,6 +9,8 @@ from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, FinMap,
                      eval_map, eval_obj, induced_subcoalgebra, is_cartesian,
                      is_coalgebra_hom, is_subcoalgebra, next_time,
                      preserves_inverse_images, quotient, support)
+from wfcoalg import MalformedValue
+from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg.finset import inverse_image, pullback
 from wfcoalg.demos import automaton, graph_g, r_coalgebra, transition_system
 
@@ -227,3 +229,29 @@ class TestNextTimeAlongHoms:
         for t in all_subsets(g.carrier):
             assert next_time(both, inverse_image(fold, t)) == \
                 inverse_image(fold, next_time(g, t))
+
+
+class TestAlgebraTables:
+    """Totality is counted against |F(carrier)|, after each key is checked."""
+
+    def test_a_total_table_loads_without_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("F(carrier) enumerated")
+        monkeypatch.setattr(coalgebra_module, "eval_obj", refuse)
+        b = Carrier(("x", "y"))
+        table = {SetVal.of(IdVal(e) for e in s.members): "x"
+                 for s in all_subsets(b)}
+        alg = Algebra.from_table(PowFin(Id()), b, table)
+        assert alg.apply(SetVal(())) == "x" and len(alg.table) == 4
+
+    def test_a_key_outside_f_of_the_carrier_is_refused(self):
+        b = Carrier(("x",))
+        with pytest.raises(MalformedValue):  # counted, it would pass for {x}
+            Algebra.from_table(PowFin(Id()), b, {SetVal(()): "x",
+                                                 SetVal((IdVal("z"),)): "x"})
+
+    def test_past_the_enumeration_cap_no_missing_value_is_named(self):
+        b = Carrier(tuple(f"b{i}" for i in range(17)))  # |P(B)| = 131,072
+        with pytest.raises(ValueError) as exc:
+            Algebra.from_table(PowFin(Id()), b, {SetVal(()): "b0"})
+        assert str(exc.value) == "algebra table is not total"

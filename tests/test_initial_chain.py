@@ -1,17 +1,17 @@
-"""The counted initial chain, and the stages over indices it builds on
-demand, against the closed-term chain: every public field agrees on named
-and generated functors."""
+"""The counted initial chain, and the stages over positions it builds on
+demand, against the closed-term chain: every public field, folded into closed
+terms here, agrees on named and generated functors."""
 
 import io
 import random
 import sys
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
-                     Id, InitialChain, InternalConsistencyError, Sum, eval_map,
-                     eval_obj, initial_chain, parse_functor)
+                     FValue, Id, InitialChain, InternalConsistencyError, Sum,
+                     eval_map, eval_obj, initial_chain, parse_functor)
 from wfcoalg import cli
 from wfcoalg.functor import DEFAULT_ENUM_CAP
 
@@ -65,6 +65,16 @@ def closed_mu_coalgebra(ref: ClosedChain, functor) -> Coalgebra:
     return Coalgebra(functor, mu, tuple(w(t) for t in mu))
 
 
+def fold(chain) -> List[Tuple[FValue, ...]]:
+    """The position stages as closed terms: a value over stage-i positions
+    becomes F applied to the closed terms at those positions."""
+    terms: List[Tuple[FValue, ...]] = [()]
+    for values in chain.stages[1:]:
+        terms.append(tuple(eval_map(chain.functor, terms[-1].__getitem__, v)
+                           for v in values))
+    return terms
+
+
 # --- agreement --------------------------------------------------------------------
 
 CARRIERS = {"K": Carrier(("k0", "k1")), "L": Carrier(("a", "b"))}
@@ -77,17 +87,28 @@ def assert_agrees(functor, max_depth: int, cap: int) -> None:
     chain = initial_chain(functor, max_depth, cap=cap)
     ref = closed_chain(functor, max_depth, cap)
     assert list(chain.sizes) == [len(s) for s in ref.stages]
-    assert [len(s) for s in chain.index_stages] == [len(s) for s in ref.stages]
-    assert chain.stages == tuple(ref.stages)
-    assert [w.values for w in chain.maps] == [w.values for w in ref.maps]
-    assert chain.maps == tuple(ref.maps)
+    assert [len(s) for s in chain.stages] == [len(s) for s in ref.stages]
+    terms = fold(chain)
+    stages = tuple(map(Carrier, terms))
+    assert stages == tuple(ref.stages)
+    maps = tuple(FinMap(stages[i], stages[i + 1], tuple(terms[i + 1][j] for j in w))
+                 for i, w in enumerate(chain.maps))
+    assert [w.values for w in maps] == [w.values for w in ref.maps]
+    assert maps == tuple(ref.maps)
     assert chain.stabilized == ref.stabilized
     assert chain.stable_index == ref.stable_index
     assert (chain.cap_exceeded is not None) == ref.capped
     if ref.stabilized:
-        assert chain.mu_carrier() == ref.stages[ref.stable_index]
-        assert chain.mu_algebra().table == closed_mu_algebra(ref, functor).table
-        assert chain.mu_coalgebra() == closed_mu_coalgebra(ref, functor)
+        mu, coalg = terms[ref.stable_index], chain.mu_coalgebra()
+
+        def term(v):  # a value over mu's positions, as a closed term
+            return eval_map(functor, mu.__getitem__, v)
+        assert coalg.carrier == Carrier(tuple(range(len(mu))))
+        assert Carrier(mu) == ref.stages[ref.stable_index]
+        assert {term(v): mu[j] for v, j in chain.mu_algebra().table.items()} \
+            == closed_mu_algebra(ref, functor).table
+        assert Coalgebra(functor, Carrier(mu), tuple(map(term, coalg.structure))) \
+            == closed_mu_coalgebra(ref, functor)
 
 
 @pytest.mark.parametrize("text", NAMED)
@@ -105,9 +126,9 @@ def test_generated_functors_agree_with_the_closed_chain():
 
 def test_index_values_name_stage_positions():
     chain = initial_chain(parse_functor("P(X)", {}), 4, cap=CAP)
-    for i, values in enumerate(chain.index_stages[1:]):
+    for i, values in enumerate(chain.stages[1:]):
         for v in values:
-            assert all(0 <= item.element < len(chain.index_stages[i])
+            assert all(0 <= item.element < len(chain.stages[i])
                        for item in v.items)
 
 
@@ -116,13 +137,13 @@ def test_index_values_name_stage_positions():
 def test_deep_successor_chain_needs_no_closed_terms():
     chain = initial_chain(parse_functor("1 + X", {}), 300)
     assert not chain.stabilized and chain.cap_exceeded is None
-    assert [len(s) for s in chain.index_stages] == list(range(302))
-    assert chain.index_maps[-1] == tuple(range(300))
+    assert [len(s) for s in chain.stages] == list(range(302))
+    assert chain.maps[-1] == tuple(range(300))
 
 
 def test_cap_is_recorded_on_the_chain():
     chain = initial_chain(parse_functor("P(X)", {}), 8, cap=1_000)
-    assert [len(s) for s in chain.index_stages] == [0, 1, 2, 4, 16]
+    assert [len(s) for s in chain.stages] == [0, 1, 2, 4, 16]
     assert not chain.stabilized
     assert str(chain.cap_exceeded) == "functor enumeration: more than 1000"
 
@@ -141,7 +162,7 @@ def test_cli_prints_sizes_without_folding_closed_terms(tmp_path, monkeypatch):
     assert cli.main(["initial-chain", str(doc), "--max-depth", "300"], out=out) == 1
     assert out.getvalue().splitlines()[-2:] == [
         "W301: 301 elements", "not stabilized within the depth bound"]
-    assert not {"stages", "maps", "index_stages", "index_maps"} & set(vars(built[0]))
+    assert not {"stages", "maps"} & set(vars(built[0]))
 
 
 @pytest.mark.parametrize("functor, depth, code, last", [
@@ -165,7 +186,7 @@ def test_cli_counts_the_chain_without_enumerating(tmp_path, monkeypatch,
     assert cli.main(["initial-chain", str(doc), "--max-depth", str(depth)], out=out) == code
     assert out.getvalue().splitlines()[-2] == last
     assert calls == {"eval_obj": 0, "eval_map": 0}
-    initial_chain(parse_functor(functor, {}), 3).index_maps  # the counters count
+    initial_chain(parse_functor(functor, {}), 3).maps  # the counters count
     assert calls["eval_obj"] > 0 and calls["eval_map"] > 0
 
 
@@ -185,17 +206,17 @@ ONE_PLUS_X = Sum((Const(Carrier(("*",))), Id()))
 def test_a_stage_of_the_wrong_size_is_an_internal_error(sizes):
     chain = InitialChain(ONE_PLUS_X, sizes, False)
     with pytest.raises(InternalConsistencyError, match="is not of size"):
-        chain.index_stages
-    with pytest.raises(InternalConsistencyError):
         chain.stages
+    with pytest.raises(InternalConsistencyError, match="is not of size"):
+        chain.maps
 
 
 def test_a_non_injective_connecting_map_is_an_internal_error():
     chain = initial_chain(Forgetful(ONE_PLUS_X.parts), 3)
     assert chain.sizes == (0, 1, 2, 3, 4) and not chain.stabilized
-    assert [len(s) for s in chain.index_stages] == [0, 1, 2, 3, 4]
+    assert [len(s) for s in chain.stages] == [0, 1, 2, 3, 4]
     with pytest.raises(InternalConsistencyError, match="w_2,3 is not injective"):
-        chain.index_maps
+        chain.maps
 
 
 def test_cli_exits_3_when_the_cap_stops_p_of_x(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 import wfcoalg
 from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
                      InjVal, InternalConsistencyError, Subobject,
-                     canonical_graph, element_key, hylo, is_wellfounded,
+                     canonical_graph, element_key, eval_map, hylo, is_wellfounded,
                      next_time, para_hylo, unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg import functor as functor_module
@@ -304,7 +304,23 @@ def test_deep_reversed_chain_needs_no_recursion():
     unfolded = unfold_to_mu(c)
     assert unfolded.cycle is None and unfolded.complete
     assert len(unfolded.mapping) == n + 1
-    assert unfolded.as_dict()[0] == InjVal(1, ConstVal("u0"))
+    assert unfolded.nodes[unfolded.as_dict()[0]] == InjVal(1, ConstVal("u0"))
+
+
+def test_every_node_of_a_deep_unfolding_hashes_compares_and_prints():
+    c = reversed_predecessor(3000)
+    unfolded = unfold_to_mu(c)
+    node = unfolded.as_dict()
+    assert len(unfolded.nodes) == 3001
+    for a in c.carrier:
+        v = unfolded.nodes[node[a]]
+        same = eval_map(c.functor, node.__getitem__, c.alpha(a))  # built afresh
+        assert v == same and hash(v) == hash(same)
+        assert v.key() == same.key() and repr(v) == repr(same)
+    deepest = unfolded.nodes[node[3000]]
+    assert repr(deepest) == f"InjVal(index=0, value=IdVal(element={node[2999]}))"
+    for k, v in enumerate(unfolded.nodes):  # each node after the nodes it names
+        assert v.index == 1 or v.value.element < k
 
 
 def test_hylo_computes_each_support_once(monkeypatch):

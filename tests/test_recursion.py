@@ -5,7 +5,7 @@ import pytest
 
 from wfcoalg import (Algebra, Carrier, Coalgebra, Const, ConstVal, FinMap, Id,
                      IdVal, InjVal, NotWellFounded, PowFin, RFunctor, RPair,
-                     RPoint, SetVal, Sum, TupleVal, find_homs, hylo,
+                     RPoint, SetVal, Sum, TupleVal, eval_map, find_homs, hylo,
                      initial_chain, is_coalgebra_hom, is_wellfounded,
                      para_hylo, parametric_oracle, recursive_oracle,
                      unfold_to_mu)
@@ -95,13 +95,13 @@ class TestInitialChain:
         chain = initial_chain(RFunctor(), max_depth=8, cap=10_000)
         assert [len(s) for s in chain.stages] == [0, 1, 1]
         assert chain.stabilized and chain.stable_index == 1
-        assert chain.mu_carrier().elements == (RPoint(),)
+        mu = chain.mu_coalgebra()  # muR = {d}: one element, whose structure is d
+        assert len(mu.carrier) == 1 and mu.structure == (RPoint(),)
 
     def test_identity_stabilizes_at_empty(self):
         chain = initial_chain(Id(), max_depth=8, cap=10_000)
         assert chain.stabilized and chain.stable_index == 0
-        assert chain.mu_carrier().is_empty() if hasattr(
-            chain.mu_carrier(), "is_empty") else len(chain.mu_carrier()) == 0
+        assert len(chain.mu_coalgebra().carrier) == 0
 
     def test_successor_functor_never_stabilizes(self):
         chain = initial_chain(Sum((Id(), Const(UNIT))), max_depth=4,
@@ -133,18 +133,41 @@ class TestUnfold:
         coalg = predecessor(2)
         result = unfold_to_mu(coalg)
         assert result.complete
-        mapping = dict(result.mapping)
-        # 2 unfolds to the depth-2 numeral inj0(inj0(inj1(u0)))
-        zero = InjVal(1, ConstVal("u0"))
-        assert mapping[0] == zero
-        assert mapping[1] == InjVal(0, IdVal(zero))
-        assert mapping[2] == InjVal(0, IdVal(InjVal(0, IdVal(zero))))
+        node = result.as_dict()
+        # 2 unfolds to the depth-2 numeral inj0(inj0(inj1(u0))), one node a level
+        assert len(result.nodes) == 3
+        assert result.nodes[node[0]] == InjVal(1, ConstVal("u0"))
+        assert result.nodes[node[1]] == InjVal(0, IdVal(node[0]))
+        assert result.nodes[node[2]] == InjVal(0, IdVal(node[1]))
+
+    def test_quicksort_collapses_to_its_distinct_terms(self):
+        coalg, _ = quicksort(("a", "b", "c"), 6)
+        assert (len(coalg.carrier), len(unfold_to_mu(coalg).nodes)) == (1093, 371)
+
+    def test_states_share_a_node_iff_their_closed_terms_are_equal(self):
+        coalg, _ = quicksort(("a", "b", "c"), 4)
+        result = unfold_to_mu(coalg)
+        node = result.as_dict()
+        closed = {}
+
+        def term(a):  # the closed term of a state, by recursion on its depth
+            if a not in closed:
+                closed[a] = eval_map(coalg.functor, term, coalg.alpha(a))
+            return closed[a]
+        for a in coalg.carrier:
+            assert result.nodes[node[a]] == eval_map(coalg.functor, node.__getitem__,
+                                                     coalg.alpha(a))
+        assert len(set(result.nodes)) == len(result.nodes)
+        assert len(set(map(term, coalg.carrier))) == len(result.nodes)
+        for a in coalg.carrier:
+            for b in coalg.carrier:
+                assert (node[a] == node[b]) == (term(a) == term(b))
 
     def test_self_loop_reports_its_cycle(self):
         c = Coalgebra(Sum((Id(), Const(UNIT))), Carrier(("s",)),
                       (InjVal(0, IdVal("s")),))
         result = unfold_to_mu(c)
-        assert result.mapping is None
+        assert result.mapping is None and result.nodes is None
         assert result.cycle == ("s",)
 
     def test_r_coalgebra_cycle_but_hom_exists(self):
@@ -157,7 +180,8 @@ class TestUnfold:
         assert not result.complete
         homs = find_homs(r, chain.mu_algebra(), cap=1_000_000)
         assert len(homs) == 1
-        assert homs[0](0) == homs[0](1) == RPoint()
+        assert homs[0](0) == homs[0](1)
+        assert chain.mu_coalgebra().alpha(homs[0](0)) == RPoint()
 
 
 class TestOracles:

@@ -2,8 +2,11 @@ import pytest
 
 from wfcoalg import (Carrier, Const, ConstVal, Exp, FuncVal, Id, IdVal,
                      InjVal, ParseError, PowFin, Prod, RFunctor, RPair,
-                     RPoint, SetVal, Sum, TupleVal, parse_functor, parse_spec,
-                     parse_value, render_functor, render_spec, render_value)
+                     RPoint, SetVal, Sum, TupleVal, eval_map, parse_functor,
+                     parse_spec, parse_value, render_functor, render_spec,
+                     render_value)
+from wfcoalg.functor import check_value, size_obj
+from wfcoalg.textform import MAX_NESTING
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -56,6 +59,68 @@ class TestFunctorSyntax:
         with pytest.raises(ParseError) as exc:
             parse_functor("X + ", {})
         assert exc.value.line == 1
+
+
+L = Carrier(("l",))
+
+
+def nest(n: int, opening: str) -> str:
+    return opening * n + "X" + ")" * n
+
+
+class TestNestingBound:
+    """Brackets and exponents nest at most MAX_NESTING deep; one more is a
+    parse error at the bracket or the ``^`` that passes the bound."""
+
+    @pytest.mark.parametrize("opening", ["P(", "("])
+    def test_brackets(self, opening):
+        expr = parse_functor(nest(MAX_NESTING, opening), {})
+        assert expr == parse_functor(nest(MAX_NESTING, opening), {})
+        with pytest.raises(ParseError) as exc:
+            parse_functor(nest(MAX_NESTING + 1, opening), {})
+        assert str(exc.value) == (f"line 1, column {len(opening) * MAX_NESTING + 1}: "
+                                  f"functor nested more than {MAX_NESTING} deep")
+
+    def test_exponents(self):
+        parse_functor("X" + " ^ L" * MAX_NESTING, {"L": L})
+        with pytest.raises(ParseError) as exc:  # the k-th '^' is at column 4k - 1
+            parse_functor("X" + " ^ L" * (MAX_NESTING + 1), {"L": L})
+        assert str(exc.value).startswith(f"line 1, column {4 * MAX_NESTING + 3}: ")
+
+    def test_exponents_count_with_the_brackets_around_them(self):
+        half = MAX_NESTING // 2
+        text = "P(" * half + "X" + " ^ L" * half + ")" * half
+        parse_functor(text, {"L": L})
+        with pytest.raises(ParseError) as exc:  # the outermost bracket passes it
+            parse_functor("P(" + text + ")", {"L": L})
+        assert str(exc.value).startswith("line 1, column 1: ")
+        with pytest.raises(ParseError) as exc:
+            parse_functor(text + " ^ L", {"L": L})
+        assert str(exc.value).startswith(f"line 1, column {len(text) + 2}: ")
+
+    def test_every_walk_of_a_functor_at_the_bound_stays_in_the_stack(self):
+        # P, Exp, Prod and Sum at each of 50 levels, two of them counted
+        text = "X"
+        for _ in range(MAX_NESTING // 2):
+            text = f"P({text} ^ L * X + X)"
+        expr = parse_functor(text, {"L": L})
+        a = Carrier(("a",))
+        value_text = "a"
+        for _ in range(MAX_NESTING // 2):
+            value_text = f"{{in0 ([l: {value_text}], a), in1 a}}"
+        v = parse_value(expr, a, value_text)
+        assert render_value(expr, v) == value_text
+        assert parse_value(expr, a, render_value(expr, v)) == v
+        assert hash(v) == hash(parse_value(expr, a, value_text)) and v.key()
+        assert check_value(expr, a, v) == frozenset(a)
+        assert eval_map(expr, lambda x: x, v) == v
+        assert parse_functor(render_functor(expr, {L: "L"}), {"L": L}) == expr
+        assert hash(expr) and size_obj(expr, 1, 10) == 11
+
+    def test_an_empty_alphabet_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("carrier L =\nfunctor = X ^ L\n")
+        assert str(exc.value) == "line 2, column 15: empty alphabet 'L'"
 
 
 class TestValueSyntax:
