@@ -35,6 +35,16 @@ class Coalgebra:
         object.__setattr__(self, "_alpha",
                            dict(zip(self.carrier.elements, self.structure)))
 
+    @classmethod
+    def _parsed(cls, functor: FunctorExpr, carrier: Carrier, structure: Tuple[FValue, ...],
+                supports: Tuple[frozenset, ...]) -> "Coalgebra":
+        """A coalgebra of values a document reader built in F(carrier), with the
+        least supports it collected: ``__post_init__`` would check them again."""
+        self = object.__new__(cls)
+        self.__dict__.update(functor=functor, carrier=carrier, structure=structure,
+                             supports=supports, _alpha=dict(zip(carrier.elements, structure)))
+        return self
+
     @staticmethod
     def from_dict(functor: FunctorExpr, carrier: Carrier, table: Dict[Any, FValue]) -> "Coalgebra":
         return Coalgebra(functor, carrier, tuple(table[a] for a in carrier))

@@ -17,6 +17,8 @@ from .errors import CarrierMismatch
 
 def element_key(x: Any):
     """Total ordering key over all label kinds we allow in carriers."""
+    if type(x) is str:  # document labels, the common case
+        return ("s", x)
     if isinstance(x, bool):
         return ("b", x)
     if isinstance(x, int):

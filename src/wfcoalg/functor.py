@@ -282,7 +282,7 @@ class TupleVal(FValue):
     items: Tuple[FValue, ...]
 
     def key(self):
-        return ("tup", tuple(v.key() for v in self.items))
+        return ("tup", tuple([v.key() for v in self.items]))
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ class SetVal(FValue):
     items: Tuple[FValue, ...]
 
     def key(self):
-        return ("set", tuple(v.key() for v in self.items))
+        return ("set", tuple([v.key() for v in self.items]))
 
     @staticmethod
     def of(items) -> "SetVal":

@@ -26,14 +26,17 @@ A document holds one functor, named carriers, and named pointwise tables::
       d -> {c}
 
 Each table section compiles one value reader for its functor and carrier, a
-closure per functor node that looks tokens up in prebuilt tables.  Errors give
-the document's line and column; a repeated table row is an error.
+closure per functor node that looks tokens up in prebuilt tables, and reads
+its rows from one token stream.  Errors give the document's line and column;
+a repeated table row or alphabet entry is an error, and each carrier element
+is one token, so that a row names it as a value does.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import length_hint
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,7 +55,7 @@ class ParseError(WfcoalgError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9']*|\d+|->|[()\[\]{}^*+,:@=]|\S")
+_TOKEN_RE = re.compile(r"[()\[\]{}^*+,:@=]|[A-Za-z_][A-Za-z_0-9']*+|\d++|->|\S")
 _TAG_RE = re.compile(r"in(\d+)")
 _NAME_RE = re.compile(r"[A-Za-z_]")  # the first character of a name token
 
@@ -189,13 +192,13 @@ def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
 def parse_value(expr: FunctorExpr, carrier: Carrier, text: str,
                 line: int = 1) -> FValue:
     """Parse one value of F(carrier) that starts on the given line."""
-    return _read(_compile(expr, carrier), text, line, 1)
+    return _read(_compile(expr, carrier, [].append), text, line, 1)
 
 
 class _Reject(Exception):
     """A reader's error at the token ``back`` tokens before the last one taken."""
 
-    def __init__(self, message: str, back: int = 0):
+    def __init__(self, message: str = "", back: int = 0):
         super().__init__(message)
         self.back = back
 
@@ -222,30 +225,33 @@ def _want(want: str, tok: str) -> None:
         raise _Reject(f"expected {want!r}, found {tok!r}")
 
 
-def _compile(expr: FunctorExpr, carrier: Carrier):
+def _compile(expr: FunctorExpr, carrier: Carrier, push):
     """The reader of F(carrier) values, one closure per functor node:
     ``read(tok, nxt)`` gets the value's first token and takes the rest from
     ``nxt``.  Carrier elements, constant atoms and alphabet letters are
-    looked up by token text."""
-    return _node(expr, {a: IdVal(a) for a in carrier})
+    looked up by token text; each carrier element read goes to ``push``, so
+    those of one value are its least support."""
+    return _node(expr, {a: IdVal(a) for a in carrier}, push)
 
 
-def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
-    if isinstance(expr, (Const, Id)):
-        if isinstance(expr, Const):
-            table = {a: ConstVal(a) for a in expr.values}
-            what = "{!r} is not a constant atom here"
-        else:
-            table = ids
-            what = "{!r} is not a carrier element"
+def _node(expr: FunctorExpr, ids: Dict[Any, IdVal], push):
+    if isinstance(expr, Const):
+        table = {a: ConstVal(a) for a in expr.values}
 
         def read(tok, nxt):
             v = table.get(tok)
             if v is None:
-                raise _Reject(what.format(tok))
+                raise _Reject(f"{tok!r} is not a constant atom here")
+            return v
+    elif isinstance(expr, Id):
+        def read(tok, nxt):
+            v = ids.get(tok)
+            if v is None:
+                raise _Reject(f"{tok!r} is not a carrier element")
+            push(v.element)
             return v
     elif isinstance(expr, Sum):
-        tags = {f"in{i}": (i, _node(p, ids)) for i, p in enumerate(expr.parts)}
+        tags = {f"in{i}": (i, _node(p, ids, push)) for i, p in enumerate(expr.parts)}
 
         def read(tok, nxt):
             tag = tags.get(tok)
@@ -256,7 +262,7 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
                     raise _Reject(f"expected an injection tag, found {tok!r}")
             return InjVal(tag[0], tag[1](nxt(), nxt))
     elif isinstance(expr, Prod):
-        parts = [_node(p, ids) for p in expr.parts]
+        parts = [_node(p, ids, push) for p in expr.parts]
 
         def read(tok, nxt):
             _want("(", tok)
@@ -270,7 +276,7 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
     elif isinstance(expr, Exp):
         letters = expr.alphabet.elements
         known = frozenset(letters)
-        arg = _node(expr.arg, ids)
+        arg = _node(expr.arg, ids, push)
 
         def read(tok, nxt):
             _want("[", tok)
@@ -282,15 +288,17 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
                     tok = nxt()
                 if tok not in known:
                     raise _Reject(f"{tok!r} is not in the alphabet")
+                if tok in entries:
+                    raise _Reject(f"repeated alphabet entry {tok!r}")
                 _want(":", nxt())
                 entries[tok] = arg(nxt(), nxt)
                 tok = nxt()
             if len(entries) < len(letters):
                 missing = next(s for s in letters if s not in entries)
                 raise _Reject(f"missing alphabet entry {missing!r}")
-            return FuncVal(tuple((s, entries[s]) for s in letters))
+            return FuncVal(tuple(zip(letters, map(entries.__getitem__, letters))))
     elif isinstance(expr, PowFin):
-        arg = _node(expr.arg, ids)
+        arg = _node(expr.arg, ids, push)
 
         def read(tok, nxt):
             _want("{", tok)
@@ -302,7 +310,7 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
                     tok = nxt()
                 items.append(arg(tok, nxt))
                 tok = nxt()
-            return SetVal.of(items)
+            return SetVal.of(items) if len(items) > 1 else SetVal(tuple(items))
     elif isinstance(expr, RFunctor):
         point = RPoint()
 
@@ -320,6 +328,8 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal]):
                     raise _Reject(f"{z!r} is not a carrier element", back)
             if x == y:
                 raise _Reject("R pair components must be distinct", 3)
+            push(x)
+            push(y)
             return RPair(x, y)
     else:
         raise TypeError(f"unknown functor node {expr!r}")
@@ -392,25 +402,29 @@ def _pick(table: dict, name: Optional[str], what: str):
 
 _HEADER_RE = re.compile(
     r"^(functor|carrier|coalgebra|algebra|paralgebra|description)\b")
+_HEAD_RE = re.compile(r"\n(\S.*)")  # an unindented line starts a section
+# row ends are tokens too; a token takes the spaces before it, which is faster
+_ROW_RE = re.compile(rf" *+({_TOKEN_RE.pattern}|\n)")
+# carrier elements: each one token, and not '->' or '@', which split table rows
+_ELEMENTS_RE = re.compile(r"(?:(?:[A-Za-z_][A-Za-z_0-9']*+|\d++|[^\s@])(?:\s++|$))*+")
+_CHUNK = 1 << 14  # characters of whole rows tokenized at once
 
 
 def parse_spec(text: str) -> SpecDocument:
     """Parse a document; raises ParseError with a location on bad input."""
-    lines = text.splitlines()
-    sections: List[Tuple[str, int, str, List[Tuple[int, str]]]] = []
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        if raw[:1].isspace():
-            if not sections:
-                raise ParseError("indented line outside a section", i, 1)
-            sections[-1][3].append((i, stripped))
-        else:
-            m = _HEADER_RE.match(stripped)
-            if not m:
-                raise ParseError(f"unknown section {stripped.split()[0]!r}", i, 1)
-            sections.append((m.group(1), i, stripped, []))
+    text = re.sub(r"#.*", "", "\n".join(text.splitlines()))
+    heads = [(m.start(1) - 1, m.group(1).rstrip()) for m in _HEAD_RE.finditer("\n" + text)]
+    stray = re.search(r"\S", text[:heads[0][0]] if heads else text)
+    if stray:
+        raise ParseError("indented line outside a section",
+                         text.count("\n", 0, stray.start()) + 1, 1)
+    sections: List[Tuple[str, int, str, Tuple[int, int]]] = []
+    for (at, header), end in zip(heads, [h[0] for h in heads[1:]] + [len(text)]):
+        m = _HEADER_RE.match(header)
+        lineno = text.count("\n", 0, at) + 1
+        if not m:
+            raise ParseError(f"unknown section {header.split()[0]!r}", lineno, 1)
+        sections.append((m.group(1), lineno, header, (at + len(header), end)))
 
     functor_text = None
     carriers: Dict[str, Carrier] = {}
@@ -428,6 +442,12 @@ def parse_spec(text: str) -> SpecDocument:
             if len(set(elems)) != len(elems):
                 raise ParseError(f"carrier {name!r} has duplicate elements",
                                  lineno, 1)
+            if not _ELEMENTS_RE.fullmatch(m.group(2)):
+                bad = next(e for e in re.finditer(r"\S+", header[m.start(2):])
+                           if not _ELEMENTS_RE.fullmatch(e.group()))
+                raise ParseError(f"carrier element {bad.group()!r} is not one token "
+                                 "other than '->' and '@'",
+                                 lineno, m.start(2) + bad.start() + 1)
             carriers[name] = Carrier(tuple(elems))
         elif kind == "functor":
             m = re.fullmatch(r"functor\s*=\s*(.*)", header)
@@ -443,7 +463,7 @@ def parse_spec(text: str) -> SpecDocument:
             deferred.append((kind, lineno, header, body))
 
     if functor_text is None:
-        raise ParseError("document has no functor section", len(lines) or 1, 1)
+        raise ParseError("document has no functor section", text.count("\n") + 1, 1)
     functor = parse_functor(functor_text, carriers, *functor_at)
 
     doc = SpecDocument(functor_text, functor, carriers,
@@ -460,34 +480,15 @@ def parse_spec(text: str) -> SpecDocument:
             if n not in carriers:
                 raise ParseError(f"unknown carrier {n!r}", lineno, 1)
         target, source = carriers[over[0]], carriers[over[-1]]
-        read = _compile(functor, target)
-        table: Dict[Any, Any] = {}
-        for bl, btext in body:
-            lhs, arrow, rhs = btext.partition("->")
-            if not arrow:
-                raise ParseError("expected 'lhs -> rhs'", bl, 1)
-            if kind == "coalgebra":
-                key = _element(lhs, target, "the carrier", bl)
-                value = _read(read, rhs, bl, len(lhs) + 3)
-            elif kind == "algebra":
-                key = _read(read, lhs, bl, 1)
-                value = _element(rhs, target, "the carrier", bl)
-            else:
-                if "@" not in lhs:
-                    raise ParseError("expected 'value @ element -> result'", bl, 1)
-                vtext, _, atext = lhs.rpartition("@")
-                key = (_read(read, vtext, bl, 1),
-                       _element(atext, source, "the source carrier", bl))
-                value = _element(rhs, target, "the target carrier", bl)
-            if key in table:
-                raise ParseError(f"duplicate row for {lhs.strip()!r}", bl, 1)
-            table[key] = value
+        table, supports = _rows(kind, functor, target, source, text, *body)
         if kind == "coalgebra":
             missing = [a for a in target if a not in table]
             if missing:
                 raise ParseError(
                     f"coalgebra {name!r} table misses {missing[0]!r}", lineno, 1)
-            doc.coalgebras[name] = Coalgebra.from_dict(functor, target, table)
+            states = target.elements
+            doc.coalgebras[name] = Coalgebra._parsed(functor, target, tuple(
+                map(table.__getitem__, states)), tuple(map(supports.__getitem__, states)))
         elif kind == "algebra":
             try:
                 doc.algebras[name] = Algebra.from_table(functor, target, table)
@@ -501,11 +502,78 @@ def parse_spec(text: str) -> SpecDocument:
     return doc
 
 
-def _element(text: str, carrier: Carrier, where: str, lineno: int) -> str:
-    x = text.strip()
-    if x not in carrier:
-        raise ParseError(f"{x!r} is not in {where}", lineno, 1)
-    return x
+def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
+          text: str, start: int, end: int):
+    """A table section's rows, text[start:end], read from one token stream, a
+    chunk of whole lines at a time: {key: value}, and each coalgebra row's
+    least support.  A row the stream cannot take goes to ``_row_error``."""
+    sup: List[Any] = []
+    read = _compile(functor, target, sup.append)
+    targets, sources = frozenset(target), frozenset(source)
+    table: Dict[Any, Any] = {}
+    supports: Dict[Any, frozenset] = {}
+    while start < end:
+        stop = text.find("\n", start + _CHUNK, end) + 1 or end
+        toks = _ROW_RE.findall(text, start, stop) + ["\n"]  # the last line may lack one
+        it = iter(toks)
+        nxt = it.__next__
+        for tok in it:
+            if tok == "\n":
+                continue
+            row = len(toks) - length_hint(it) - 1  # the index of its first token
+            sup.clear()
+            try:
+                if kind == "coalgebra":
+                    key, arrow, value = tok, nxt(), read(nxt(), nxt)
+                    ok = key in targets and arrow == "->"
+                    supports[key] = frozenset(sup)
+                elif kind == "algebra":
+                    key, arrow, value = read(tok, nxt), nxt(), nxt()
+                    ok = arrow == "->" and value in targets
+                else:
+                    v, at, a, arrow, value = read(tok, nxt), nxt(), nxt(), nxt(), nxt()
+                    key = (v, a)
+                    ok = at == "@" and a in sources and arrow == "->" and value in targets
+                if not ok or nxt() != "\n" or key in table:
+                    raise _Reject
+            except (_Reject, StopIteration):
+                pos = next(islice(_ROW_RE.finditer(text, start, stop), row, None)).start(1)
+                _row_error(kind, read, target, source, text, pos)
+            table[key] = value
+        start = stop
+    return table, supports
+
+
+def _row_error(kind: str, read, target: Carrier, source: Carrier,
+               text: str, pos: int) -> None:
+    """Raise the error of the row at ``pos``.  Its fields, split at the first
+    '->' and in a paralgebra at the last '@' before it, are read one at a
+    time, so an element's error quotes its field and a value's error points
+    at its token; a row whose fields all read repeats a key."""
+    bl, end = text.count("\n", 0, pos) + 1, text.find("\n", pos)
+    line = text[text.rfind("\n", 0, pos) + 1:end if end >= 0 else None].rstrip()
+    lhs, arrow, rhs = line.partition("->")
+    if not arrow:
+        raise ParseError("expected 'lhs -> rhs'", bl, 1)
+    if kind == "coalgebra":
+        _element(lhs, target, "the carrier", bl)
+        _read(read, rhs, bl, len(lhs) + 3)
+    elif kind == "algebra":
+        _read(read, lhs, bl, 1)
+        _element(rhs, target, "the carrier", bl)
+    else:
+        if "@" not in lhs:
+            raise ParseError("expected 'value @ element -> result'", bl, 1)
+        vtext, _, atext = lhs.rpartition("@")
+        _read(read, vtext, bl, 1)
+        _element(atext, source, "the source carrier", bl)
+        _element(rhs, target, "the target carrier", bl)
+    raise ParseError(f"duplicate row for {lhs.strip()!r}", bl, 1)
+
+
+def _element(text: str, carrier: Carrier, where: str, lineno: int) -> None:
+    if text.strip() not in carrier:
+        raise ParseError(f"{text.strip()!r} is not in {where}", lineno, 1)
 
 
 def render_spec(doc: SpecDocument) -> str:

@@ -51,6 +51,13 @@ class TestHomomorphisms:
         candidate = Coalgebra(g.functor, one, (SetVal(()),))
         assert not is_coalgebra_hom(FinMap.inclusion(one, g.carrier), candidate, g)
 
+    def test_a_value_built_outside_the_carrier_is_refused(self, g):
+        # only document readers skip the check: Python-built values get it
+        with pytest.raises(MalformedValue):
+            Coalgebra(g.functor, Carrier(("a",)), (SetVal((IdVal("z"),)),))
+        with pytest.raises(MalformedValue):
+            Coalgebra(Id(), Carrier(("a",)), (IdVal("b"),))
+
     def test_functor_mismatch_rejected(self, g):
         other = Coalgebra(RFunctor(), Carrier((0, 1)), (RPair(0, 1), RPair(1, 0)))
         with pytest.raises(FunctorMismatch):

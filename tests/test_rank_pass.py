@@ -15,7 +15,7 @@ import wfcoalg
 from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
                      InjVal, InternalConsistencyError, Subobject,
                      canonical_graph, element_key, eval_map, hylo, is_wellfounded,
-                     next_time, para_hylo, unfold_to_mu, wf_part)
+                     next_time, para_hylo, parse_spec, unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg import functor as functor_module
 from wfcoalg.coalgebra import search_plan
@@ -345,6 +345,25 @@ def test_hylo_computes_each_support_once(monkeypatch):
     h = hylo(coalg, alg)
     assert h(("c", "a", "b")) == ("a", "b", "c")
     assert len(checks) == len(coalg.carrier) and supports == []
+
+
+def test_parse_spec_checks_no_coalgebra_row_again(monkeypatch):
+    checks = []
+    real_check = functor_module.check_value
+
+    def counting_check(*args):
+        checks.append(args[2])
+        return real_check(*args)
+
+    monkeypatch.setattr(coalgebra_module, "check_value", counting_check)
+    doc = parse_spec("carrier L = l m\ncarrier A = a b c\nfunctor = P(L * X) + R\n"
+                     "coalgebra C : A\n  a -> in0 {(l, b), (m, c), (l, c)}\n"
+                     "  b -> in1 (a, c)\n  c -> in1 d\n")
+    coalg = doc.the_coalgebra("C")
+    assert checks == []  # the reader collected each support as it read the row
+    assert coalg.supports == (frozenset("bc"), frozenset("ac"), frozenset())
+    again = Coalgebra(coalg.functor, coalg.carrier, coalg.structure)
+    assert checks == list(coalg.structure) and again.supports == coalg.supports
 
 
 FICKLE_SCRIPT = """

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from wfcoalg import (Carrier, Const, ConstVal, Exp, FuncVal, Id, IdVal,
@@ -6,7 +8,7 @@ from wfcoalg import (Carrier, Const, ConstVal, Exp, FuncVal, Id, IdVal,
                      parse_spec, parse_value, render_functor, render_spec,
                      render_value)
 from wfcoalg.functor import check_value, size_obj
-from wfcoalg.textform import MAX_NESTING
+from wfcoalg.textform import _CHUNK, MAX_NESTING
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -180,6 +182,14 @@ TABLE_ERRORS = [
      "line 5, column 1: 'z' is not in the target carrier"),
     (R_DOC + "paralgebra E : B @ A\n  d @ a -> x\n  d @ b -> x\n  (x, y) @ a -> y\n",
      "line 4, column 1: paralgebra 'E' table is not total"),
+    ("carrier S = p q\n" + P_DOC.replace("P(X)", "X ^ S") + "coalgebra G : A\n"
+     "  a -> [p: a, p: b, q: a]\n", "line 5, column 15: repeated alphabet entry 'p'"),
+    ("carrier A = b x-1 c\nfunctor = X\n",
+     "line 1, column 15: carrier element 'x-1' is not one token other than '->' and '@'"),
+    ("carrier A = 1a\nfunctor = X\n",
+     "line 1, column 13: carrier element '1a' is not one token other than '->' and '@'"),
+    ("carrier A = a @\nfunctor = X\n",
+     "line 1, column 15: carrier element '@' is not one token other than '->' and '@'"),
 ]
 
 
@@ -189,6 +199,13 @@ class TestSpecDocuments:
         with pytest.raises(ParseError) as exc:
             parse_spec(doc)
         assert str(exc.value) == message
+
+    def test_a_carrier_element_is_any_one_token_but_a_row_delimiter(self):
+        doc = parse_spec("carrier A = 12 x' _y α -\nfunctor = P(X)\ncoalgebra C : A\n"
+                         "  12 -> {x'}\n  x' -> {_y, α}\n  _y -> {}\n  α -> {-}\n  - -> {12, -}\n")
+        coalg = doc.the_coalgebra("C")
+        assert coalg.alpha("x'") == SetVal.of([IdVal("_y"), IdVal("α")])
+        assert coalg.supports[-1] == frozenset({"12", "-"})
 
     def test_graph_document(self):
         doc = parse_spec(GRAPH_DOC)
@@ -295,6 +312,24 @@ class TestSpecDocuments:
                        "functor = R\n"
                        "paralgebra E : B @ A\n" + "".join(f"  {r}\n" for r in rows))
         assert str(exc.value) == "line 8, column 1: duplicate row for '(x, y) @ a'"
+
+    def test_rows_past_the_first_chunks_report_their_own_line(self):
+        # rows are tokenized a chunk of whole lines at a time: the location of
+        # a bad row must not depend on where the chunks fall
+        n = 3 * _CHUNK // 20
+        names = [f"s{i}" for i in range(n)]
+        head = f"carrier L = a b\ncarrier A = {' '.join(names)}\nfunctor = P(L * X)\ncoalgebra C : A\n"
+        rows = [f"  s{i} -> {{(a, s{i // 2}), (b, s{i - 1})}}  # row {i}" for i in range(1, n)]
+        rows.insert(0, "  s0 -> {}")
+        doc = parse_spec(head + "\n".join(rows))
+        assert doc.the_coalgebra("C").supports[-1] == frozenset({names[-2], names[(n - 1) // 2]})
+        ends = list(accumulate(len(r) + 1 for r in rows))  # where each row ends
+        cuts = [i for i in range(1, n) if ends[i - 1] // _CHUNK != ends[i] // _CHUNK]
+        for i in sorted({j for c in cuts[:2] for j in (c - 1, c, c + 1)} | {n - 1}):
+            bad = rows[:i] + [rows[i].replace("(a,", "(z,")] + rows[i + 1:]
+            with pytest.raises(ParseError) as exc:
+                parse_spec(head + "\n".join(bad))
+            assert (exc.value.line, exc.value.col) == (5 + i, rows[i].index("(a,") + 2), i
 
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_spec("# the graph\n\n" + GRAPH_DOC)

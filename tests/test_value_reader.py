@@ -6,7 +6,8 @@ kinds, ``R`` and nested exponents and sets included) rendered over
 name-labelled carriers, and those renderings with one token deleted,
 duplicated, swapped with its neighbour or replaced by a foreign name.  They
 must agree on accept or reject, on the value, and on the error's message,
-line and column.
+line and column.  Every value they accept is also read as a coalgebra row,
+whose least support, collected by the reader, must be ``check_value``'s.
 """
 
 import random
@@ -20,7 +21,7 @@ from wfcoalg import (Carrier, Const, Exp, FunctorExpr, Id, ParseError, PowFin,
                      Prod, RFunctor, Sum, eval_obj, parse_functor, parse_spec,
                      parse_value, render_functor, render_value)
 from wfcoalg.functor import (ConstVal, FuncVal, FValue, IdVal, InjVal, RPair,
-                             RPoint, SetVal, TupleVal, size_obj)
+                             RPoint, SetVal, TupleVal, check_value, size_obj)
 
 from generators import ATOMS, random_functor
 
@@ -200,6 +201,9 @@ def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
             if letter.text not in expr.alphabet:
                 raise ParseError(f"{letter.text!r} is not in the alphabet",
                                  letter.line, letter.col)
+            if letter.text in entries:
+                raise ParseError(f"repeated alphabet entry {letter.text!r}",
+                                 letter.line, letter.col)
             cur.expect(":")
             entries[letter.text] = _parse_val(cur, expr.arg, carrier)
         missing = [s for s in expr.alphabet if s not in entries]
@@ -292,6 +296,17 @@ def cases(rng: random.Random, n_functors: int):
                 yield expr, carrier, " ".join(mutated)
 
 
+def row_document(expr: FunctorExpr, carrier: Carrier, text: str) -> str:
+    """A document whose coalgebra C reads ``text`` as the row of each state."""
+    names = {c: n for n, c in ATOM_SETS.items()}
+    names[S] = "K2"
+    names[carrier] = "A"
+    header = "".join(f"carrier {n} = {' '.join(c)}\n" for n, c in ATOM_SETS.items())
+    return (header + f"carrier A = {' '.join(carrier)}\n"
+            f"functor = {render_functor(expr, names)}\n"
+            "coalgebra C : A\n" + "".join(f"  {a} -> {text}\n" for a in carrier))
+
+
 def outcome(parse, *args):
     try:
         return "ok", parse(*args)
@@ -318,13 +333,16 @@ def test_reader_agrees_with_the_reference(seed):
     rng = random.Random(seed)
     accepted = rejected = 0
     messages = set()
-    for expr, carrier, text in cases(rng, 40):
-        line = rng.randint(1, 40)
+    for expr, carrier, row in cases(rng, 40):
+        line, text = rng.randint(1, 40), row
         if rng.random() < 0.2:  # values may span lines and carry comments
             text = text.replace(" ", "\n  ", 1) + "  # note"
         want = outcome(reference_parse_value, expr, carrier, text, line)
         got = outcome(parse_value, expr, carrier, text, line)
         assert agree(got, want), (expr, text)
+        if want[0] == "ok":
+            coalg = parse_spec(row_document(expr, carrier, row)).the_coalgebra("C")
+            assert coalg.supports == (check_value(expr, carrier, want[1]),) * len(carrier)
         accepted += want[0] == "ok"
         if want[0] == "error":
             rejected += 1
@@ -365,16 +383,10 @@ def test_document_rows_report_line_columns(seed):
     """Inside a coalgebra row the reader reports the reference's column
     shifted by where the value starts; column 1 stays column 1."""
     rng = random.Random(100 + seed)
-    names = {c: n for n, c in ATOM_SETS.items()}
-    names[S] = "K2"
-    header = "".join(f"carrier {n} = {' '.join(c)}\n" for n, c in ATOM_SETS.items())
     checked = 0
     for expr, carrier, text in cases(rng, 30):
-        names[carrier] = "A"
         row = f"  {carrier.elements[0]} ->"
-        doc = (header + f"carrier A = {' '.join(carrier)}\n"
-               f"functor = {render_functor(expr, names)}\n"
-               "coalgebra C : A\n" + "".join(f"  {a} -> {text}\n" for a in carrier))
+        doc = row_document(expr, carrier, text)
         # the old parse_spec read the text after "->" and placed its columns there
         want = outcome(reference_parse_value, expr, carrier, " " + text, 7)
         got = outcome(lambda: parse_spec(doc).the_coalgebra("C").alpha(carrier.elements[0]))
