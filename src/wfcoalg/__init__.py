@@ -10,17 +10,15 @@ from .functor import (Const, ConstVal, Exp, FuncVal, FunctorExpr, FValue, Id,
                       IdVal, InjVal, PowFin, Prod, RFunctor, RPair, RPoint,
                       SetVal, Sum, TupleVal, eval_map, eval_obj, in_image,
                       preserves_inverse_images, support)
-from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, canonical_graph,
-                        coproduct, enumerate_homs, induced_subcoalgebra,
-                        is_cartesian, is_coalgebra_hom, is_subcoalgebra,
-                        next_time, quotient)
+from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, ParAlgebra, canonical_graph,
+                        coproduct, enumerate_homs, induced_subcoalgebra, is_cartesian,
+                        is_coalgebra_hom, is_subcoalgebra, next_time, quotient)
 from .wellfounded import WfPartResult, coreflect, is_wellfounded, wf_part
 from .recursion import (InitialChain, OracleVerdict, OracleWitness,
                         UnfoldResult, find_homs, hylo, initial_chain,
                         para_hylo, parametric_oracle, recursive_oracle,
                         unfold_to_mu)
-from .textform import (ParAlgebra, ParseError, SpecDocument, parse_functor,
-                       parse_spec, parse_value, render_functor, render_spec,
-                       render_value)
+from .textform import (ParseError, SpecDocument, parse_functor, parse_spec,
+                       parse_value, render_functor, render_spec, render_value)
 
 __version__ = "0.1.0"

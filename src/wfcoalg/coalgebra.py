@@ -59,7 +59,9 @@ class Algebra:
 
     The operation may be given as an explicit table over the whole of
     eval_obj(F, carrier) (see ``from_table``) or as a total callable for
-    carriers too large to tabulate.
+    carriers too large to tabulate.  A table, when given, must be the
+    operation's graph: ``hylo`` then calls the operation once per value of
+    F(carrier) it meets, and reuses the result for every equal value.
     """
 
     functor: FunctorExpr
@@ -71,8 +73,14 @@ class Algebra:
     def from_table(functor: FunctorExpr, carrier: Carrier,
                    table: Dict[FValue, Any]) -> "Algebra":
         """Total iff its keys, each checked in F(carrier), count |F(carrier)|."""
-        for v, x in table.items():
+        for v in table:
             check_value(functor, carrier, v)
+        return Algebra._parsed(functor, carrier, dict(table))
+
+    @staticmethod
+    def _parsed(functor: FunctorExpr, carrier: Carrier, table: Dict[FValue, Any]) -> "Algebra":
+        """Keys a document reader built in F(carrier): only results and totality."""
+        for x in table.values():
             if x not in carrier:
                 raise ValueError(f"algebra result {x!r} outside the carrier")
         if size_obj(functor, len(carrier), len(table)) > len(table):
@@ -81,10 +89,20 @@ class Algebra:
             except CapExceeded:
                 raise ValueError("algebra table is not total") from None
             raise ValueError(f"algebra table is not total; missing {missing!r}")
-        return Algebra(functor, carrier, table.__getitem__, dict(table))
+        return Algebra(functor, carrier, table.__getitem__, table)
 
     def apply(self, v: FValue) -> Any:
         return self.operation(v)
+
+
+@dataclass
+class ParAlgebra:
+    """A pointwise table for parametric recursion: (F-value, state) -> result."""
+
+    functor: FunctorExpr
+    target: Carrier
+    source: Carrier
+    table: Dict[Tuple[FValue, Any], Any]
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ finite powerset, and the special leaf ``RFunctor`` with
 Values of ``F X`` are immutable tagged trees (``FValue``); equality is
 structural with sets kept in canonical sorted order.
 
-Each node kind owns its operations as methods: ``size`` (|F X|), ``enum``
-(the elements of F X), ``fmap`` (F f), ``check`` (membership in F X, which
-also collects the least support: ``Id`` appends its element, an R pair both
-of its elements) and ``preserves_inverse_images``.  A composite node
-recurses through its children's methods.  The module-level functions below
-are the entry points the rest of the package calls.
+Each node kind owns its operations as methods: ``size`` (|F X|), ``enum`` (the
+elements of F X), ``fmap`` (F f), ``code`` (F f(v) as a plain hashable tree, not
+built; injective on F X for f = id), ``check`` (membership in F X, which also
+collects the least support: ``Id`` appends its element, an R pair both of its
+elements) and ``preserves_inverse_images``.  A composite node recurses through
+its children's methods.  The module-level functions below are the entry points.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ class Const(FunctorExpr):
             raise MalformedValue(f"expected constant value, got {v!r}")
         return v
 
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        return v.atom
+
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, ConstVal) and v.atom in self.values):
             raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
@@ -79,6 +82,9 @@ class Id(FunctorExpr):
         if not isinstance(v, IdVal):
             raise MalformedValue(f"expected identity value, got {v!r}")
         return IdVal(f(v.element))
+
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        return f(v.element)
 
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, IdVal) and v.element in x):
@@ -105,6 +111,9 @@ class Sum(FunctorExpr):
         if not isinstance(v, InjVal) or not 0 <= v.index < len(self.parts):
             raise MalformedValue(f"expected injection value, got {v!r}")
         return InjVal(v.index, self.parts[v.index].fmap(f, v.value))
+
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        return v.index, self.parts[v.index].code(f, v.value)
 
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, InjVal) and 0 <= v.index < len(self.parts)):
@@ -133,6 +142,9 @@ class Prod(FunctorExpr):
         if not isinstance(v, TupleVal) or len(v.items) != len(self.parts):
             raise MalformedValue(f"expected tuple value, got {v!r}")
         return TupleVal(tuple(p.fmap(f, c) for p, c in zip(self.parts, v.items)))
+
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        return tuple([p.code(f, c) for p, c in zip(self.parts, v.items)])
 
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not (isinstance(v, TupleVal) and len(v.items) == len(self.parts)):
@@ -169,6 +181,9 @@ class Exp(FunctorExpr):
             raise MalformedValue(f"expected function value, got {v!r}")
         return FuncVal(tuple((s, self.arg.fmap(f, c)) for s, c in v.entries))
 
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        return tuple([self.arg.code(f, c) for _, c in v.entries])
+
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not isinstance(v, FuncVal):
             raise MalformedValue(f"{v!r} is not a function value")
@@ -197,6 +212,9 @@ class PowFin(FunctorExpr):
         if not isinstance(v, SetVal):
             raise MalformedValue(f"expected set value, got {v!r}")
         return SetVal.of(self.arg.fmap(f, c) for c in v.items)
+
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        return frozenset([self.arg.code(f, c) for c in v.items])
 
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if not isinstance(v, SetVal):
@@ -230,6 +248,10 @@ class RFunctor(FunctorExpr):
             a, b = f(v.fst), f(v.snd)
             return RPoint() if a == b else RPair(a, b)
         raise MalformedValue(f"expected R value, got {v!r}")
+
+    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
+        a, b = (f(v.fst), f(v.snd)) if isinstance(v, RPair) else (None, None)
+        return None if a == b else (a, b)
 
     def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
         if isinstance(v, RPoint):

@@ -22,34 +22,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
-                     NotWellFounded)
+from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
+                     InternalConsistencyError, NotWellFounded)
 from .finset import Carrier, FinMap, capped_power
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
                       eval_obj, preserves_inverse_images, size_obj)
-from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, canonical_graph,
-                        search_plan, search_tables, solution_maps)
+from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
+                        canonical_graph, search_plan, search_tables, solution_maps)
 
 
 # --- certified evaluation -----------------------------------------------------
 
 def hylo(coalg: Coalgebra, alg: Algebra) -> FinMap:
-    """The unique morphism h with h = e . Fh . alpha, for well-founded input."""
+    """The unique morphism h = e . Fh . alpha, for well-founded input (see ``_by_code``)."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
-    return _evaluate(coalg, alg.carrier, lambda value, _a: alg.apply(value))
+    step = (_by_code(coalg.functor, alg.apply) if alg.table is not None  # a finite table
+            else lambda h, v, _a: alg.apply(eval_map(coalg.functor, h, v)))  # a callable
+    return _evaluate(coalg, alg.carrier, step)
 
 
 def para_hylo(coalg: Coalgebra, target: Carrier,
-              e: Callable[[FValue, Any], Any]) -> FinMap:
+              e: Union[ParAlgebra, Callable[[FValue, Any], Any]]) -> FinMap:
     """The unique solution of h(a) = e(Fh(alpha(a)), a), for well-founded input."""
-    return _evaluate(coalg, target, e)
+    if not isinstance(e, ParAlgebra):
+        return _evaluate(coalg, target, lambda h, v, a: e(eval_map(coalg.functor, h, v), a))
+    if coalg.functor != e.functor:
+        raise FunctorMismatch("coalgebra and paralgebra are over different functors")
+    if target != e.target or not all(a in e.source for a in coalg.carrier):
+        raise CarrierMismatch("the paralgebra is not from the coalgebra's states to the target")
+    fh = _by_code(coalg.functor, lambda value: value)
+    return _evaluate(coalg, target, lambda h, v, a: e.table[fh(h, v), a])
+
+
+def _by_code(functor: FunctorExpr, first: Callable[[FValue], Any]) -> Callable[..., Any]:
+    """The step of a table algebra: (h, v) -> first(Fh(v)), memoized by ``code(h, v)``,
+    so Fh(v) is built and ``first`` applied once per value; an equal one costs its code."""
+    memo: Dict[Any, Any] = {}
+
+    def step(h: Callable, v: FValue, _a: Any = None) -> Any:
+        c = functor.code(h, v)
+        x = memo.get(c, memo)
+        if x is memo:
+            x = memo[c] = first(eval_map(functor, h, v))
+        return x
+    return step
 
 
 def _evaluate(coalg: Coalgebra, target: Carrier,
-              step: Callable[[FValue, Any], Any]) -> FinMap:
+              step: Callable[[Callable, FValue, Any], Any]) -> FinMap:
     h, cycle = _fold(coalg, step)
     if cycle is not None:
         raise NotWellFounded(
@@ -57,15 +80,15 @@ def _evaluate(coalg: Coalgebra, target: Carrier,
             f"of the canonical graph ({' -> '.join(map(repr, cycle))})")
     result = FinMap(coalg.carrier, target, tuple(h[a] for a in coalg.carrier))
     for a in coalg.carrier:  # post-hoc soundness check of the square
-        if result(a) != step(eval_map(coalg.functor, result, coalg.alpha(a)), a):
+        if result(a) != step(result, coalg.alpha(a), a):
             raise InternalConsistencyError(
                 f"the evaluated map does not satisfy its equation at {a!r}")
     return result
 
 
-def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
+def _fold(coalg: Coalgebra, step: Callable[[Callable, FValue, Any], Any]
           ) -> Tuple[Optional[Dict[Any, Any]], Optional[List[Any]]]:
-    """h(a) = step(Fh(alpha(a)), a) for every state, memoized in the
+    """h(a) = step(h, alpha(a), a) for every state, memoized in the
     successors-first order of the rank pass over the canonical graph; or
     the graph's cycle witness when some state is unranked."""
     graph = canonical_graph(coalg)
@@ -73,7 +96,7 @@ def _fold(coalg: Coalgebra, step: Callable[[FValue, Any], Any]
         return None, graph.find_cycle()
     h: Dict[Any, Any] = {}
     for a in graph.ranking:
-        h[a] = step(eval_map(coalg.functor, h.__getitem__, coalg.alpha(a)), a)
+        h[a] = step(h.__getitem__, coalg.alpha(a), a)
     return h, None
 
 
@@ -170,7 +193,8 @@ def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
     """Unfold each state to its closed term when the canonical graph is acyclic.
     By induction on rank, two states get one node iff their terms are equal."""
     ids: Dict[FValue, int] = {}
-    h, cycle = _fold(coalg, lambda value, _a: ids.setdefault(value, len(ids)))
+    h, cycle = _fold(coalg, lambda of, v, _a: ids.setdefault(
+        eval_map(coalg.functor, of, v), len(ids)))
     complete = preserves_inverse_images(coalg.functor)
     if cycle is not None:
         return UnfoldResult(None, None, tuple(cycle), complete)

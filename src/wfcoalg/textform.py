@@ -45,7 +45,7 @@ from .finset import Carrier
 from .functor import (Const, ConstVal, Exp, FValue, FuncVal, FunctorExpr, Id,
                       IdVal, InjVal, PowFin, Prod, RFunctor, RPair, RPoint,
                       SetVal, Sum, TupleVal, size_obj)
-from .coalgebra import Algebra, Coalgebra
+from .coalgebra import Algebra, Coalgebra, ParAlgebra
 
 
 class ParseError(WfcoalgError):
@@ -357,18 +357,6 @@ def render_value(expr: FunctorExpr, v: FValue) -> str:
 # --- documents -------------------------------------------------------------------
 
 @dataclass
-class ParAlgebra:
-    """A pointwise table for parametric recursion: (F-value, state) -> result."""
-
-    target: Carrier
-    source: Carrier
-    table: Dict[Tuple[FValue, Any], Any]
-
-    def __call__(self, v: FValue, a: Any) -> Any:
-        return self.table[(v, a)]
-
-
-@dataclass
 class SpecDocument:
     functor_text: str
     functor: FunctorExpr
@@ -491,13 +479,13 @@ def parse_spec(text: str) -> SpecDocument:
                 map(table.__getitem__, states)), tuple(map(supports.__getitem__, states)))
         elif kind == "algebra":
             try:
-                doc.algebras[name] = Algebra.from_table(functor, target, table)
+                doc.algebras[name] = Algebra._parsed(functor, target, table)
             except ValueError as exc:
                 raise ParseError(f"algebra {name!r}: {exc}", lineno, 1) from exc
         else:  # the rows are distinct in F(target) x source: count up to len(table)
             if size_obj(functor, len(target), len(table)) * len(source) > len(table):
                 raise ParseError(f"paralgebra {name!r} table is not total", lineno, 1)
-            doc.paralgebras[name] = ParAlgebra(target, source, table)
+            doc.paralgebras[name] = ParAlgebra(functor, target, source, table)
 
     return doc
 

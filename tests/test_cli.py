@@ -390,6 +390,17 @@ class TestAlgebraTotality:
             "parse error: line 6, column 1: algebra 'E': algebra table is not total\n")
 
 
+def test_para_hylo_over_another_source_carrier_is_an_error(tmp_path):
+    doc = tmp_path / "par.txt"
+    doc.write_text("carrier A = a b\ncarrier B = x y\nfunctor = 1 + X\n"
+                   "coalgebra C : A\n  a -> in1 b\n  b -> in0 u0\n"
+                   "paralgebra P : A @ B\n" +
+                   "".join(f"  {v} @ {s} -> a\n" for v in ("in0 u0", "in1 a", "in1 b")
+                           for s in "xy"))
+    assert run("para-hylo", str(doc)) == (
+        EXIT_USAGE, "error: the paralgebra is not from the coalgebra's states to the target\n")
+
+
 class TestDeepFunctors:
     """A functor nested past the bound is a parse error, not a traceback."""
 

@@ -3,12 +3,16 @@ they replace, on generated functors (R, Const and nested Exp/PowFin
 included) over carriers of size 0 to 3."""
 
 import random
+import sys
 from itertools import product
 
-from wfcoalg import (Carrier, Const, ConstVal, Exp, FinMap, FuncVal, Id, IdVal,
-                     InjVal, MalformedValue, PowFin, Prod, RFunctor, RPair, RPoint,
-                     SetVal, Subobject, Sum, TupleVal, eval_map, eval_obj,
-                     preserves_inverse_images, support)
+from wfcoalg import (Algebra, Carrier, Const, ConstVal, Exp, FinMap, FuncVal, Id,
+                     IdVal, InjVal, MalformedValue, PowFin, Prod, RFunctor, RPair,
+                     RPoint, SetVal, Subobject, Sum, TupleVal, eval_map, eval_obj, hylo,
+                     para_hylo, parse_functor, parse_spec, preserves_inverse_images,
+                     render_value, support)
+from wfcoalg import functor as functor_module
+from wfcoalg.demos import quicksort
 from wfcoalg.finset import capped_power
 from wfcoalg.functor import check_value, size_obj
 
@@ -357,3 +361,100 @@ def test_fmap_preserves_injections():
                 check_value(f, y, w)  # each image lies in F(Y)
             checked.add((len(x), len(y)))
     assert {(0, 0), (0, 2), (3, 3), (3, 5)} <= checked
+
+
+# --- codes: F f(v) as a plain tree, not built ------------------------------------
+
+def same(a):
+    return a
+
+
+def test_code_commutes_with_eval_map_under_merging_maps():
+    """code(f, v) == code(id, eval_map(F, f, v)), on maps into one or two
+    elements, so that R pairs collapse to d and P members collapse."""
+    rng = random.Random(12)
+    collapsed = set()
+    for f in functors(12):
+        for x in CARRIERS:
+            for y in (Carrier(("u",)), Carrier(("u", "v"))):
+                g = random_map(rng, x, y)
+                for v in eval_obj(f, x):
+                    image = eval_map(f, g, v)
+                    assert f.code(g, v) == f.code(same, image)
+                    collapsed.update(_shrunk(v, image))
+    assert collapsed == {"R", "P"}
+    merge = {0: "u", 1: "u"}.__getitem__
+    assert RFunctor().code(merge, RPair(0, 1)) is None
+    assert PowFin(Id()).code(merge, SetVal((IdVal(0), IdVal(1)))) == frozenset("u")
+
+
+def _shrunk(v, image):
+    """"R" for each pair of v mapped to d, "P" for each set of v mapped to
+    fewer members."""
+    if isinstance(v, RPair) and isinstance(image, RPoint):
+        yield "R"
+    elif isinstance(v, SetVal) and len(image.items) < len(v.items):
+        yield "P"
+    elif isinstance(v, InjVal):
+        yield from _shrunk(v.value, image.value)
+    elif isinstance(v, TupleVal):
+        for c, d in zip(v.items, image.items):
+            yield from _shrunk(c, d)
+    elif isinstance(v, FuncVal):
+        for (_, c), (_, d) in zip(v.entries, image.entries):
+            yield from _shrunk(c, d)
+
+
+def test_code_of_the_identity_is_injective():
+    kinds = set()
+    for f in functors(13):
+        for x in CARRIERS:
+            values = eval_obj(f, x)
+            assert len({f.code(same, v) for v in values}) == len(values), (f, x)
+            kinds.update(type(e).__name__ for e in nodes(f))
+    assert kinds == {"Const", "Id", "Sum", "Prod", "Exp", "PowFin", "RFunctor"}
+
+
+def test_table_algebras_build_each_value_of_fh_once(monkeypatch):
+    """hylo and para_hylo on table algebras build Fh(alpha a) once per value,
+    found by its code: a state whose value was met costs no eval_map."""
+    built = []
+    real_eval_map = functor_module.eval_map
+
+    def counting_eval_map(*args):
+        built.append(real_eval_map(*args))
+        return built[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wfcoalg") and getattr(module, "eval_map", None) is real_eval_map:
+            monkeypatch.setattr(module, "eval_map", counting_eval_map)
+    f = parse_functor("P(L * X) + R", {"L": Carrier(("l", "m"))})
+    states, target = Carrier(("a", "b", "c", "w", "y", "z")), Carrier(("e", "o"))
+    rng = random.Random(14)
+    values = eval_obj(f, target)
+    text = ("carrier L = l m\ncarrier A = a b c w y z\ncarrier T = e o\n"
+            "functor = P(L * X) + R\ncoalgebra C : A\n  a -> in0 {(l, b), (m, c), (l, c)}\n"
+            "  b -> in1 (c, z)\n  c -> in1 d\n  w -> in1 (c, y)\n  y -> in0 {}\n"
+            "  z -> in0 {}\nalgebra E : T\n" +
+            "".join(f"  {render_value(f, v)} -> {rng.choice('eo')}\n" for v in values) +
+            "paralgebra Q : T @ A\n" +
+            "".join(f"  {render_value(f, v)} @ {a} -> {rng.choice('eo')}\n"
+                    for v in values for a in states))
+    doc = parse_spec(text)
+    coalg, alg, par = doc.the_coalgebra("C"), doc.the_algebra("E"), doc.the_paralgebra("Q")
+    def built_once(h):
+        images = {real_eval_map(f, h, coalg.alpha(a)) for a in states}
+        assert sorted(map(repr, built)) == sorted(map(repr, images))
+        assert len(images) < len(states)  # y and z, b and w share a value
+        del built[:]
+        return h
+
+    h, p = built_once(hylo(coalg, alg)), built_once(para_hylo(coalg, target, par))
+    # the same maps through the callable path, which builds Fh(alpha a) twice a state
+    assert h == hylo(coalg, Algebra(f, target, alg.table.__getitem__))
+    assert p == para_hylo(coalg, target, lambda v, a: par.table[(v, a)])
+    assert len(built) == 4 * len(states)
+    del built[:]
+    coalg, alg = quicksort(("a", "b", "c"), 4)
+    assert alg.table is None and hylo(coalg, alg)(("c", "a", "b")) == ("a", "b", "c")
+    assert len(built) == 2 * len(coalg.carrier)

@@ -13,7 +13,7 @@ import pytest
 
 import wfcoalg
 from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
-                     InjVal, InternalConsistencyError, Subobject,
+                     InjVal, InternalConsistencyError, RPair, RPoint, Subobject,
                      canonical_graph, element_key, eval_map, hylo, is_wellfounded,
                      next_time, para_hylo, parse_spec, unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
@@ -364,6 +364,24 @@ def test_parse_spec_checks_no_coalgebra_row_again(monkeypatch):
     assert coalg.supports == (frozenset("bc"), frozenset("ac"), frozenset())
     again = Coalgebra(coalg.functor, coalg.carrier, coalg.structure)
     assert checks == list(coalg.structure) and again.supports == coalg.supports
+
+
+def test_parse_spec_checks_no_algebra_row_again(monkeypatch):
+    checks = []
+    real_check = functor_module.check_value
+
+    def counting_check(*args):
+        checks.append(args[2])
+        return real_check(*args)
+
+    monkeypatch.setattr(coalgebra_module, "check_value", counting_check)
+    doc = parse_spec("carrier B = x y\nfunctor = R\nalgebra E : B\n"
+                     "  d -> x\n  (x, y) -> y\n  (y, x) -> x\n")
+    alg = doc.the_algebra("E")
+    assert checks == []  # the reader built each key in F(B)
+    assert alg.table == {RPoint(): "x", RPair("x", "y"): "y", RPair("y", "x"): "x"}
+    again = Algebra.from_table(alg.functor, alg.carrier, alg.table)
+    assert checks == list(alg.table) and again.table == alg.table
 
 
 FICKLE_SCRIPT = """

@@ -246,8 +246,8 @@ class TestSpecDocuments:
             "  (y, x) @ a -> y\n"
             "  (y, x) @ b -> y\n")
         par = doc.the_paralgebra("E")
-        assert par(RPoint(), "a") == "x"
-        assert par(RPair("y", "x"), "b") == "y"
+        assert par.table[(RPoint(), "a")] == "x"
+        assert par.table[(RPair("y", "x"), "b")] == "y"
 
     def test_missing_row_is_an_error(self):
         with pytest.raises(ParseError) as exc:
