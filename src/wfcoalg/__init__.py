@@ -6,10 +6,9 @@ from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      WfcoalgError)
 from .finset import (Carrier, FinMap, Subobject, all_maps, all_subsets,
                      direct_image, element_key, inverse_image, pullback)
-from .functor import (Const, ConstVal, Exp, FuncVal, FunctorExpr, FValue, Id,
-                      IdVal, InjVal, PowFin, Prod, RFunctor, RPair, RPoint,
-                      SetVal, Sum, TupleVal, eval_map, eval_obj, in_image,
-                      preserves_inverse_images, support)
+from .functor import (Const, Exp, FunctorExpr, Id, PowFin, Prod, RFunctor, Sum,
+                      eval_map, eval_obj, in_image, preserves_inverse_images,
+                      support)
 from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, ParAlgebra, canonical_graph,
                         coproduct, enumerate_homs, induced_subcoalgebra, is_cartesian,
                         is_coalgebra_hom, is_subcoalgebra, next_time, quotient)

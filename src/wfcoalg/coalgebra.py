@@ -10,8 +10,7 @@ from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
 from .finset import Carrier, FinMap, Subobject, capped_power, element_key
-from .functor import (FunctorExpr, FValue, check_value, eval_map, eval_obj,
-                      size_obj)
+from .functor import FunctorExpr, check_value, eval_map, eval_obj, size_obj
 
 DEFAULT_SEARCH_CAP = 10_000_000  # maps searched: homs, find_homs, oracles, --max-enum
 
@@ -25,7 +24,7 @@ class Coalgebra:
 
     functor: FunctorExpr
     carrier: Carrier
-    structure: Tuple[FValue, ...]  # aligned with carrier order
+    structure: Tuple[Any, ...]  # values of F(carrier), aligned with carrier order
 
     def __post_init__(self):
         if len(self.structure) != len(self.carrier):
@@ -36,7 +35,7 @@ class Coalgebra:
                            dict(zip(self.carrier.elements, self.structure)))
 
     @classmethod
-    def _parsed(cls, functor: FunctorExpr, carrier: Carrier, structure: Tuple[FValue, ...],
+    def _parsed(cls, functor: FunctorExpr, carrier: Carrier, structure: Tuple[Any, ...],
                 supports: Tuple[frozenset, ...]) -> "Coalgebra":
         """A coalgebra of values a document reader built in F(carrier), with the
         least supports it collected: ``__post_init__`` would check them again."""
@@ -46,10 +45,10 @@ class Coalgebra:
         return self
 
     @staticmethod
-    def from_dict(functor: FunctorExpr, carrier: Carrier, table: Dict[Any, FValue]) -> "Coalgebra":
+    def from_dict(functor: FunctorExpr, carrier: Carrier, table: Dict[Any, Any]) -> "Coalgebra":
         return Coalgebra(functor, carrier, tuple(table[a] for a in carrier))
 
-    def alpha(self, a: Any) -> FValue:
+    def alpha(self, a: Any) -> Any:
         return self._alpha[a]
 
 
@@ -57,28 +56,32 @@ class Coalgebra:
 class Algebra:
     """A carrier together with e: F(carrier) -> carrier.
 
-    The operation may be given as an explicit table over the whole of
-    eval_obj(F, carrier) (see ``from_table``) or as a total callable for
-    carriers too large to tabulate.  A table, when given, must be the
-    operation's graph: ``hylo`` then calls the operation once per value of
-    F(carrier) it meets, and reuses the result for every equal value.
+    The operation is given either as an explicit table over the whole of
+    eval_obj(F, carrier) (see ``from_table``), and is then the table's
+    lookup, or as a total callable for carriers too large to tabulate.
     """
 
     functor: FunctorExpr
     carrier: Carrier
-    operation: Callable[[FValue], Any]
-    table: Optional[Dict[FValue, Any]] = field(default=None, repr=False)
+    operation: Optional[Callable[[Any], Any]] = None
+    table: Optional[Dict[Any, Any]] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.operation is None) == (self.table is None):
+            raise ValueError("an algebra takes either an operation or a table")
+        if self.table is not None:
+            self.operation = self.table.__getitem__
 
     @staticmethod
     def from_table(functor: FunctorExpr, carrier: Carrier,
-                   table: Dict[FValue, Any]) -> "Algebra":
+                   table: Dict[Any, Any]) -> "Algebra":
         """Total iff its keys, each checked in F(carrier), count |F(carrier)|."""
         for v in table:
             check_value(functor, carrier, v)
         return Algebra._parsed(functor, carrier, dict(table))
 
     @staticmethod
-    def _parsed(functor: FunctorExpr, carrier: Carrier, table: Dict[FValue, Any]) -> "Algebra":
+    def _parsed(functor: FunctorExpr, carrier: Carrier, table: Dict[Any, Any]) -> "Algebra":
         """Keys a document reader built in F(carrier): only results and totality."""
         for x in table.values():
             if x not in carrier:
@@ -88,10 +91,10 @@ class Algebra:
                 missing = next(v for v in eval_obj(functor, carrier) if v not in table)
             except CapExceeded:
                 raise ValueError("algebra table is not total") from None
-            raise ValueError(f"algebra table is not total; missing {missing!r}")
-        return Algebra(functor, carrier, table.__getitem__, table)
+            raise ValueError(f"algebra table is not total; missing {functor.render(missing)}")
+        return Algebra(functor, carrier, table=table)
 
-    def apply(self, v: FValue) -> Any:
+    def apply(self, v: Any) -> Any:
         return self.operation(v)
 
 
@@ -102,7 +105,7 @@ class ParAlgebra:
     functor: FunctorExpr
     target: Carrier
     source: Carrier
-    table: Dict[Tuple[FValue, Any], Any]
+    table: Dict[Tuple[Any, Any], Any]
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ def quotient(coalg: Coalgebra, e: FinMap) -> Coalgebra:
         raise CarrierMismatch("surjection domain is not the coalgebra carrier")
     if not e.is_surjective():
         raise ValueError("quotient map must be surjective")
-    pushed: Dict[Any, Tuple[Any, FValue]] = {}
+    pushed: Dict[Any, Tuple[Any, Any]] = {}
     for a in coalg.carrier:
         image = eval_map(coalg.functor, e, coalg.alpha(a))
         b = e(a)
@@ -281,7 +284,7 @@ def enumerate_homs(src: Coalgebra, dst: Coalgebra,
     _require_same_functor(src, dst)
     if capped_power(len(dst.carrier), len(src.carrier), cap) > cap:
         raise CapExceeded("homomorphism search", cap)
-    preimages: Dict[FValue, List[Any]] = {}
+    preimages: Dict[Any, List[Any]] = {}
     for b in dst.carrier:
         preimages.setdefault(dst.alpha(b), []).append(b)
     yield from solution_maps(src, dst.carrier, lambda a, w: preimages.get(w, ()))
@@ -290,7 +293,7 @@ def enumerate_homs(src: Coalgebra, dst: Coalgebra,
 # --- candidate search ---------------------------------------------------------
 
 def solution_maps(coalg: Coalgebra, target: Carrier,
-                  allowed: Callable[[Any, FValue], Collection]) -> List[FinMap]:
+                  allowed: Callable[[Any, Any], Collection]) -> List[FinMap]:
     """Every h: A -> target with h(a) in allowed(a, Fh(alpha a)) at each
     state a, in lexicographic table order."""
     index = {x: i for i, x in enumerate(target)}
@@ -301,8 +304,8 @@ def solution_maps(coalg: Coalgebra, target: Carrier,
 
 
 def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]],
-                  target: Carrier, allowed: Callable[[Any, FValue], Collection],
-                  key: Callable[[Any, FValue], Any] = lambda a, w: a
+                  target: Carrier, allowed: Callable[[Any, Any], Collection],
+                  key: Callable[[Any, Any], Any] = lambda a, w: a
                   ) -> Iterator[Dict[Any, Any]]:
     """Backtracking search for every h: A -> target such that, at each state
     a with w = Fh(alpha a), h(a) is in allowed(a, w), and h takes one value
@@ -324,7 +327,7 @@ def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]
     table: Dict[Any, Any] = {}
     keyed: List[List[Any]] = [[] for _ in plan]  # table keys each step added
 
-    def options(i: int) -> Iterator[Tuple[Any, Optional[FValue]]]:
+    def options(i: int) -> Iterator[Tuple[Any, Any]]:
         a, settled, _ = plan[i]
         if not settled:
             return ((x, None) for x in target)
@@ -336,7 +339,7 @@ def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]
             del table[k]
         keyed[i].clear()
 
-    def keeps(i: int, b: Any, w: FValue) -> bool:
+    def keeps(i: int, b: Any, w: Any) -> bool:
         k = key(b, w)
         if k not in table:
             table[k] = h[b]

@@ -16,8 +16,7 @@ from typing import Any, Iterable, Optional, Tuple
 
 from .errors import CapExceeded
 from .finset import Carrier, Subobject
-from .functor import (Const, ConstVal, Exp, FuncVal, Id, IdVal, InjVal,
-                      PowFin, Prod, RFunctor, RPair, SetVal, Sum, TupleVal)
+from .functor import Const, Exp, Id, PowFin, Prod, RFunctor, Sum
 from .coalgebra import Algebra, Coalgebra
 
 UNIT = Carrier(("u0",))
@@ -27,14 +26,14 @@ def graph_g() -> Coalgebra:
     """The graph a -> b; c <-> d as a powerset coalgebra."""
     carrier = Carrier(("a", "b", "c", "d"))
     table = {"a": {"b"}, "b": set(), "c": {"d"}, "d": {"c"}}
-    return Coalgebra.from_dict(PowFin(Id()), carrier, {
-        v: SetVal.of(IdVal(s) for s in table[v]) for v in carrier})
+    return Coalgebra.from_dict(PowFin(Id()), carrier,
+                               {v: frozenset(table[v]) for v in carrier})
 
 
 def r_coalgebra() -> Coalgebra:
     """Two states, both mapped to the pair (0, 1): recursive, not well-founded."""
     carrier = Carrier((0, 1))
-    return Coalgebra(RFunctor(), carrier, (RPair(0, 1), RPair(0, 1)))
+    return Coalgebra(RFunctor(), carrier, ((0, 1), (0, 1)))
 
 
 def quicksort_functor(alphabet: Carrier):
@@ -69,17 +68,18 @@ def quicksort(alphabet: Tuple[Any, ...], max_len: int, cap: Optional[int] = None
 
     def split(w):
         if not w:
-            return InjVal(0, ConstVal("u0"))
+            return 0, "u0"
         head, rest = w[0], w[1:]
         small = tuple(x for x in rest if x <= head)
         large = tuple(x for x in rest if x > head)
-        return InjVal(1, TupleVal((ConstVal(head), IdVal(small), IdVal(large))))
+        return 1, (head, small, large)
 
     def merge(v):
-        if v.index == 0:
+        i, w = v
+        if i == 0:
             return ()
-        head, left, right = v.value.items
-        out = left.element + (head.atom,) + right.element
+        head, left, right = w
+        out = left + (head,) + right
         return out if out in lists else ()
 
     coalg = Coalgebra(functor, lists, tuple(split(w) for w in lists))
@@ -92,8 +92,7 @@ def predecessor(n_max: int) -> Coalgebra:
     functor = Sum((Id(), Const(UNIT)))
     carrier = Carrier(tuple(range(n_max + 1)))
     return Coalgebra(functor, carrier, tuple(
-        InjVal(1, ConstVal("u0")) if n == 0 else InjVal(0, IdVal(n - 1))
-        for n in carrier))
+        (1, "u0") if n == 0 else (0, n - 1) for n in carrier))
 
 
 def _printable_values(values: Iterable[int], what: str) -> Carrier:
@@ -121,9 +120,8 @@ def factorial_scheme(n_max: int, cap: Optional[int] = None):
     coalg = predecessor(n_max)
 
     def step(v, n):
-        if v.index == 0:
-            return v.value.element * n
-        return 1
+        i, w = v
+        return w * n if i == 0 else 1
 
     return coalg, target, step
 
@@ -133,9 +131,7 @@ def fibonacci_coalgebra(n_max: int) -> Coalgebra:
     functor = Sum((Prod((Id(), Id())), Const(UNIT)))
     carrier = Carrier(tuple(range(n_max + 1)))
     return Coalgebra(functor, carrier, tuple(
-        InjVal(1, ConstVal("u0")) if n <= 1
-        else InjVal(0, TupleVal((IdVal(n - 1), IdVal(n - 2))))
-        for n in carrier))
+        (1, "u0") if n <= 1 else (0, (n - 1, n - 2)) for n in carrier))
 
 
 def _fibonacci(n_max: int, a0: int, a1: int):
@@ -154,9 +150,9 @@ def fibonacci_scheme(n_max: int, a0: int, a1: int, cap: Optional[int] = None):
     coalg = fibonacci_coalgebra(n_max)
 
     def step(v, n):
-        if v.index == 0:
-            i, j = v.value.items
-            return i.element + j.element
+        i, w = v
+        if i == 0:
+            return w[0] + w[1]
         return a0 if n == 0 else a1 if n == 1 else 0
 
     return coalg, target, step
@@ -172,9 +168,7 @@ def automaton() -> Coalgebra:
              ("s1", "p"): "s1", ("s1", "q"): "s0"}
     final = {"s0": "0", "s1": "1"}
     return Coalgebra(functor, carrier, tuple(
-        TupleVal((ConstVal(final[s]),
-                  FuncVal(tuple((a, IdVal(delta[(s, a)])) for a in sigma))))
-        for s in carrier))
+        (final[s], tuple(delta[(s, a)] for a in sigma)) for s in carrier))
 
 
 def transition_system():
@@ -183,8 +177,6 @@ def transition_system():
     functor = PowFin(Prod((Const(sigma), Id())))
     carrier = Carrier(("s0", "s1", "s2"))
     steps = {"s0": [("p", "s1"), ("q", "s2")], "s1": [("p", "s2")], "s2": []}
-    coalg = Coalgebra(functor, carrier, tuple(
-        SetVal.of(TupleVal((ConstVal(a), IdVal(t))) for a, t in steps[s])
-        for s in carrier))
+    coalg = Coalgebra(functor, carrier, tuple(frozenset(steps[s]) for s in carrier))
     subset = Subobject.of_members(carrier, ("s2",))
     return coalg, subset

@@ -1,9 +1,9 @@
 """Finite sets, total functions, subsets, pullbacks and images.
 
 Everything here is immutable and pure.  Carrier elements are opaque
-hashable labels (strings, ints, tuples, or structured values exposing a
-``key()`` method); ``element_key`` gives them a total deterministic order
-so that enumerations and rendered reports are reproducible.
+hashable labels (strings, ints, None, and tuples and frozensets of them, so
+values of a functor too); ``element_key`` gives them a total deterministic
+order so that enumerations and rendered reports are reproducible.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ def element_key(x: Any):
         return ("t", tuple(element_key(c) for c in x))
     if isinstance(x, frozenset):
         return ("f", tuple(sorted(element_key(c) for c in x)))
-    key = getattr(x, "key", None)
-    if callable(key):
-        return ("v", key())
+    if x is None:  # the point d of R
+        return ("n",)
     raise TypeError(f"unorderable carrier element: {x!r}")
 
 

@@ -1,4 +1,4 @@
-"""Compositional finite-set endofunctors and their structured values.
+"""Compositional finite-set endofunctors and their values.
 
 A ``FunctorExpr`` denotes an endofunctor on finite sets built from
 constants, the identity, finite sums/products, finite exponents, the
@@ -9,15 +9,25 @@ finite powerset, and the special leaf ``RFunctor`` with
     R f (x, y) = d            if f merges x and y,
                  (f x, f y)   otherwise.
 
-Values of ``F X`` are immutable tagged trees (``FValue``); equality is
-structural with sets kept in canonical sorted order.
+An element of F X is a plain hashable Python value: for ``Const`` the atom,
+for ``Id`` the element of X, for ``Sum`` the pair ``(i, v)`` with v in the
+i-th summand, for ``Prod`` the tuple of its components, for ``Exp`` the tuple
+of its entries in alphabet order, for ``PowFin`` a ``frozenset``, and for
+``RFunctor`` ``None`` (the point d) or the pair ``(x, y)``.  Equality and
+hashing are Python's: two values of F X are equal iff they are the same
+element, so a value keys a table as it is.
 
 Each node kind owns its operations as methods: ``size`` (|F X|), ``enum`` (the
-elements of F X), ``fmap`` (F f), ``code`` (F f(v) as a plain hashable tree, not
-built; injective on F X for f = id), ``check`` (membership in F X, which also
+elements of F X), ``fmap`` (F f), ``check`` (membership in F X, which also
 collects the least support: ``Id`` appends its element, an R pair both of its
-elements) and ``preserves_inverse_images``.  A composite node recurses through
-its children's methods.  The module-level functions below are the entry points.
+elements), ``sort_key`` (a total order on F X, by ``element_key`` at atoms and
+elements, for output and for positions), ``render`` (the text form) and
+``preserves_inverse_images``.  A composite node recurses through its
+children's methods.  ``fmap`` refuses a value of the wrong shape (a tuple
+of the wrong length, a summand index out of range, a P value that is no
+frozenset, an R pair with equal components); ``check`` also refuses atoms and
+elements outside their carriers.  The module-level functions below are the
+entry points.
 """
 
 from __future__ import annotations
@@ -31,8 +41,6 @@ from .finset import Carrier, Subobject, capped_power, element_key
 
 DEFAULT_ENUM_CAP = 100_000
 
-
-# --- functor expressions ---------------------------------------------------
 
 def _clip(size: int, cap: Optional[int]) -> int:
     """cap + 1 stands for any size above the cap."""
@@ -51,20 +59,21 @@ class Const(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(len(self.values), cap)
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
-        return (ConstVal(a) for a in self.values)
+    def enum(self, x: Carrier) -> Iterator[Any]:
+        return iter(self.values)
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if not isinstance(v, ConstVal):
-            raise MalformedValue(f"expected constant value, got {v!r}")
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
         return v
 
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        return v.atom
-
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if not (isinstance(v, ConstVal) and v.atom in self.values):
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if v not in self.values:
             raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
+
+    def sort_key(self, v: Any) -> Any:
+        return element_key(v)
+
+    def render(self, v: Any) -> str:
+        return str(v)
 
     def preserves_inverse_images(self) -> bool:
         return True
@@ -75,21 +84,19 @@ class Id(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(n, cap)
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
-        return (IdVal(a) for a in x)
+    def enum(self, x: Carrier) -> Iterator[Any]:
+        return iter(x)
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if not isinstance(v, IdVal):
-            raise MalformedValue(f"expected identity value, got {v!r}")
-        return IdVal(f(v.element))
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
+        return f(v)
 
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        return f(v.element)
-
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if not (isinstance(v, IdVal) and v.element in x):
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if v not in x:
             raise MalformedValue(f"{v!r} is not an element of the carrier")
-        out.append(v.element)
+        out.append(v)
+
+    sort_key = Const.sort_key
+    render = Const.render
 
     def preserves_inverse_images(self) -> bool:
         return True
@@ -102,23 +109,31 @@ class Sum(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(sum(p.size(n, cap) for p in self.parts), cap)
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
+    def enum(self, x: Carrier) -> Iterator[Any]:
         for i, p in enumerate(self.parts):
             for v in p.enum(x):
-                yield InjVal(i, v)
+                yield i, v
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if not isinstance(v, InjVal) or not 0 <= v.index < len(self.parts):
-            raise MalformedValue(f"expected injection value, got {v!r}")
-        return InjVal(v.index, self.parts[v.index].fmap(f, v.value))
-
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        return v.index, self.parts[v.index].code(f, v.value)
-
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if not (isinstance(v, InjVal) and 0 <= v.index < len(self.parts)):
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
+        if not (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int
+                and 0 <= v[0] < len(self.parts)):
             raise MalformedValue(f"{v!r} is not a valid injection")
-        self.parts[v.index].check(x, v.value, out)
+        i, w = v
+        return i, self.parts[i].fmap(f, w)
+
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if not (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int
+                and 0 <= v[0] < len(self.parts)):
+            raise MalformedValue(f"{v!r} is not a valid injection")
+        self.parts[v[0]].check(x, v[1], out)
+
+    def sort_key(self, v: Any) -> Any:
+        i, w = v
+        return i, self.parts[i].sort_key(w)
+
+    def render(self, v: Any) -> str:
+        i, w = v
+        return f"in{i} {self.parts[i].render(w)}"
 
     def preserves_inverse_images(self) -> bool:
         return all(p.preserves_inverse_images() for p in self.parts)
@@ -134,23 +149,25 @@ class Prod(FunctorExpr):
             total = _clip(total * p.size(n, cap), cap)
         return total
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
-        for combo in product(*(list(p.enum(x)) for p in self.parts)):
-            yield TupleVal(combo)
+    def enum(self, x: Carrier) -> Iterator[Any]:
+        return product(*(list(p.enum(x)) for p in self.parts))
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if not isinstance(v, TupleVal) or len(v.items) != len(self.parts):
-            raise MalformedValue(f"expected tuple value, got {v!r}")
-        return TupleVal(tuple(p.fmap(f, c) for p, c in zip(self.parts, v.items)))
-
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        return tuple([p.code(f, c) for p, c in zip(self.parts, v.items)])
-
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if not (isinstance(v, TupleVal) and len(v.items) == len(self.parts)):
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
+        if not (isinstance(v, tuple) and len(v) == len(self.parts)):
             raise MalformedValue(f"{v!r} is not a valid tuple")
-        for p, c in zip(self.parts, v.items):
+        return tuple([p.fmap(f, c) for p, c in zip(self.parts, v)])
+
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if not (isinstance(v, tuple) and len(v) == len(self.parts)):
+            raise MalformedValue(f"{v!r} is not a valid tuple")
+        for p, c in zip(self.parts, v):
             p.check(x, c, out)
+
+    def sort_key(self, v: Any) -> Any:
+        return tuple([p.sort_key(c) for p, c in zip(self.parts, v)])
+
+    def render(self, v: Any) -> str:
+        return "(" + ", ".join(p.render(c) for p, c in zip(self.parts, v)) + ")"
 
     def preserves_inverse_images(self) -> bool:
         return all(p.preserves_inverse_images() for p in self.parts)
@@ -158,7 +175,8 @@ class Prod(FunctorExpr):
 
 @dataclass(frozen=True)
 class Exp(FunctorExpr):
-    """arg ** alphabet: functions from a fixed finite alphabet."""
+    """arg ** alphabet: functions from a fixed finite alphabet, as the tuple
+    of their entries in alphabet order."""
 
     alphabet: Carrier
     arg: FunctorExpr
@@ -170,27 +188,26 @@ class Exp(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return capped_power(self.arg.size(n, cap), len(self.alphabet), cap)
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
-        inner = list(self.arg.enum(x))
-        letters = self.alphabet.elements
-        for combo in product(inner, repeat=len(letters)):
-            yield FuncVal(tuple(zip(letters, combo)))
+    def enum(self, x: Carrier) -> Iterator[Any]:
+        return product(list(self.arg.enum(x)), repeat=len(self.alphabet))
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if not isinstance(v, FuncVal):
-            raise MalformedValue(f"expected function value, got {v!r}")
-        return FuncVal(tuple((s, self.arg.fmap(f, c)) for s, c in v.entries))
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
+        if not (isinstance(v, tuple) and len(v) == len(self.alphabet)):
+            raise MalformedValue(f"{v!r} is not one entry per alphabet letter")
+        return tuple([self.arg.fmap(f, c) for c in v])
 
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        return tuple([self.arg.code(f, c) for _, c in v.entries])
-
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if not isinstance(v, FuncVal):
-            raise MalformedValue(f"{v!r} is not a function value")
-        if tuple(s for s, _ in v.entries) != self.alphabet.elements:
-            raise MalformedValue(f"{v!r} does not cover the alphabet in order")
-        for _, c in v.entries:
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if not (isinstance(v, tuple) and len(v) == len(self.alphabet)):
+            raise MalformedValue(f"{v!r} is not one entry per alphabet letter")
+        for c in v:
             self.arg.check(x, c, out)
+
+    def sort_key(self, v: Any) -> Any:
+        return tuple([self.arg.sort_key(c) for c in v])
+
+    def render(self, v: Any) -> str:
+        return "[" + ", ".join(f"{s}: {self.arg.render(c)}"
+                               for s, c in zip(self.alphabet, v)) + "]"
 
     def preserves_inverse_images(self) -> bool:
         return self.arg.preserves_inverse_images()
@@ -203,27 +220,27 @@ class PowFin(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return capped_power(2, self.arg.size(n, cap), cap)
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
-        inner = sorted(self.arg.enum(x), key=lambda v: v.key())
+    def enum(self, x: Carrier) -> Iterator[Any]:
+        inner = sorted(self.arg.enum(x), key=self.arg.sort_key)
         for mask in range(1 << len(inner)):
-            yield SetVal(tuple(v for i, v in enumerate(inner) if mask >> i & 1))
+            yield frozenset([v for i, v in enumerate(inner) if mask >> i & 1])
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if not isinstance(v, SetVal):
-            raise MalformedValue(f"expected set value, got {v!r}")
-        return SetVal.of(self.arg.fmap(f, c) for c in v.items)
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
+        if not isinstance(v, frozenset):
+            raise MalformedValue(f"{v!r} is not a set value (a frozenset)")
+        return frozenset([self.arg.fmap(f, c) for c in v])
 
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        return frozenset([self.arg.code(f, c) for c in v.items])
-
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if not isinstance(v, SetVal):
-            raise MalformedValue(f"{v!r} is not a set value")
-        keys = [c.key() for c in v.items]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise MalformedValue(f"{v!r} is not in canonical set order")
-        for c in v.items:
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if not isinstance(v, frozenset):
+            raise MalformedValue(f"{v!r} is not a set value (a frozenset)")
+        for c in v:
             self.arg.check(x, c, out)
+
+    def sort_key(self, v: Any) -> Any:
+        return tuple(sorted(map(self.arg.sort_key, v)))
+
+    def render(self, v: Any) -> str:  # members in key order, not hash order
+        return "{" + ", ".join(map(self.arg.render, sorted(v, key=self.arg.sort_key))) + "}"
 
     def preserves_inverse_images(self) -> bool:
         return self.arg.preserves_inverse_images()
@@ -234,129 +251,38 @@ class RFunctor(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(n * (n - 1) + 1, cap)
 
-    def enum(self, x: Carrier) -> Iterator[FValue]:
-        yield RPoint()
+    def enum(self, x: Carrier) -> Iterator[Any]:
+        yield None
         for a in x:
             for b in x:
                 if a != b:
-                    yield RPair(a, b)
+                    yield a, b
 
-    def fmap(self, f: Callable[[Any], Any], v: FValue) -> FValue:
-        if isinstance(v, RPoint):
-            return v
-        if isinstance(v, RPair):
-            a, b = f(v.fst), f(v.snd)
-            return RPoint() if a == b else RPair(a, b)
-        raise MalformedValue(f"expected R value, got {v!r}")
-
-    def code(self, f: Callable[[Any], Any], v: FValue) -> Any:
-        a, b = (f(v.fst), f(v.snd)) if isinstance(v, RPair) else (None, None)
+    def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
+        if v is None:
+            return None
+        if not (isinstance(v, tuple) and len(v) == 2 and v[0] != v[1]):
+            raise MalformedValue(f"{v!r} is not a pair of distinct elements")
+        a, b = f(v[0]), f(v[1])
         return None if a == b else (a, b)
 
-    def check(self, x: Carrier, v: FValue, out: List[Any]) -> None:
-        if isinstance(v, RPoint):
+    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
+        if v is None:
             return
-        if isinstance(v, RPair) and v.fst in x and v.snd in x:
-            out += (v.fst, v.snd)
-            return
-        raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
+        if not (isinstance(v, tuple) and len(v) == 2 and v[0] in x and v[1] in x):
+            raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
+        if v[0] == v[1]:
+            raise MalformedValue(f"{v!r}: R pair components must be distinct")
+        out += v
+
+    def sort_key(self, v: Any) -> Any:
+        return () if v is None else (element_key(v[0]), element_key(v[1]))
+
+    def render(self, v: Any) -> str:
+        return "d" if v is None else f"({v[0]}, {v[1]})"
 
     def preserves_inverse_images(self) -> bool:
         return False
-
-
-# --- values ----------------------------------------------------------------
-
-class FValue:
-    """Base class for elements of F X."""
-
-    def key(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstVal(FValue):
-    atom: Any
-
-    def key(self):
-        return ("c", element_key(self.atom))
-
-
-@dataclass(frozen=True)
-class IdVal(FValue):
-    element: Any
-
-    def key(self):
-        return ("x", element_key(self.element))
-
-
-@dataclass(frozen=True)
-class InjVal(FValue):
-    index: int
-    value: FValue
-
-    def key(self):
-        return ("inj", self.index, self.value.key())
-
-
-@dataclass(frozen=True)
-class TupleVal(FValue):
-    items: Tuple[FValue, ...]
-
-    def key(self):
-        return ("tup", tuple([v.key() for v in self.items]))
-
-
-@dataclass(frozen=True)
-class FuncVal(FValue):
-    """Entries in alphabet order, one per letter."""
-
-    entries: Tuple[Tuple[Any, FValue], ...]
-
-    def key(self):
-        return ("fun", tuple((element_key(s), v.key()) for s, v in self.entries))
-
-    def __call__(self, letter: Any) -> FValue:
-        for s, v in self.entries:
-            if s == letter:
-                return v
-        raise KeyError(letter)
-
-
-@dataclass(frozen=True)
-class SetVal(FValue):
-    """Members sorted by key, duplicate-free."""
-
-    items: Tuple[FValue, ...]
-
-    def key(self):
-        return ("set", tuple([v.key() for v in self.items]))
-
-    @staticmethod
-    def of(items) -> "SetVal":
-        uniq = {v.key(): v for v in items}
-        return SetVal(tuple(uniq[k] for k in sorted(uniq)))
-
-
-@dataclass(frozen=True)
-class RPoint(FValue):
-    """The extra point d of the R functor."""
-
-    def key(self):
-        return ("rd",)
-
-
-@dataclass(frozen=True)
-class RPair(FValue):
-    fst: Any
-    snd: Any
-
-    def __post_init__(self):
-        if self.fst == self.snd:
-            raise MalformedValue("R pair components must be distinct")
-
-    def key(self):
-        return ("rp", element_key(self.fst), element_key(self.snd))
 
 
 # --- entry points -------------------------------------------------------------
@@ -367,32 +293,36 @@ def size_obj(expr: FunctorExpr, n: int, cap: Optional[int] = None) -> int:
     return expr.size(n, cap)
 
 
-def eval_obj(expr: FunctorExpr, x: Carrier, cap: int = DEFAULT_ENUM_CAP) -> List[FValue]:
+def eval_obj(expr: FunctorExpr, x: Carrier, cap: int = DEFAULT_ENUM_CAP) -> List[Any]:
     """Enumerate all of F X, duplicate-free, in a deterministic order."""
     if size_obj(expr, len(x), cap) > cap:
         raise CapExceeded("functor enumeration", cap)
     return list(expr.enum(x))
 
 
-def eval_map(expr: FunctorExpr, f: Callable[[Any], Any], v: FValue) -> FValue:
-    """Apply F f to a value over the domain of f; f may be any callable."""
+def eval_map(expr: FunctorExpr, f: Callable[[Any], Any], v: Any) -> Any:
+    """Apply F f to a value of F(dom f); f may be any callable.  Raise
+    MalformedValue on a value of the wrong shape."""
     return expr.fmap(f, v)
 
 
-def check_value(expr: FunctorExpr, x: Carrier, v: FValue) -> frozenset:
+def check_value(expr: FunctorExpr, x: Carrier, v: Any) -> frozenset:
     """The least support of v, the elements of X it mentions; raise
     MalformedValue unless v is a well-formed element of F X."""
     out: List[Any] = []
-    expr.check(x, v, out)
+    try:
+        expr.check(x, v, out)
+    except TypeError:  # a membership test met an unhashable part
+        raise MalformedValue(f"{v!r} is not a hashable value") from None
     return frozenset(out)
 
 
-def support(expr: FunctorExpr, x: Carrier, v: FValue) -> Subobject:
+def support(expr: FunctorExpr, x: Carrier, v: Any) -> Subobject:
     """The least subset S of X with v in the image of F(S -> X)."""
     return Subobject(x, check_value(expr, x, v))
 
 
-def in_image(expr: FunctorExpr, s: Subobject, v: FValue) -> bool:
+def in_image(expr: FunctorExpr, s: Subobject, v: Any) -> bool:
     """Is v in the image of F applied to the inclusion of s?"""
     return support(expr, s.of, v).members <= s.members
 

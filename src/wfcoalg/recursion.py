@@ -27,8 +27,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      InternalConsistencyError, NotWellFounded)
 from .finset import Carrier, FinMap, capped_power
-from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, FValue, eval_map,
-                      eval_obj, preserves_inverse_images, size_obj)
+from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, eval_map, eval_obj,
+                      preserves_inverse_images, size_obj)
 from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
                         canonical_graph, search_plan, search_tables, solution_maps)
 
@@ -36,43 +36,30 @@ from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
 # --- certified evaluation -----------------------------------------------------
 
 def hylo(coalg: Coalgebra, alg: Algebra) -> FinMap:
-    """The unique morphism h = e . Fh . alpha, for well-founded input (see ``_by_code``)."""
+    """The unique morphism h = e . Fh . alpha, for well-founded input; a table
+    algebra's step is one lookup of Fh(alpha a) in its table."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
-    step = (_by_code(coalg.functor, alg.apply) if alg.table is not None  # a finite table
-            else lambda h, v, _a: alg.apply(eval_map(coalg.functor, h, v)))  # a callable
-    return _evaluate(coalg, alg.carrier, step)
+    functor, e = coalg.functor, alg.operation
+    return _evaluate(coalg, alg.carrier, lambda h, v, _a: e(eval_map(functor, h, v)))
 
 
 def para_hylo(coalg: Coalgebra, target: Carrier,
-              e: Union[ParAlgebra, Callable[[FValue, Any], Any]]) -> FinMap:
+              e: Union[ParAlgebra, Callable[[Any, Any], Any]]) -> FinMap:
     """The unique solution of h(a) = e(Fh(alpha(a)), a), for well-founded input."""
+    functor = coalg.functor
     if not isinstance(e, ParAlgebra):
-        return _evaluate(coalg, target, lambda h, v, a: e(eval_map(coalg.functor, h, v), a))
+        return _evaluate(coalg, target, lambda h, v, a: e(eval_map(functor, h, v), a))
     if coalg.functor != e.functor:
         raise FunctorMismatch("coalgebra and paralgebra are over different functors")
     if target != e.target or not all(a in e.source for a in coalg.carrier):
         raise CarrierMismatch("the paralgebra is not from the coalgebra's states to the target")
-    fh = _by_code(coalg.functor, lambda value: value)
-    return _evaluate(coalg, target, lambda h, v, a: e.table[fh(h, v), a])
-
-
-def _by_code(functor: FunctorExpr, first: Callable[[FValue], Any]) -> Callable[..., Any]:
-    """The step of a table algebra: (h, v) -> first(Fh(v)), memoized by ``code(h, v)``,
-    so Fh(v) is built and ``first`` applied once per value; an equal one costs its code."""
-    memo: Dict[Any, Any] = {}
-
-    def step(h: Callable, v: FValue, _a: Any = None) -> Any:
-        c = functor.code(h, v)
-        x = memo.get(c, memo)
-        if x is memo:
-            x = memo[c] = first(eval_map(functor, h, v))
-        return x
-    return step
+    table = e.table
+    return _evaluate(coalg, target, lambda h, v, a: table[eval_map(functor, h, v), a])
 
 
 def _evaluate(coalg: Coalgebra, target: Carrier,
-              step: Callable[[Callable, FValue, Any], Any]) -> FinMap:
+              step: Callable[[Callable, Any, Any], Any]) -> FinMap:
     h, cycle = _fold(coalg, step)
     if cycle is not None:
         raise NotWellFounded(
@@ -86,7 +73,7 @@ def _evaluate(coalg: Coalgebra, target: Carrier,
     return result
 
 
-def _fold(coalg: Coalgebra, step: Callable[[Callable, FValue, Any], Any]
+def _fold(coalg: Coalgebra, step: Callable[[Callable, Any, Any], Any]
           ) -> Tuple[Optional[Dict[Any, Any]], Optional[List[Any]]]:
     """h(a) = step(h, alpha(a), a) for every state, memoized in the
     successors-first order of the rank pass over the canonical graph; or
@@ -107,7 +94,7 @@ class InitialChain:
     """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps, over positions.
 
     ``sizes[i]`` is |W_i|.  Built when first read, against ``sizes``:
-    ``stages[i + 1]``, F(range |W_i|) in key order, so each value names
+    ``stages[i + 1]``, F(range |W_i|) in ``sort_key`` order, so each value names
     elements of W_i by position; ``maps[i]``, w_{i,i+1} as positions in stage
     i + 1.  The chain stabilizes where a connecting map is a bijection, at the
     initial algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
@@ -120,14 +107,14 @@ class InitialChain:
     cap_exceeded: Optional[CapExceeded] = None
 
     @cached_property
-    def stages(self) -> Tuple[Tuple[FValue, ...], ...]:
-        stages: List[Tuple[FValue, ...]] = [()]
+    def stages(self) -> Tuple[Tuple[Any, ...], ...]:
+        stages: List[Tuple[Any, ...]] = [()]
         for size in self.sizes[1:]:
             n = len(stages[-1])
             if size_obj(self.functor, n, size) != size:  # counted before it is built
                 raise InternalConsistencyError(f"W{len(stages)} is not of size {size}")
             values = eval_obj(self.functor, Carrier(tuple(range(n))), cap=size)
-            stages.append(tuple(sorted(values, key=lambda v: v.key())))
+            stages.append(tuple(sorted(values, key=self.functor.sort_key)))
         return tuple(stages)
 
     @cached_property
@@ -180,7 +167,7 @@ class UnfoldResult:
     morphism into the initial algebra may still exist (search with find_homs).
     """
 
-    nodes: Optional[Tuple[FValue, ...]]
+    nodes: Optional[Tuple[Any, ...]]
     mapping: Optional[Tuple[Tuple[Any, int], ...]]
     cycle: Optional[Tuple[Any, ...]]
     complete: bool
@@ -192,7 +179,7 @@ class UnfoldResult:
 def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
     """Unfold each state to its closed term when the canonical graph is acyclic.
     By induction on rank, two states get one node iff their terms are equal."""
-    ids: Dict[FValue, int] = {}
+    ids: Dict[Any, int] = {}
     h, cycle = _fold(coalg, lambda of, v, _a: ids.setdefault(
         eval_map(coalg.functor, of, v), len(ids)))
     complete = preserves_inverse_images(coalg.functor)
@@ -212,7 +199,7 @@ def find_homs(coalg: Coalgebra, alg: Algebra,
     if capped_power(len(alg.carrier), len(coalg.carrier), cap) > cap:
         raise CapExceeded("coalgebra-to-algebra search", cap)
 
-    def allowed(_a: Any, w: FValue) -> Tuple[Any, ...]:
+    def allowed(_a: Any, w: Any) -> Tuple[Any, ...]:
         x = alg.apply(w)
         return (x,) if x in alg.carrier else ()
     return solution_maps(coalg, alg.carrier, allowed)
@@ -251,7 +238,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
     for n in range(max_carrier + 1):
         x = Carrier(tuple(range(n)))
         try:
-            fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=lambda v: v.key())
+            fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
         except CapExceeded:
             return undecided()
         if not n and fx:

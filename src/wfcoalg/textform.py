@@ -42,9 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import WfcoalgError
 from .finset import Carrier
-from .functor import (Const, ConstVal, Exp, FValue, FuncVal, FunctorExpr, Id,
-                      IdVal, InjVal, PowFin, Prod, RFunctor, RPair, RPoint,
-                      SetVal, Sum, TupleVal, size_obj)
+from .functor import (Const, Exp, FunctorExpr, Id, PowFin, Prod, RFunctor, Sum,
+                      size_obj)
 from .coalgebra import Algebra, Coalgebra, ParAlgebra
 
 
@@ -190,7 +189,7 @@ def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
 # --- values ---------------------------------------------------------------------
 
 def parse_value(expr: FunctorExpr, carrier: Carrier, text: str,
-                line: int = 1) -> FValue:
+                line: int = 1) -> Any:
     """Parse one value of F(carrier) that starts on the given line."""
     return _read(_compile(expr, carrier, [].append), text, line, 1)
 
@@ -203,7 +202,7 @@ class _Reject(Exception):
         self.back = back
 
 
-def _read(reader, text: str, line: int, col: int) -> FValue:
+def _read(reader, text: str, line: int, col: int) -> Any:
     toks = _scan(text)
     it = iter(toks)
     nxt = it.__next__
@@ -221,6 +220,8 @@ def _read(reader, text: str, line: int, col: int) -> FValue:
 
 
 def _want(want: str, tok: str) -> None:
+    """Refuse ``tok`` unless it is ``want``; the readers of products, exponents
+    and sets, the most frequent, compare first and call it only to raise."""
     if tok != want:
         raise _Reject(f"expected {want!r}, found {tok!r}")
 
@@ -230,25 +231,27 @@ def _compile(expr: FunctorExpr, carrier: Carrier, push):
     ``read(tok, nxt)`` gets the value's first token and takes the rest from
     ``nxt``.  Carrier elements, constant atoms and alphabet letters are
     looked up by token text; each carrier element read goes to ``push``, so
-    those of one value are its least support."""
-    return _node(expr, {a: IdVal(a) for a in carrier}, push)
+    those of one value are its least support.  Values are plain, as in
+    ``functor``; an atom or element read is the carrier's own object."""
+    return _node(expr, {a: a for a in carrier}, push)
 
 
-def _node(expr: FunctorExpr, ids: Dict[Any, IdVal], push):
+def _node(expr: FunctorExpr, ids: Dict[Any, Any], push):
     if isinstance(expr, Const):
-        table = {a: ConstVal(a) for a in expr.values}
+        table = {a: a for a in expr.values}
 
         def read(tok, nxt):
-            v = table.get(tok)
-            if v is None:
-                raise _Reject(f"{tok!r} is not a constant atom here")
-            return v
+            try:
+                return table[tok]
+            except KeyError:
+                raise _Reject(f"{tok!r} is not a constant atom here") from None
     elif isinstance(expr, Id):
         def read(tok, nxt):
-            v = ids.get(tok)
-            if v is None:
-                raise _Reject(f"{tok!r} is not a carrier element")
-            push(v.element)
+            try:
+                v = ids[tok]
+            except KeyError:
+                raise _Reject(f"{tok!r} is not a carrier element") from None
+            push(v)
             return v
     elif isinstance(expr, Sum):
         tags = {f"in{i}": (i, _node(p, ids, push)) for i, p in enumerate(expr.parts)}
@@ -260,63 +263,68 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal], push):
                 tag = m and tags.get(f"in{int(m.group(1))}")
                 if not tag:
                     raise _Reject(f"expected an injection tag, found {tok!r}")
-            return InjVal(tag[0], tag[1](nxt(), nxt))
+            return tag[0], tag[1](nxt(), nxt)
     elif isinstance(expr, Prod):
         parts = [_node(p, ids, push) for p in expr.parts]
 
         def read(tok, nxt):
-            _want("(", tok)
+            if tok != "(":
+                _want("(", tok)
             items = []
-            for i, part in enumerate(parts):
-                if i:
-                    _want(",", nxt())
+            for part in parts:
+                if items and (tok := nxt()) != ",":
+                    _want(",", tok)
                 items.append(part(nxt(), nxt))
-            _want(")", nxt())
-            return TupleVal(tuple(items))
+            if (tok := nxt()) != ")":
+                _want(")", tok)
+            return tuple(items)
     elif isinstance(expr, Exp):
         letters = expr.alphabet.elements
         known = frozenset(letters)
         arg = _node(expr.arg, ids, push)
 
         def read(tok, nxt):
-            _want("[", tok)
-            entries: Dict[Any, FValue] = {}
+            if tok != "[":
+                _want("[", tok)
+            entries: Dict[Any, Any] = {}
             tok = nxt()
             while tok != "]":
                 if entries:
-                    _want(",", tok)
+                    if tok != ",":
+                        _want(",", tok)
                     tok = nxt()
                 if tok not in known:
                     raise _Reject(f"{tok!r} is not in the alphabet")
                 if tok in entries:
                     raise _Reject(f"repeated alphabet entry {tok!r}")
-                _want(":", nxt())
+                if (sep := nxt()) != ":":
+                    _want(":", sep)
                 entries[tok] = arg(nxt(), nxt)
                 tok = nxt()
             if len(entries) < len(letters):
                 missing = next(s for s in letters if s not in entries)
                 raise _Reject(f"missing alphabet entry {missing!r}")
-            return FuncVal(tuple(zip(letters, map(entries.__getitem__, letters))))
+            return tuple(map(entries.__getitem__, letters))
     elif isinstance(expr, PowFin):
         arg = _node(expr.arg, ids, push)
 
         def read(tok, nxt):
-            _want("{", tok)
+            if tok != "{":
+                _want("{", tok)
             items = []
             tok = nxt()
             while tok != "}":
                 if items:
-                    _want(",", tok)
+                    if tok != ",":
+                        _want(",", tok)
                     tok = nxt()
                 items.append(arg(tok, nxt))
                 tok = nxt()
-            return SetVal.of(items) if len(items) > 1 else SetVal(tuple(items))
+            return frozenset(items)
     elif isinstance(expr, RFunctor):
-        point = RPoint()
-
         def read(tok, nxt):
             if tok == "d":
-                return point
+                return None
             if tok != "(":
                 raise _Reject(f"expected 'd' or a pair, found {tok!r}")
             x = nxt()
@@ -328,30 +336,18 @@ def _node(expr: FunctorExpr, ids: Dict[Any, IdVal], push):
                     raise _Reject(f"{z!r} is not a carrier element", back)
             if x == y:
                 raise _Reject("R pair components must be distinct", 3)
+            x, y = ids[x], ids[y]
             push(x)
             push(y)
-            return RPair(x, y)
+            return x, y
     else:
         raise TypeError(f"unknown functor node {expr!r}")
     return read
 
 
-def render_value(expr: FunctorExpr, v: FValue) -> str:
-    if isinstance(expr, (Const, Id)):
-        return str(v.atom if isinstance(v, ConstVal) else v.element)
-    if isinstance(expr, Sum):
-        return f"in{v.index} {render_value(expr.parts[v.index], v.value)}"
-    if isinstance(expr, Prod):
-        return "(" + ", ".join(render_value(p, c)
-                               for p, c in zip(expr.parts, v.items)) + ")"
-    if isinstance(expr, Exp):
-        return "[" + ", ".join(f"{s}: {render_value(expr.arg, c)}"
-                               for s, c in v.entries) + "]"
-    if isinstance(expr, PowFin):
-        return "{" + ", ".join(render_value(expr.arg, c) for c in v.items) + "}"
-    if isinstance(expr, RFunctor):
-        return "d" if isinstance(v, RPoint) else f"({v.fst}, {v.snd})"
-    raise TypeError(f"unknown functor node {expr!r}")
+def render_value(expr: FunctorExpr, v: Any) -> str:
+    """The text form of a value of F X, set members in ``sort_key`` order."""
+    return expr.render(v)
 
 
 # --- documents -------------------------------------------------------------------
@@ -579,11 +575,11 @@ def render_spec(doc: SpecDocument) -> str:
             out.append(f"  {a} -> {render_value(doc.functor, coalg.alpha(a))}")
     for name, alg in doc.algebras.items():
         out.append(f"algebra {name} : {names[alg.carrier]}")
-        for v in sorted(alg.table, key=lambda v: v.key()):
+        for v in sorted(alg.table, key=doc.functor.sort_key):
             out.append(f"  {render_value(doc.functor, v)} -> {alg.table[v]}")
     for name, par in doc.paralgebras.items():
         out.append(f"paralgebra {name} : {names[par.target]} @ {names[par.source]}")
         for (v, a), x in sorted(par.table.items(),
-                                key=lambda kv: (kv[0][0].key(), str(kv[0][1]))):
+                                key=lambda kv: (doc.functor.sort_key(kv[0][0]), str(kv[0][1]))):
             out.append(f"  {render_value(doc.functor, v)} @ {a} -> {x}")
     return "\n".join(out) + "\n"

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from wfcoalg import (Carrier, Coalgebra, Const, FinMap, Id, PowFin, RFunctor,
-                     RPair, RPoint, Subobject, all_subsets, coproduct,
+                     Subobject, all_subsets, coproduct,
                      enumerate_homs, eval_map, eval_obj, find_homs, hylo,
                      induced_subcoalgebra, initial_chain, inverse_image,
                      is_cartesian, is_coalgebra_hom, is_subcoalgebra,
@@ -21,6 +21,7 @@ from wfcoalg.demos import (factorial_scheme, fibonacci_scheme, graph_g,
 
 from generators import random_instance, random_map
 from test_coalgebra import next_time_brute
+from values import POINT
 
 
 @contextmanager
@@ -68,8 +69,8 @@ def test_r_coalgebra_exhibit():
         target = Carrier((0, 1, 2))
 
         def e(v, i):
-            if isinstance(v, RPair):
-                return v.fst if i == 0 else v.snd
+            if v is not POINT:
+                return v[i]
             return 0
 
         solutions = []
@@ -228,7 +229,7 @@ def test_initial_algebra_desk_checks():
         chain = initial_chain(RFunctor(), max_depth=8, cap=100_000)
         assert chain.stabilized and chain.stable_index == 1
         mu = chain.mu_coalgebra()  # one element, whose structure is d
-        assert len(mu.carrier) == 1 and mu.structure == (RPoint(),)
+        assert len(mu.carrier) == 1 and mu.structure == (POINT,)
         assert is_wellfounded(mu)
 
         rng = random.Random(777)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, FinMap,
-                     FunctorMismatch, Id, IdVal, IncompatibleQuotient, PowFin,
-                     Prod, RFunctor, RPair, SetVal, Subobject, Sum,
+                     FunctorMismatch, Id, IncompatibleQuotient, PowFin,
+                     Prod, RFunctor, Subobject, Sum,
                      all_subsets, canonical_graph, coproduct, enumerate_homs,
                      eval_map, eval_obj, induced_subcoalgebra, is_cartesian,
                      is_coalgebra_hom, is_subcoalgebra, next_time,
@@ -15,6 +15,7 @@ from wfcoalg.finset import inverse_image, pullback
 from wfcoalg.demos import automaton, graph_g, r_coalgebra, transition_system
 
 from generators import random_instance, random_map
+from values import elem, fset, pair
 
 
 def next_time_brute(coalg, s):
@@ -48,18 +49,18 @@ class TestHomomorphisms:
 
     def test_inclusion_of_a_alone_is_not(self, g):
         one = Carrier(("a",))
-        candidate = Coalgebra(g.functor, one, (SetVal(()),))
+        candidate = Coalgebra(g.functor, one, (fset(),))
         assert not is_coalgebra_hom(FinMap.inclusion(one, g.carrier), candidate, g)
 
     def test_a_value_built_outside_the_carrier_is_refused(self, g):
         # only document readers skip the check: Python-built values get it
         with pytest.raises(MalformedValue):
-            Coalgebra(g.functor, Carrier(("a",)), (SetVal((IdVal("z"),)),))
+            Coalgebra(g.functor, Carrier(("a",)), (fset(elem("z")),))
         with pytest.raises(MalformedValue):
-            Coalgebra(Id(), Carrier(("a",)), (IdVal("b"),))
+            Coalgebra(Id(), Carrier(("a",)), (elem("b"),))
 
     def test_functor_mismatch_rejected(self, g):
-        other = Coalgebra(RFunctor(), Carrier((0, 1)), (RPair(0, 1), RPair(1, 0)))
+        other = Coalgebra(RFunctor(), Carrier((0, 1)), (pair(0, 1), pair(1, 0)))
         with pytest.raises(FunctorMismatch):
             is_coalgebra_hom(FinMap.identity(g.carrier), g, other)
 
@@ -154,7 +155,7 @@ class TestSubcoalgebras:
     def test_induced_structure_restricts_alpha(self, g):
         sub = induced_subcoalgebra(g, subset(g, "c", "d"))
         assert sub.carrier.elements == ("c", "d")
-        assert sub.alpha("c") == SetVal.of([IdVal("d")])
+        assert sub.alpha("c") == fset(elem("d"))
 
     def test_singleton_a_is_not_a_subcoalgebra(self, g):
         assert not is_subcoalgebra(g, subset(g, "a"))
@@ -246,19 +247,28 @@ class TestAlgebraTables:
             raise AssertionError("F(carrier) enumerated")
         monkeypatch.setattr(coalgebra_module, "eval_obj", refuse)
         b = Carrier(("x", "y"))
-        table = {SetVal.of(IdVal(e) for e in s.members): "x"
+        table = {fset(*map(elem, s.members)): "x"
                  for s in all_subsets(b)}
         alg = Algebra.from_table(PowFin(Id()), b, table)
-        assert alg.apply(SetVal(())) == "x" and len(alg.table) == 4
+        assert alg.apply(fset()) == "x" and len(alg.table) == 4
 
     def test_a_key_outside_f_of_the_carrier_is_refused(self):
         b = Carrier(("x",))
         with pytest.raises(MalformedValue):  # counted, it would pass for {x}
-            Algebra.from_table(PowFin(Id()), b, {SetVal(()): "x",
-                                                 SetVal((IdVal("z"),)): "x"})
+            Algebra.from_table(PowFin(Id()), b, {fset(): "x",
+                                                 fset(elem("z")): "x"})
+
+    def test_an_algebra_takes_an_operation_or_a_table(self):
+        b = Carrier(("x",))
+        table = {fset(): "x", fset(elem("x")): "x"}
+        assert Algebra(PowFin(Id()), b, table=table).operation(fset()) == "x"
+        with pytest.raises(ValueError):  # the two could disagree
+            Algebra(PowFin(Id()), b, lambda v: "y", table)
+        with pytest.raises(ValueError):
+            Algebra(PowFin(Id()), b)
 
     def test_past_the_enumeration_cap_no_missing_value_is_named(self):
         b = Carrier(tuple(f"b{i}" for i in range(17)))  # |P(B)| = 131,072
         with pytest.raises(ValueError) as exc:
-            Algebra.from_table(PowFin(Id()), b, {SetVal(()): "b0"})
+            Algebra.from_table(PowFin(Id()), b, {fset(): "b0"})
         assert str(exc.value) == "algebra table is not total"

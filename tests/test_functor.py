@@ -3,15 +3,15 @@ from itertools import combinations
 
 import pytest
 
-from wfcoalg import (CapExceeded, Carrier, Const, Exp, FinMap, Id, IdVal,
-                     PowFin, Prod, RFunctor, RPair, RPoint, SetVal, Subobject,
+from wfcoalg import (CapExceeded, Carrier, Const, Exp, FinMap, Id,
+                     PowFin, Prod, RFunctor, Subobject,
                      Sum, eval_map, eval_obj, in_image,
                      preserves_inverse_images, support)
-from wfcoalg.functor import (DEFAULT_ENUM_CAP, ConstVal, FuncVal, InjVal,
-                             MalformedValue, TupleVal, check_value, size_obj)
+from wfcoalg.functor import DEFAULT_ENUM_CAP, MalformedValue, check_value, size_obj
 from wfcoalg.finset import pullback, all_maps
 
 from generators import bounded_functor, random_map
+from values import POINT, elem, fset, fun, pair, tup
 
 
 def in_image_brute(expr, s, v, cap=DEFAULT_ENUM_CAP):
@@ -26,11 +26,11 @@ def in_image_brute(expr, s, v, cap=DEFAULT_ENUM_CAP):
 class TestEvalObj:
     def test_r_on_two_elements(self):
         values = eval_obj(RFunctor(), Carrier((0, 1)))
-        assert set(values) == {RPoint(), RPair(0, 1), RPair(1, 0)}
+        assert set(values) == {POINT, pair(0, 1), pair(1, 0)}
 
     def test_powfin_on_empty(self):
         values = eval_obj(PowFin(Id()), Carrier.empty())
-        assert values == [SetVal(())]
+        assert values == [fset()]
 
     def test_square_plus_point_size(self):
         f = Sum((Prod((Id(), Id())), Const(Carrier(("*",)))))
@@ -58,18 +58,18 @@ class TestEvalMap:
     def test_r_collapses_merged_pair_to_point(self):
         two = Carrier((0, 1))
         const1 = FinMap.constant(two, two, 1)
-        assert eval_map(RFunctor(), const1, RPair(0, 1)) == RPoint()
+        assert eval_map(RFunctor(), const1, pair(0, 1)) == POINT
 
     def test_r_keeps_separated_pair(self):
         two = Carrier((0, 1))
         swap = FinMap.from_dict(two, two, {0: 1, 1: 0})
-        assert eval_map(RFunctor(), swap, RPair(0, 1)) == RPair(1, 0)
+        assert eval_map(RFunctor(), swap, pair(0, 1)) == pair(1, 0)
 
     def test_powfin_acts_by_direct_image(self):
         dom, cod = Carrier((0, 1)), Carrier(("a",))
         f = FinMap.constant(dom, cod, "a")
-        v = SetVal.of((IdVal(0), IdVal(1)))
-        assert eval_map(PowFin(Id()), f, v) == SetVal.of([IdVal("a")])
+        v = fset(elem(0), elem(1))
+        assert eval_map(PowFin(Id()), f, v) == fset(elem("a"))
 
     def test_identity_law_exhaustive(self):
         rng = random.Random(23)
@@ -96,45 +96,40 @@ class TestEvalMap:
 
     def test_malformed_value_rejected(self):
         with pytest.raises(MalformedValue):
-            eval_map(PowFin(Id()), FinMap.identity(Carrier((0,))), IdVal(0))
+            eval_map(PowFin(Id()), FinMap.identity(Carrier((0,))), elem(0))
         with pytest.raises(MalformedValue):
-            check_value(Id(), Carrier((0,)), IdVal(99))
+            check_value(Id(), Carrier((0,)), elem(99))
 
 
 
 def _disorder(rng, v):
-    """v with the items of each set shuffled and, now and then, one repeated."""
-    if isinstance(v, SetVal):
-        items = [_disorder(rng, c) for c in v.items]
+    """v with the items of each set shuffled and, now and then, one repeated,
+    and the set now and then given as a list instead of a frozenset."""
+    if isinstance(v, frozenset):
+        items = [_disorder(rng, c) for c in v]
         if items and rng.random() < 0.3:
             items.append(rng.choice(items))
         if rng.random() < 0.5:
             rng.shuffle(items)
-        return SetVal(tuple(items))
-    if isinstance(v, InjVal):
-        return InjVal(v.index, _disorder(rng, v.value))
-    if isinstance(v, TupleVal):
-        return TupleVal(tuple(_disorder(rng, c) for c in v.items))
-    if isinstance(v, FuncVal):
-        return FuncVal(tuple((s, _disorder(rng, c)) for s, c in v.entries))
+        if rng.random() < 0.6 and all(map(_canonical, items)):
+            return frozenset(items)
+        return items
+    if isinstance(v, tuple):
+        return tuple(_disorder(rng, c) for c in v)
     return v
 
 
 def _canonical(v):
-    """The former set-order test, v == SetVal.of(v.items), at every set of v."""
-    if isinstance(v, SetVal):
-        return v == SetVal.of(v.items) and all(map(_canonical, v.items))
-    if isinstance(v, InjVal):
-        return _canonical(v.value)
-    if isinstance(v, (TupleVal, FuncVal)):
-        items = v.items if isinstance(v, TupleVal) else [c for _, c in v.entries]
-        return all(map(_canonical, items))
-    return True
+    """Every set of v is a frozenset, so v is hashable and equal values are
+    one value whatever the order in which their members were given."""
+    if isinstance(v, (frozenset, tuple)):
+        return all(map(_canonical, v))
+    return not isinstance(v, (list, set))
 
 
 class TestCheckValue:
-    """check_value's set-order test (keys strictly increase) rejects exactly
-    the values that are not their own canonical SetVal.of."""
+    """check_value rejects exactly the values that give a set in another
+    form than a frozenset."""
 
     def agrees(self, f, x, v):
         try:
@@ -159,33 +154,33 @@ class TestCheckValue:
 
     def test_hand_made_orders(self):
         x = Carrier(("a", "b", "c"))
-        a, b, c = (IdVal(e) for e in x)
+        a, b, c = (elem(e) for e in x)
         pp = PowFin(PowFin(Id()))
-        cases = [(PowFin(Id()), SetVal((a, b, c)), True),
-                 (PowFin(Id()), SetVal((b, a)), False),
-                 (PowFin(Id()), SetVal((a, a)), False),
-                 (PowFin(Id()), SetVal((a, c, b)), False),
-                 (pp, SetVal.of([SetVal((a, b)), SetVal(()), SetVal((a,))]), True),
-                 (pp, SetVal((SetVal((b, a)),)), False),
-                 (pp, SetVal((SetVal((a,)), SetVal((a,)))), False),
+        cases = [(PowFin(Id()), fset(a, b, c), True),
+                 (PowFin(Id()), fset(b, a, a), True),
+                 (PowFin(Id()), [a, b], False),
+                 (PowFin(Id()), {a, c, b}, False),
+                 (pp, fset(fset(a, b), fset(), fset(a)), True),
+                 (pp, [fset(b, a)], False),
+                 (pp, [fset(a), fset(a)], False),
                  (PowFin(Prod((Id(), Id()))),
-                  SetVal((TupleVal((b, a)), TupleVal((a, b)))), False)]
+                  [tup(b, a), tup(a, b)], False)]
         for f, v, ok in cases:
             assert self.agrees(f, x, v) == ok, v
 
 
 class TestSupport:
     def test_r_point_has_empty_support(self):
-        assert support(RFunctor(), Carrier((0, 1)), RPoint()).is_empty()
+        assert support(RFunctor(), Carrier((0, 1)), POINT).is_empty()
 
     def test_r_pair_supported_by_both_components(self):
         x = Carrier((0, 1))
-        assert support(RFunctor(), x, RPair(0, 1)).members == {0, 1}
+        assert support(RFunctor(), x, pair(0, 1)).members == {0, 1}
 
     def test_exponent_support_is_the_value_range(self):
         sigma = Carrier(("p", "q"))
         x = Carrier((0, 1, 2))
-        t = FuncVal((("p", IdVal(1)), ("q", IdVal(1))))
+        t = fun(elem(1), elem(1))
         assert support(Exp(sigma, Id()), x, t).members == {1}
 
     def test_support_is_least_exhaustively(self):
@@ -206,12 +201,12 @@ class TestInImage:
     def test_powfin_examples(self):
         x = Carrier((0, 1))
         s = Subobject.of_members(x, (0,))
-        assert in_image(PowFin(Id()), s, SetVal.of([IdVal(0)]))
-        assert not in_image(PowFin(Id()), s, SetVal.of([IdVal(0), IdVal(1)]))
+        assert in_image(PowFin(Id()), s, fset(elem(0)))
+        assert not in_image(PowFin(Id()), s, fset(elem(0), elem(1)))
 
     def test_r_point_lands_in_empty_subset(self):
         x = Carrier((0, 1))
-        assert in_image(RFunctor(), Subobject.empty(x), RPoint())
+        assert in_image(RFunctor(), Subobject.empty(x), POINT)
 
     def test_full_subset_always_contains(self):
         rng = random.Random(37)

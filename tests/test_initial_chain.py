@@ -5,12 +5,12 @@ terms here, agrees on named and generated functors."""
 import io
 import random
 import sys
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 import pytest
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
-                     FValue, Id, InitialChain, InternalConsistencyError, Sum,
+                     Id, InitialChain, InternalConsistencyError, Sum,
                      eval_map, eval_obj, initial_chain, parse_functor)
 from wfcoalg import cli
 from wfcoalg.functor import DEFAULT_ENUM_CAP
@@ -29,8 +29,9 @@ class ClosedChain(NamedTuple):
 
 
 def closed_chain(functor, max_depth: int, cap: int) -> ClosedChain:
-    """W_{i+1} = F(W_i) as closed terms sorted by key, with
-    w_{i,i+1} = F(w_{i-1,i}) applied to closed terms."""
+    """W_{i+1} = F(W_i) as closed terms sorted by the node order, an element of
+    W_i ordered by its place in W_i, with w_{i,i+1} = F(w_{i-1,i}) applied to
+    closed terms."""
     stages = [Carrier.empty()]
     maps: List[FinMap] = []
     for i in range(max_depth + 1):
@@ -38,7 +39,9 @@ def closed_chain(functor, max_depth: int, cap: int) -> ClosedChain:
             values = eval_obj(functor, stages[i], cap=cap)
         except CapExceeded:
             return ClosedChain(stages, maps, False, None, True)
-        nxt = Carrier(tuple(sorted(values, key=lambda v: v.key())))
+        place = {t: j for j, t in enumerate(stages[i])}
+        nxt = Carrier(tuple(sorted(values, key=lambda v: functor.sort_key(
+            eval_map(functor, place.__getitem__, v)))))
         if i == 0:
             w = FinMap(stages[0], nxt, ())
         else:
@@ -65,10 +68,10 @@ def closed_mu_coalgebra(ref: ClosedChain, functor) -> Coalgebra:
     return Coalgebra(functor, mu, tuple(w(t) for t in mu))
 
 
-def fold(chain) -> List[Tuple[FValue, ...]]:
+def fold(chain) -> List[Tuple[Any, ...]]:
     """The position stages as closed terms: a value over stage-i positions
     becomes F applied to the closed terms at those positions."""
-    terms: List[Tuple[FValue, ...]] = [()]
+    terms: List[Tuple[Any, ...]] = [()]
     for values in chain.stages[1:]:
         terms.append(tuple(eval_map(chain.functor, terms[-1].__getitem__, v)
                            for v in values))
@@ -128,8 +131,7 @@ def test_index_values_name_stage_positions():
     chain = initial_chain(parse_functor("P(X)", {}), 4, cap=CAP)
     for i, values in enumerate(chain.stages[1:]):
         for v in values:
-            assert all(0 <= item.element < len(chain.stages[i])
-                       for item in v.items)
+            assert all(0 <= item < len(chain.stages[i]) for item in v)
 
 
 # --- depth and the cap --------------------------------------------------------------

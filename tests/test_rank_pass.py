@@ -12,8 +12,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import pytest
 
 import wfcoalg
-from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra, ConstVal,
-                     InjVal, InternalConsistencyError, RPair, RPoint, Subobject,
+from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra,
+                     InternalConsistencyError, Subobject,
                      canonical_graph, element_key, eval_map, hylo, is_wellfounded,
                      next_time, para_hylo, parse_spec, unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
@@ -23,6 +23,7 @@ from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, quicksort, r_coalgebra)
 
 from generators import random_instance
+from values import POINT, const, elem, inj, pair
 
 
 # --- test-only references -------------------------------------------------------
@@ -290,7 +291,8 @@ def reversed_predecessor(n: int) -> Coalgebra:
 
 
 def successor_count(v, _a=None):
-    return 0 if v.index == 1 else v.value.element + 1
+    i, w = v
+    return 0 if i == 1 else w + 1
 
 
 def test_deep_reversed_chain_needs_no_recursion():
@@ -304,7 +306,7 @@ def test_deep_reversed_chain_needs_no_recursion():
     unfolded = unfold_to_mu(c)
     assert unfolded.cycle is None and unfolded.complete
     assert len(unfolded.mapping) == n + 1
-    assert unfolded.nodes[unfolded.as_dict()[0]] == InjVal(1, ConstVal("u0"))
+    assert unfolded.nodes[unfolded.as_dict()[0]] == inj(1, const("u0"))
 
 
 def test_every_node_of_a_deep_unfolding_hashes_compares_and_prints():
@@ -316,11 +318,11 @@ def test_every_node_of_a_deep_unfolding_hashes_compares_and_prints():
         v = unfolded.nodes[node[a]]
         same = eval_map(c.functor, node.__getitem__, c.alpha(a))  # built afresh
         assert v == same and hash(v) == hash(same)
-        assert v.key() == same.key() and repr(v) == repr(same)
+        assert c.functor.sort_key(v) == c.functor.sort_key(same) and repr(v) == repr(same)
     deepest = unfolded.nodes[node[3000]]
-    assert repr(deepest) == f"InjVal(index=0, value=IdVal(element={node[2999]}))"
+    assert repr(deepest) == repr(inj(0, elem(node[2999])))
     for k, v in enumerate(unfolded.nodes):  # each node after the nodes it names
-        assert v.index == 1 or v.value.element < k
+        assert v[0] == 1 or v[1] < k
 
 
 def test_hylo_computes_each_support_once(monkeypatch):
@@ -379,7 +381,7 @@ def test_parse_spec_checks_no_algebra_row_again(monkeypatch):
                      "  d -> x\n  (x, y) -> y\n  (y, x) -> x\n")
     alg = doc.the_algebra("E")
     assert checks == []  # the reader built each key in F(B)
-    assert alg.table == {RPoint(): "x", RPair("x", "y"): "y", RPair("y", "x"): "x"}
+    assert alg.table == {POINT: "x", pair("x", "y"): "y", pair("y", "x"): "x"}
     again = Algebra.from_table(alg.functor, alg.carrier, alg.table)
     assert checks == list(alg.table) and again.table == alg.table
 

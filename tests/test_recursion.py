@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from wfcoalg import (Algebra, Carrier, Coalgebra, Const, ConstVal, FinMap, Id,
-                     IdVal, InjVal, NotWellFounded, PowFin, RFunctor, RPair,
-                     RPoint, SetVal, Sum, TupleVal, eval_map, find_homs, hylo,
+from wfcoalg import (Algebra, Carrier, Coalgebra, Const, FinMap, Id,
+                     NotWellFounded, PowFin, RFunctor, Sum, eval_map, find_homs, hylo,
                      initial_chain, is_coalgebra_hom, is_wellfounded,
                      para_hylo, parametric_oracle, recursive_oracle,
                      unfold_to_mu)
@@ -13,6 +12,7 @@ from wfcoalg.demos import (UNIT, factorial_scheme, fibonacci_scheme, graph_g,
                            lists_up_to, predecessor, quicksort, r_coalgebra)
 
 from generators import random_instance
+from values import POINT, const, elem, fset, inj
 
 
 class TestHylo:
@@ -27,7 +27,7 @@ class TestHylo:
         # reachable-set algebra over the same functor
         target = Carrier(tuple(range(5)))
         alg = Algebra(g.functor, target,
-                      lambda v: min(4, 1 + sum(i.element for i in v.items)))
+                      lambda v: min(4, 1 + sum(v)))
         with pytest.raises(NotWellFounded) as exc:
             hylo(g, alg)
         assert exc.value.args and "c" in str(exc.value) or "d" in str(exc.value)
@@ -96,7 +96,7 @@ class TestInitialChain:
         assert [len(s) for s in chain.stages] == [0, 1, 1]
         assert chain.stabilized and chain.stable_index == 1
         mu = chain.mu_coalgebra()  # muR = {d}: one element, whose structure is d
-        assert len(mu.carrier) == 1 and mu.structure == (RPoint(),)
+        assert len(mu.carrier) == 1 and mu.structure == (POINT,)
 
     def test_identity_stabilizes_at_empty(self):
         chain = initial_chain(Id(), max_depth=8, cap=10_000)
@@ -136,9 +136,9 @@ class TestUnfold:
         node = result.as_dict()
         # 2 unfolds to the depth-2 numeral inj0(inj0(inj1(u0))), one node a level
         assert len(result.nodes) == 3
-        assert result.nodes[node[0]] == InjVal(1, ConstVal("u0"))
-        assert result.nodes[node[1]] == InjVal(0, IdVal(node[0]))
-        assert result.nodes[node[2]] == InjVal(0, IdVal(node[1]))
+        assert result.nodes[node[0]] == inj(1, const("u0"))
+        assert result.nodes[node[1]] == inj(0, elem(node[0]))
+        assert result.nodes[node[2]] == inj(0, elem(node[1]))
 
     def test_quicksort_collapses_to_its_distinct_terms(self):
         coalg, _ = quicksort(("a", "b", "c"), 6)
@@ -165,7 +165,7 @@ class TestUnfold:
 
     def test_self_loop_reports_its_cycle(self):
         c = Coalgebra(Sum((Id(), Const(UNIT))), Carrier(("s",)),
-                      (InjVal(0, IdVal("s")),))
+                      (inj(0, elem("s")),))
         result = unfold_to_mu(c)
         assert result.mapping is None and result.nodes is None
         assert result.cycle == ("s",)
@@ -181,7 +181,7 @@ class TestUnfold:
         homs = find_homs(r, chain.mu_algebra(), cap=1_000_000)
         assert len(homs) == 1
         assert homs[0](0) == homs[0](1)
-        assert chain.mu_coalgebra().alpha(homs[0](0)) == RPoint()
+        assert chain.mu_coalgebra().alpha(homs[0](0)) == POINT
 
 
 class TestOracles:
@@ -207,7 +207,7 @@ class TestOracles:
 
     def test_self_loop_powerset_is_not_recursive(self):
         c = Coalgebra(PowFin(Id()), Carrier(("s",)),
-                      (SetVal.of([IdVal("s")]),))
+                      (fset(elem("s")),))
         verdict = recursive_oracle(c, max_carrier=2, cap=10_000_000)
         assert not verdict.passed()
 
@@ -236,7 +236,7 @@ class TestFindHoms:
         from wfcoalg import eval_obj
         table = {}
         for v in eval_obj(RFunctor(), target):
-            table[v] = 2 if v == RPoint() else 0
+            table[v] = 2 if v == POINT else 0
         alg = Algebra.from_table(RFunctor(), target, table)
         homs = find_homs(r, alg, cap=1_000_000)
         assert len(homs) == 1
@@ -246,7 +246,7 @@ class TestFindHoms:
         g = graph_g()
         target = Carrier((0, 1))
         from wfcoalg import eval_obj
-        table = {v: len(v.items) % 2 for v in eval_obj(g.functor, target)}
+        table = {v: len(v) % 2 for v in eval_obj(g.functor, target)}
         alg = Algebra.from_table(g.functor, target, table)
         first = [h.values for h in find_homs(g, alg, cap=1_000_000)]
         second = [h.values for h in find_homs(g, alg, cap=1_000_000)]

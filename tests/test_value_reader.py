@@ -20,10 +20,10 @@ import pytest
 from wfcoalg import (Carrier, Const, Exp, FunctorExpr, Id, ParseError, PowFin,
                      Prod, RFunctor, Sum, eval_obj, parse_functor, parse_spec,
                      parse_value, render_functor, render_value)
-from wfcoalg.functor import (ConstVal, FuncVal, FValue, IdVal, InjVal, RPair,
-                             RPoint, SetVal, TupleVal, check_value, size_obj)
+from wfcoalg.functor import check_value, size_obj
 
 from generators import ATOMS, random_functor
+from values import POINT, const, elem, fset, fun, inj, pair, tup
 
 
 # --- test-only reference: the token-cursor parser --------------------------------
@@ -146,7 +146,7 @@ def _parse_atom(cur, carriers) -> FunctorExpr:
 
 
 def reference_parse_value(expr: FunctorExpr, carrier: Carrier, text: str,
-                          line: int = 1) -> FValue:
+                          line: int = 1) -> Any:
     cur = _Cursor(_tokenize(text, line), line)
     v = _parse_val(cur, expr, carrier)
     if not cur.done():
@@ -155,19 +155,19 @@ def reference_parse_value(expr: FunctorExpr, carrier: Carrier, text: str,
     return v
 
 
-def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
+def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> Any:
     if isinstance(expr, Const):
         tok = cur.next()
         if tok.text not in expr.values:
             raise ParseError(f"{tok.text!r} is not a constant atom here",
                              tok.line, tok.col)
-        return ConstVal(tok.text)
+        return const(tok.text)
     if isinstance(expr, Id):
         tok = cur.next()
         if tok.text not in carrier:
             raise ParseError(f"{tok.text!r} is not a carrier element",
                              tok.line, tok.col)
-        return IdVal(tok.text)
+        return elem(tok.text)
     if isinstance(expr, Sum):
         tok = cur.next()
         m = re.fullmatch(r"in(\d+)", tok.text)
@@ -175,7 +175,7 @@ def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
             raise ParseError(f"expected an injection tag, found {tok.text!r}",
                              tok.line, tok.col)
         i = int(m.group(1))
-        return InjVal(i, _parse_val(cur, expr.parts[i], carrier))
+        return inj(i, _parse_val(cur, expr.parts[i], carrier))
     if isinstance(expr, Prod):
         cur.expect("(")
         items = []
@@ -184,10 +184,10 @@ def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
                 cur.expect(",")
             items.append(_parse_val(cur, part, carrier))
         cur.expect(")")
-        return TupleVal(tuple(items))
+        return tup(*items)
     if isinstance(expr, Exp):
         cur.expect("[")
-        entries: Dict[Any, FValue] = {}
+        entries: Dict[Any, Any] = {}
         first = True
         while True:
             tok = cur.peek()
@@ -210,7 +210,7 @@ def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
         if missing:
             raise ParseError(f"missing alphabet entry {missing[0]!r}",
                              cur.last_line, 1)
-        return FuncVal(tuple((s, entries[s]) for s in expr.alphabet))
+        return fun(*(entries[s] for s in expr.alphabet))
     if isinstance(expr, PowFin):
         cur.expect("{")
         items = []
@@ -224,11 +224,11 @@ def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
                 cur.expect(",")
             first = False
             items.append(_parse_val(cur, expr.arg, carrier))
-        return SetVal.of(items)
+        return fset(*items)
     if isinstance(expr, RFunctor):
         tok = cur.next()
         if tok.text == "d":
-            return RPoint()
+            return POINT
         if tok.text == "(":
             x = cur.next()
             cur.expect(",")
@@ -241,7 +241,7 @@ def _parse_val(cur: _Cursor, expr: FunctorExpr, carrier: Carrier) -> FValue:
             if x.text == y.text:
                 raise ParseError("R pair components must be distinct",
                                  x.line, x.col)
-            return RPair(x.text, y.text)
+            return pair(x.text, y.text)
         raise ParseError(f"expected 'd' or a pair, found {tok.text!r}",
                          tok.line, tok.col)
     raise TypeError(f"unknown functor node {expr!r}")

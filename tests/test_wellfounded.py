@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from wfcoalg import (Carrier, Coalgebra, Const, ConstVal, FinMap, Id, IdVal,
-                     InjVal, NotAHomomorphism, NotWellFounded, PowFin, SetVal,
+from wfcoalg import (Carrier, Coalgebra, Const, FinMap, Id,
+                     NotAHomomorphism, NotWellFounded, PowFin,
                      Subobject, Sum, all_subsets, canonical_graph, coproduct,
                      coreflect, induced_subcoalgebra, is_coalgebra_hom,
                      is_subcoalgebra, is_wellfounded, next_time, quotient,
@@ -12,6 +12,7 @@ from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, r_coalgebra)
 
 from generators import random_instance
+from values import fset
 
 
 class TestWfPart:
@@ -132,7 +133,7 @@ class TestCoreflection:
         assert is_wellfounded(src)
         # hom n=0 -> b: both map to the empty set / halt
         pg = Coalgebra(g.functor, src.carrier,
-                       tuple(SetVal(()) for _ in src.carrier))
+                       tuple(fset() for _ in src.carrier))
         f = FinMap.from_callable(pg.carrier, g.carrier, lambda _: "b")
         restricted = coreflect(f, pg, g)
         assert restricted.cod.elements == ("a", "b")
