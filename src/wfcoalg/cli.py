@@ -46,8 +46,14 @@ def _load_document(args) -> SpecDocument:
         return _demo_document(args.demo_doc)
     if not args.spec:
         raise WfcoalgError("give a spec file or --demo NAME")
-    with open(args.spec, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    try:  # caught here, not in main: a BrokenPipeError is an OSError too
+        with open(args.spec, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # no such file, a directory, no permission to read
+        raise WfcoalgError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise WfcoalgError(f"{args.spec}: not UTF-8 text ({exc})") from None
+    return parse_spec(text)
 
 
 def _demo_document(name: str) -> SpecDocument:
@@ -283,7 +289,7 @@ def main(argv: Optional[list] = None, out=None) -> int:
         except CapExceeded as exc:
             print(f"cap exceeded: {exc}", file=out)
             return EXIT_CAP
-        except (FileNotFoundError, WfcoalgError) as exc:
+        except WfcoalgError as exc:
             print(f"error: {exc}", file=out)
             return EXIT_USAGE
         finally:

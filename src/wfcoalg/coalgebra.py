@@ -20,7 +20,8 @@ class Coalgebra:
     """A carrier together with a total structure map into F(carrier).
 
     ``supports``, aligned with the carrier like ``structure``, holds the least
-    support of each state's value, which validating the value collects."""
+    support of each state's value, which ``check_value`` (F applied to the
+    element test of the carrier) collects as it validates the value."""
 
     functor: FunctorExpr
     carrier: Carrier

@@ -18,16 +18,16 @@ hashing are Python's: two values of F X are equal iff they are the same
 element, so a value keys a table as it is.
 
 Each node kind owns its operations as methods: ``size`` (|F X|), ``enum`` (the
-elements of F X), ``fmap`` (F f), ``check`` (membership in F X, which also
-collects the least support: ``Id`` appends its element, an R pair both of its
-elements), ``sort_key`` (a total order on F X, by ``element_key`` at atoms and
-elements, for output and for positions), ``render`` (the text form) and
-``preserves_inverse_images``.  A composite node recurses through its
-children's methods.  ``fmap`` refuses a value of the wrong shape (a tuple
-of the wrong length, a summand index out of range, a P value that is no
-frozenset, an R pair with equal components); ``check`` also refuses atoms and
-elements outside their carriers.  The module-level functions below are the
-entry points.
+elements of F X), ``fmap`` (F f), ``sort_key`` (a total order on F X, by
+``element_key`` at atoms and elements, for output and for positions),
+``render`` (the text form) and ``preserves_inverse_images``.  A composite
+node recurses through its children's methods.  ``fmap`` is the one walk over
+a value: it refuses a value of the wrong shape (a tuple of the wrong length, a
+summand index out of range, a P value that is no frozenset, an R pair with
+equal components) and an atom outside its constant carrier.  ``check_value``
+is ``fmap`` of the element test of X, which refuses anything outside X and
+collects the least support.  The module-level functions below are the entry
+points.
 """
 
 from __future__ import annotations
@@ -63,11 +63,9 @@ class Const(FunctorExpr):
         return iter(self.values)
 
     def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
-        return v
-
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if v not in self.values:
+        if v not in self.values._set:  # a frozenset: fmap is on every hylo path
             raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
+        return v
 
     def sort_key(self, v: Any) -> Any:
         return element_key(v)
@@ -89,11 +87,6 @@ class Id(FunctorExpr):
 
     def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
         return f(v)
-
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if v not in x:
-            raise MalformedValue(f"{v!r} is not an element of the carrier")
-        out.append(v)
 
     sort_key = Const.sort_key
     render = Const.render
@@ -120,12 +113,6 @@ class Sum(FunctorExpr):
             raise MalformedValue(f"{v!r} is not a valid injection")
         i, w = v
         return i, self.parts[i].fmap(f, w)
-
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if not (isinstance(v, tuple) and len(v) == 2 and type(v[0]) is int
-                and 0 <= v[0] < len(self.parts)):
-            raise MalformedValue(f"{v!r} is not a valid injection")
-        self.parts[v[0]].check(x, v[1], out)
 
     def sort_key(self, v: Any) -> Any:
         i, w = v
@@ -156,12 +143,6 @@ class Prod(FunctorExpr):
         if not (isinstance(v, tuple) and len(v) == len(self.parts)):
             raise MalformedValue(f"{v!r} is not a valid tuple")
         return tuple([p.fmap(f, c) for p, c in zip(self.parts, v)])
-
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if not (isinstance(v, tuple) and len(v) == len(self.parts)):
-            raise MalformedValue(f"{v!r} is not a valid tuple")
-        for p, c in zip(self.parts, v):
-            p.check(x, c, out)
 
     def sort_key(self, v: Any) -> Any:
         return tuple([p.sort_key(c) for p, c in zip(self.parts, v)])
@@ -196,12 +177,6 @@ class Exp(FunctorExpr):
             raise MalformedValue(f"{v!r} is not one entry per alphabet letter")
         return tuple([self.arg.fmap(f, c) for c in v])
 
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if not (isinstance(v, tuple) and len(v) == len(self.alphabet)):
-            raise MalformedValue(f"{v!r} is not one entry per alphabet letter")
-        for c in v:
-            self.arg.check(x, c, out)
-
     def sort_key(self, v: Any) -> Any:
         return tuple([self.arg.sort_key(c) for c in v])
 
@@ -229,12 +204,6 @@ class PowFin(FunctorExpr):
         if not isinstance(v, frozenset):
             raise MalformedValue(f"{v!r} is not a set value (a frozenset)")
         return frozenset([self.arg.fmap(f, c) for c in v])
-
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if not isinstance(v, frozenset):
-            raise MalformedValue(f"{v!r} is not a set value (a frozenset)")
-        for c in v:
-            self.arg.check(x, c, out)
 
     def sort_key(self, v: Any) -> Any:
         return tuple(sorted(map(self.arg.sort_key, v)))
@@ -266,15 +235,6 @@ class RFunctor(FunctorExpr):
         a, b = f(v[0]), f(v[1])
         return None if a == b else (a, b)
 
-    def check(self, x: Carrier, v: Any, out: List[Any]) -> None:
-        if v is None:
-            return
-        if not (isinstance(v, tuple) and len(v) == 2 and v[0] in x and v[1] in x):
-            raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
-        if v[0] == v[1]:
-            raise MalformedValue(f"{v!r}: R pair components must be distinct")
-        out += v
-
     def sort_key(self, v: Any) -> Any:
         return () if v is None else (element_key(v[0]), element_key(v[1]))
 
@@ -302,16 +262,25 @@ def eval_obj(expr: FunctorExpr, x: Carrier, cap: int = DEFAULT_ENUM_CAP) -> List
 
 def eval_map(expr: FunctorExpr, f: Callable[[Any], Any], v: Any) -> Any:
     """Apply F f to a value of F(dom f); f may be any callable.  Raise
-    MalformedValue on a value of the wrong shape."""
+    MalformedValue on a value of the wrong shape or a foreign constant."""
     return expr.fmap(f, v)
 
 
 def check_value(expr: FunctorExpr, x: Carrier, v: Any) -> frozenset:
     """The least support of v, the elements of X it mentions; raise
-    MalformedValue unless v is a well-formed element of F X."""
+    MalformedValue unless v is a well-formed element of F X.  This is F
+    applied to the element test of X, which collects what it passes."""
     out: List[Any] = []
+    members = x._set
+
+    def element(e: Any) -> Any:
+        if e not in members:
+            raise MalformedValue(f"{e!r} is not an element of the carrier")
+        out.append(e)
+        return e
+
     try:
-        expr.check(x, v, out)
+        expr.fmap(element, v)
     except TypeError:  # a membership test met an unhashable part
         raise MalformedValue(f"{v!r} is not a hashable value") from None
     return frozenset(out)
@@ -324,7 +293,7 @@ def support(expr: FunctorExpr, x: Carrier, v: Any) -> Subobject:
 
 def in_image(expr: FunctorExpr, s: Subobject, v: Any) -> bool:
     """Is v in the image of F applied to the inclusion of s?"""
-    return support(expr, s.of, v).members <= s.members
+    return check_value(expr, s.of, v) <= s.members
 
 
 def preserves_inverse_images(expr: FunctorExpr) -> bool:

@@ -42,8 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import WfcoalgError
 from .finset import Carrier
-from .functor import (Const, Exp, FunctorExpr, Id, PowFin, Prod, RFunctor, Sum,
-                      size_obj)
+from .functor import (DEFAULT_ENUM_CAP, Const, Exp, FunctorExpr, Id, PowFin, Prod,
+                      RFunctor, Sum, size_obj)
 from .coalgebra import Algebra, Coalgebra, ParAlgebra
 
 
@@ -146,8 +146,11 @@ def parse_functor(text: str, carriers: Dict[str, Carrier],
             level -= 1
             expect(")")
             return (PowFin(inner) if tok == "P" else inner), nested(depth + 1, start)
-        if tok.isdigit():
-            return Const(Carrier(tuple(f"u{i}" for i in range(int(tok))))), 0
+        if tok.isascii() and tok.isdigit():  # no int() of a huge or non-ASCII number
+            digits = tok.lstrip("0") or "0"
+            if len(digits) > len(str(DEFAULT_ENUM_CAP)) or int(digits) > DEFAULT_ENUM_CAP:
+                fail(f"a constant of more than {DEFAULT_ENUM_CAP} atoms", pos - 1)
+            return Const(Carrier(tuple(f"u{i}" for i in range(int(digits))))), 0
         if _NAME_RE.match(tok):
             if tok not in carriers:
                 fail(f"unknown carrier {tok!r}", pos - 1)
@@ -260,7 +263,7 @@ def _node(expr: FunctorExpr, ids: Dict[Any, Any], push):
             tag = tags.get(tok)
             if tag is None:
                 m = _TAG_RE.fullmatch(tok)  # "in01" also names in1
-                tag = m and tags.get(f"in{int(m.group(1))}")
+                tag = m and tags.get("in" + (m.group(1).lstrip("0") or "0"))
                 if not tag:
                     raise _Reject(f"expected an injection tag, found {tok!r}")
             return tag[0], tag[1](nxt(), nxt)

@@ -443,6 +443,18 @@ class TestErrors:
         code, text = run("check-wf", "/nonexistent/path.txt")
         assert code == EXIT_USAGE
 
+    def test_a_directory_is_an_error(self, tmp_path):
+        code, text = run("check-wf", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert text.startswith("error: ") and repr(str(tmp_path)) in text
+
+    def test_a_file_that_is_not_utf8_is_an_error(self, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes("functor = X\ncarrier A = \u00e9\n".encode("latin-1"))
+        code, text = run("check-wf", str(p))
+        assert code == EXIT_USAGE
+        assert text.startswith(f"error: {p}: not UTF-8 text (")
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("functor = P(\n")

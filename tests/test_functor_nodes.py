@@ -98,6 +98,8 @@ def enum_ref(expr, x):
 
 def eval_map_ref(expr, fn, v):
     if isinstance(expr, Const):
+        if v not in expr.values:
+            raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
         return v
     if isinstance(expr, Id):
         return elem(fn(v))
@@ -167,10 +169,11 @@ def well_formed_ref(expr, x, v):
     elif isinstance(expr, RFunctor):
         if v is None:
             return
-        if not (isinstance(v, tuple) and len(v) == 2 and v[0] in x and v[1] in x):
-            raise MalformedValue(f"{v!r} is not a valid R value over the carrier")
-        if v[0] == v[1]:
-            raise MalformedValue(f"{v!r}: R pair components must be distinct")
+        if not (isinstance(v, tuple) and len(v) == 2 and v[0] != v[1]):
+            raise MalformedValue(f"{v!r} is not a pair of distinct elements")
+        for c in v:
+            if c not in x:
+                raise MalformedValue(f"{c!r} is not an element of the carrier")
     else:
         raise TypeError(f"unknown functor node {expr!r}")
 

@@ -6,7 +6,7 @@ from wfcoalg import (Carrier, Const, Exp, Id, ParseError, PowFin, Prod,
                      RFunctor, Sum, eval_map, parse_functor,
                      parse_spec, parse_value, render_functor, render_spec,
                      render_value)
-from wfcoalg.functor import check_value, size_obj
+from wfcoalg.functor import DEFAULT_ENUM_CAP, check_value, size_obj
 from wfcoalg.textform import _CHUNK, MAX_NESTING
 
 from values import POINT, elem, fset, fun, inj, pair, tup
@@ -30,6 +30,20 @@ class TestFunctorSyntax:
 
     def test_int_constant(self):
         assert parse_functor("3", {}) == Const(Carrier(("u0", "u1", "u2")))
+        assert parse_functor("007", {}) == parse_functor("7", {})
+        assert len(parse_functor(str(DEFAULT_ENUM_CAP), {}).values) == DEFAULT_ENUM_CAP
+
+    @pytest.mark.parametrize("digits, message", [
+        ("\u00b2", "unexpected '\u00b2'"),  # str.isdigit, but no ASCII digit
+        ("9" * 5000, f"a constant of more than {DEFAULT_ENUM_CAP} atoms"),  # past int()'s limit
+        ("99999999999999999999999", f"a constant of more than {DEFAULT_ENUM_CAP} atoms"),
+        (str(DEFAULT_ENUM_CAP + 1), f"a constant of more than {DEFAULT_ENUM_CAP} atoms"),
+    ], ids=["superscript two", "5000 digits", "23 digits", "one past the cap"])
+    def test_int_constant_errors_are_located(self, digits, message):
+        """Refused before any int() of the token or carrier is built."""
+        with pytest.raises(ParseError) as exc:
+            parse_spec(f"functor = X + {digits}\n")
+        assert str(exc.value) == f"line 1, column 15: {message}"
 
     def test_named_constant(self):
         sigma = Carrier(("a", "b"))
@@ -148,6 +162,10 @@ class TestValueSyntax:
             0, tup(elem("p"), elem("q")))
         v = parse_value(expr, a, "in1 [s: p, t: q]")
         assert v == inj(1, fun(elem("p"), elem("q")))
+
+    def test_an_injection_tag_of_many_digits(self):
+        expr = Sum((Id(), Id()))
+        assert parse_value(expr, Carrier(("p",)), "in" + "0" * 5000 + "1 p") == inj(1, elem("p"))
 
     def test_value_round_trip(self):
         a = Carrier(("p", "q"))
