@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
                     Tuple)
 
+from ._record import FrozenRecord, Record
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
 from .finset import Carrier, FinMap, Subobject, capped_power, element_key
@@ -15,31 +15,28 @@ from .functor import FunctorExpr, check_value, eval_map, eval_obj, size_obj
 DEFAULT_SEARCH_CAP = 10_000_000  # maps searched: homs, find_homs, oracles, --max-enum
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(FrozenRecord):
     """A carrier together with a total structure map into F(carrier).
 
-    ``supports``, aligned with the carrier like ``structure``, holds the least
-    support of each state's value, which ``check_value`` (F applied to the
-    element test of the carrier) collects as it validates the value."""
+    ``structure`` holds values of F(carrier), aligned with the carrier order.
+    ``supports``, aligned likewise, holds the least support of each state's
+    value, which ``check_value`` (F applied to the element test of the
+    carrier) collects as it validates the value."""
 
-    functor: FunctorExpr
-    carrier: Carrier
-    structure: Tuple[Any, ...]  # values of F(carrier), aligned with carrier order
+    _fields = ("functor", "carrier", "structure")
 
-    def __post_init__(self):
-        if len(self.structure) != len(self.carrier):
+    def __init__(self, functor: FunctorExpr, carrier: Carrier, structure: Tuple[Any, ...]):
+        if len(structure) != len(carrier):
             raise ValueError("structure table does not cover the carrier")
-        object.__setattr__(self, "supports", tuple(
-            check_value(self.functor, self.carrier, v) for v in self.structure))
-        object.__setattr__(self, "_alpha",
-                           dict(zip(self.carrier.elements, self.structure)))
+        supports = tuple(check_value(functor, carrier, v) for v in structure)
+        vars(self).update(functor=functor, carrier=carrier, structure=structure,
+                          supports=supports, _alpha=dict(zip(carrier.elements, structure)))
 
     @classmethod
     def _parsed(cls, functor: FunctorExpr, carrier: Carrier, structure: Tuple[Any, ...],
                 supports: Tuple[frozenset, ...]) -> "Coalgebra":
         """A coalgebra of values a document reader built in F(carrier), with the
-        least supports it collected: ``__post_init__`` would check them again."""
+        least supports it collected: ``__init__`` would check them again."""
         self = object.__new__(cls)
         self.__dict__.update(functor=functor, carrier=carrier, structure=structure,
                              supports=supports, _alpha=dict(zip(carrier.elements, structure)))
@@ -53,25 +50,25 @@ class Coalgebra:
         return self._alpha[a]
 
 
-@dataclass(eq=False)
-class Algebra:
+class Algebra(Record):
     """A carrier together with e: F(carrier) -> carrier.
 
     The operation is given either as an explicit table over the whole of
     eval_obj(F, carrier) (see ``from_table``), and is then the table's
     lookup, or as a total callable for carriers too large to tabulate.
+    Equal only to itself; the repr leaves the table out.
     """
 
-    functor: FunctorExpr
-    carrier: Carrier
-    operation: Optional[Callable[[Any], Any]] = None
-    table: Optional[Dict[Any, Any]] = field(default=None, repr=False)
+    _fields = ("functor", "carrier", "operation")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if (self.operation is None) == (self.table is None):
+    def __init__(self, functor: FunctorExpr, carrier: Carrier,
+                 operation: Optional[Callable[[Any], Any]] = None,
+                 table: Optional[Dict[Any, Any]] = None):
+        if (operation is None) == (table is None):
             raise ValueError("an algebra takes either an operation or a table")
-        if self.table is not None:
-            self.operation = self.table.__getitem__
+        self.functor, self.carrier, self.table = functor, carrier, table
+        self.operation = operation if table is None else table.__getitem__
 
     @staticmethod
     def from_table(functor: FunctorExpr, carrier: Carrier,
@@ -99,25 +96,24 @@ class Algebra:
         return self.operation(v)
 
 
-@dataclass
-class ParAlgebra:
+class ParAlgebra(Record):
     """A pointwise table for parametric recursion: (F-value, state) -> result."""
 
-    functor: FunctorExpr
-    target: Carrier
-    source: Carrier
-    table: Dict[Tuple[Any, Any], Any]
+    _fields = ("functor", "target", "source", "table")
+
+    def __init__(self, functor: FunctorExpr, target: Carrier, source: Carrier,
+                 table: Dict[Tuple[Any, Any], Any]):
+        self.functor, self.target, self.source, self.table = functor, target, source, table
 
 
-@dataclass(frozen=True)
-class CanonicalGraph:
-    """Successor structure extracted from a coalgebra via least supports."""
+class CanonicalGraph(FrozenRecord):
+    """Successor structure extracted from a coalgebra via least supports:
+    ``succ`` pairs each vertex, in vertex order, with its successors."""
 
-    vertices: Carrier
-    succ: Tuple[Tuple[Any, frozenset], ...]  # aligned with vertex order
+    _fields = ("vertices", "succ")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_succ", dict(self.succ))
+    def __init__(self, vertices: Carrier, succ: Tuple[Tuple[Any, frozenset], ...]):
+        vars(self).update(vertices=vertices, succ=succ, _succ=dict(succ))
 
     def successors(self, a: Any) -> frozenset:
         return self._succ[a]

@@ -8,10 +8,10 @@ order so that enumerations and rendered reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
+from ._record import FrozenRecord
 from .errors import CarrierMismatch
 
 
@@ -34,17 +34,16 @@ def element_key(x: Any):
     raise TypeError(f"unorderable carrier element: {x!r}")
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(FrozenRecord):
     """A finite ordered set of distinct atoms."""
 
-    elements: Tuple[Any, ...]
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        as_set = frozenset(self.elements)
-        if len(as_set) != len(self.elements):
+    def __init__(self, elements: Tuple[Any, ...]):
+        as_set = frozenset(elements)
+        if len(as_set) != len(elements):
             raise ValueError("carrier has duplicate elements")
-        object.__setattr__(self, "_set", as_set)
+        vars(self).update(elements=elements, _set=as_set)
 
     @staticmethod
     def empty() -> "Carrier":
@@ -60,24 +59,25 @@ class Carrier:
         return x in self._set
 
 
-@dataclass(frozen=True)
-class FinMap:
+class FinMap(FrozenRecord):
     """A total function between carriers, stored pointwise.
 
     ``values[i]`` is the image of ``dom.elements[i]``.
     """
 
-    dom: Carrier
-    cod: Carrier
-    values: Tuple[Any, ...]
+    _fields = ("dom", "cod", "values")
 
-    def __post_init__(self):
+    def __init__(self, dom: Carrier, cod: Carrier, values: Tuple[Any, ...]):
+        vars(self).update(dom=dom, cod=cod, values=values)
+        self.__post_init__()
+
+    def __post_init__(self):  # checks and indexes; a method of its own for perfbench's tracer
         if len(self.values) != len(self.dom):
             raise ValueError("map table does not cover the domain")
         for v in self.values:
             if v not in self.cod:
                 raise ValueError(f"image element {v!r} not in codomain")
-        object.__setattr__(self, "_table", dict(zip(self.dom.elements, self.values)))
+        vars(self)["_table"] = dict(zip(self.dom.elements, self.values))
 
     @staticmethod
     def from_dict(dom: Carrier, cod: Carrier, table: dict) -> "FinMap":
@@ -118,14 +118,16 @@ class FinMap:
         return set(self.values) == self.cod._set
 
 
-@dataclass(frozen=True)
-class Subobject:
+class Subobject(FrozenRecord):
     """A subset of a carrier: the working representative in Sub(A)."""
 
-    of: Carrier
-    members: frozenset = field(default_factory=frozenset)
+    _fields = ("of", "members")
 
-    def __post_init__(self):
+    def __init__(self, of: Carrier, members: frozenset = frozenset()):
+        vars(self).update(of=of, members=members)
+        self.__post_init__()
+
+    def __post_init__(self):  # the check, a method of its own for perfbench's tracer
         for x in self.members:
             if x not in self.of:
                 raise ValueError(f"member {x!r} outside the ambient carrier")

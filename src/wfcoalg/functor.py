@@ -32,10 +32,10 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
+from ._record import FrozenRecord
 from .errors import CapExceeded, MalformedValue
 from .finset import Carrier, Subobject, capped_power, element_key
 
@@ -47,14 +47,16 @@ def _clip(size: int, cap: Optional[int]) -> int:
     return size if cap is None or size <= cap else cap + 1
 
 
-class FunctorExpr:
+class FunctorExpr(FrozenRecord):
     """Base class; the concrete nodes below own the operations listed in
     the module docstring."""
 
 
-@dataclass(frozen=True)
 class Const(FunctorExpr):
-    values: Carrier
+    _fields = ("values",)
+
+    def __init__(self, values: Carrier):
+        vars(self).update(values=values)
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(len(self.values), cap)
@@ -63,9 +65,12 @@ class Const(FunctorExpr):
         return iter(self.values)
 
     def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
-        if v not in self.values._set:  # a frozenset: fmap is on every hylo path
-            raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
-        return v
+        try:
+            if v in self.values._set:  # a frozenset: fmap is on every hylo path
+                return v
+        except TypeError:  # an unhashable value is no constant either
+            pass
+        raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
 
     def sort_key(self, v: Any) -> Any:
         return element_key(v)
@@ -77,7 +82,6 @@ class Const(FunctorExpr):
         return True
 
 
-@dataclass(frozen=True)
 class Id(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(n, cap)
@@ -95,9 +99,11 @@ class Id(FunctorExpr):
         return True
 
 
-@dataclass(frozen=True)
 class Sum(FunctorExpr):
-    parts: Tuple[FunctorExpr, ...]
+    _fields = ("parts",)
+
+    def __init__(self, parts: Tuple[FunctorExpr, ...]):
+        vars(self).update(parts=parts)
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(sum(p.size(n, cap) for p in self.parts), cap)
@@ -126,9 +132,9 @@ class Sum(FunctorExpr):
         return all(p.preserves_inverse_images() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class Prod(FunctorExpr):
-    parts: Tuple[FunctorExpr, ...]
+    _fields = ("parts",)
+    __init__ = Sum.__init__
 
     def size(self, n: int, cap: Optional[int]) -> int:
         total = 1
@@ -154,17 +160,16 @@ class Prod(FunctorExpr):
         return all(p.preserves_inverse_images() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class Exp(FunctorExpr):
     """arg ** alphabet: functions from a fixed finite alphabet, as the tuple
     of their entries in alphabet order."""
 
-    alphabet: Carrier
-    arg: FunctorExpr
+    _fields = ("alphabet", "arg")
 
-    def __post_init__(self):
-        if len(self.alphabet) == 0:
+    def __init__(self, alphabet: Carrier, arg: FunctorExpr):
+        if len(alphabet) == 0:
             raise ValueError("exponent alphabet must be nonempty")
+        vars(self).update(alphabet=alphabet, arg=arg)
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return capped_power(self.arg.size(n, cap), len(self.alphabet), cap)
@@ -188,9 +193,11 @@ class Exp(FunctorExpr):
         return self.arg.preserves_inverse_images()
 
 
-@dataclass(frozen=True)
 class PowFin(FunctorExpr):
-    arg: FunctorExpr
+    _fields = ("arg",)
+
+    def __init__(self, arg: FunctorExpr):
+        vars(self).update(arg=arg)
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return capped_power(2, self.arg.size(n, cap), cap)
@@ -215,7 +222,6 @@ class PowFin(FunctorExpr):
         return self.arg.preserves_inverse_images()
 
 
-@dataclass(frozen=True)
 class RFunctor(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(n * (n - 1) + 1, cap)

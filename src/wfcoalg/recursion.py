@@ -19,11 +19,11 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ._record import FrozenRecord
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      InternalConsistencyError, NotWellFounded)
 from .finset import Carrier, FinMap, capped_power
@@ -89,8 +89,7 @@ def _fold(coalg: Coalgebra, step: Callable[[Callable, Any, Any], Any]
 
 # --- initial-algebra chain ----------------------------------------------------
 
-@dataclass(frozen=True)
-class InitialChain:
+class InitialChain(FrozenRecord):
     """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps, over positions.
 
     ``sizes[i]`` is |W_i|.  Built when first read, against ``sizes``:
@@ -100,11 +99,13 @@ class InitialChain:
     initial algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
     """
 
-    functor: FunctorExpr
-    sizes: Tuple[int, ...]
-    stabilized: bool
-    stable_index: Optional[int] = None
-    cap_exceeded: Optional[CapExceeded] = None
+    _fields = ("functor", "sizes", "stabilized", "stable_index", "cap_exceeded")
+
+    def __init__(self, functor: FunctorExpr, sizes: Tuple[int, ...], stabilized: bool,
+                 stable_index: Optional[int] = None,
+                 cap_exceeded: Optional[CapExceeded] = None):
+        vars(self).update(functor=functor, sizes=sizes, stabilized=stabilized,
+                          stable_index=stable_index, cap_exceeded=cap_exceeded)
 
     @cached_property
     def stages(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -158,8 +159,7 @@ def initial_chain(functor: FunctorExpr, max_depth: int,
 
 # --- unfolding into the initial algebra ---------------------------------------
 
-@dataclass(frozen=True)
-class UnfoldResult:
+class UnfoldResult(FrozenRecord):
     """Either a total unfolding or a cycle witness.  ``nodes`` holds one
     F-value over node ids per distinct closed term, each after the nodes it
     names; ``mapping`` gives each state's node id.  For functors with an R
@@ -167,10 +167,12 @@ class UnfoldResult:
     morphism into the initial algebra may still exist (search with find_homs).
     """
 
-    nodes: Optional[Tuple[Any, ...]]
-    mapping: Optional[Tuple[Tuple[Any, int], ...]]
-    cycle: Optional[Tuple[Any, ...]]
-    complete: bool
+    _fields = ("nodes", "mapping", "cycle", "complete")
+
+    def __init__(self, nodes: Optional[Tuple[Any, ...]],
+                 mapping: Optional[Tuple[Tuple[Any, int], ...]],
+                 cycle: Optional[Tuple[Any, ...]], complete: bool):
+        vars(self).update(nodes=nodes, mapping=mapping, cycle=cycle, complete=complete)
 
     def as_dict(self) -> Dict[Any, int]:
         return dict(self.mapping or ())
@@ -205,19 +207,24 @@ def find_homs(coalg: Coalgebra, alg: Algebra,
     return solution_maps(coalg, alg.carrier, allowed)
 
 
-@dataclass(frozen=True)
-class OracleWitness:
-    carrier: Carrier
-    table: tuple  # the algebra table that breaks uniqueness
-    solution_count: int
+class OracleWitness(FrozenRecord):
+    """``table`` is the algebra table that breaks uniqueness."""
+
+    _fields = ("carrier", "table", "solution_count")
+
+    def __init__(self, carrier: Carrier, table: tuple, solution_count: int):
+        vars(self).update(carrier=carrier, table=table, solution_count=solution_count)
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    status: str  # "pass" or "fail"
-    witness: Optional[OracleWitness]
-    sizes_checked: Tuple[int, ...]
-    complete: bool  # every requested size decided
+class OracleVerdict(FrozenRecord):
+    """``status`` is "pass" or "fail"; ``complete``, every requested size decided."""
+
+    _fields = ("status", "witness", "sizes_checked", "complete")
+
+    def __init__(self, status: str, witness: Optional[OracleWitness],
+                 sizes_checked: Tuple[int, ...], complete: bool):
+        vars(self).update(status=status, witness=witness, sizes_checked=sizes_checked,
+                          complete=complete)
 
     def passed(self) -> bool:
         return self.status == "pass"

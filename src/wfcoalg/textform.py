@@ -34,12 +34,13 @@ is one token, so that a row names it as a value does.
 
 from __future__ import annotations
 
+import gc
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import length_hint
 from typing import Any, Dict, List, Optional, Tuple
 
+from ._record import Record
 from .errors import WfcoalgError
 from .finset import Carrier
 from .functor import (DEFAULT_ENUM_CAP, Const, Exp, FunctorExpr, Id, PowFin, Prod,
@@ -355,15 +356,24 @@ def render_value(expr: FunctorExpr, v: Any) -> str:
 
 # --- documents -------------------------------------------------------------------
 
-@dataclass
-class SpecDocument:
-    functor_text: str
-    functor: FunctorExpr
-    carriers: Dict[str, Carrier] = field(default_factory=dict)
-    coalgebras: Dict[str, Coalgebra] = field(default_factory=dict)
-    algebras: Dict[str, Algebra] = field(default_factory=dict)
-    paralgebras: Dict[str, ParAlgebra] = field(default_factory=dict)
-    description: str = ""
+class SpecDocument(Record):
+    """A parsed document; each table maps a section's name to its object."""
+
+    _fields = ("functor_text", "functor", "carriers", "coalgebras", "algebras",
+               "paralgebras", "description")
+
+    def __init__(self, functor_text: str, functor: FunctorExpr,
+                 carriers: Optional[Dict[str, Carrier]] = None,
+                 coalgebras: Optional[Dict[str, Coalgebra]] = None,
+                 algebras: Optional[Dict[str, Algebra]] = None,
+                 paralgebras: Optional[Dict[str, ParAlgebra]] = None,
+                 description: str = ""):
+        self.functor_text, self.functor = functor_text, functor
+        self.carriers = {} if carriers is None else carriers
+        self.coalgebras = {} if coalgebras is None else coalgebras
+        self.algebras = {} if algebras is None else algebras
+        self.paralgebras = {} if paralgebras is None else paralgebras
+        self.description = description
 
     def the_coalgebra(self, name: Optional[str]) -> Coalgebra:
         return _pick(self.coalgebras, name, "coalgebra")
@@ -493,42 +503,52 @@ def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
           text: str, start: int, end: int):
     """A table section's rows, text[start:end], read from one token stream, a
     chunk of whole lines at a time: {key: value}, and each coalgebra row's
-    least support.  A row the stream cannot take goes to ``_row_error``."""
-    sup: List[Any] = []
-    read = _compile(functor, target, sup.append)
-    targets, sources = frozenset(target), frozenset(source)
-    table: Dict[Any, Any] = {}
-    supports: Dict[Any, frozenset] = {}
-    while start < end:
-        stop = text.find("\n", start + _CHUNK, end) + 1 or end
-        toks = _ROW_RE.findall(text, start, stop) + ["\n"]  # the last line may lack one
-        it = iter(toks)
-        nxt = it.__next__
-        for tok in it:
-            if tok == "\n":
-                continue
-            row = len(toks) - length_hint(it) - 1  # the index of its first token
-            sup.clear()
-            try:
-                if kind == "coalgebra":
-                    key, arrow, value = tok, nxt(), read(nxt(), nxt)
-                    ok = key in targets and arrow == "->"
-                    supports[key] = frozenset(sup)
-                elif kind == "algebra":
-                    key, arrow, value = read(tok, nxt), nxt(), nxt()
-                    ok = arrow == "->" and value in targets
-                else:
-                    v, at, a, arrow, value = read(tok, nxt), nxt(), nxt(), nxt(), nxt()
-                    key = (v, a)
-                    ok = at == "@" and a in sources and arrow == "->" and value in targets
-                if not ok or nxt() != "\n" or key in table:
-                    raise _Reject
-            except (_Reject, StopIteration):
-                pos = next(islice(_ROW_RE.finditer(text, start, stop), row, None)).start(1)
-                _row_error(kind, read, target, source, text, pos)
-            table[key] = value
-        start = stop
-    return table, supports
+    least support.  A row the stream cannot take goes to ``_row_error``.
+
+    The cyclic collector is paused meanwhile: the reader makes no reference
+    cycle, and the collections its allocations would start cost more than
+    the rows on a large section."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sup: List[Any] = []
+        read = _compile(functor, target, sup.append)
+        targets, sources = frozenset(target), frozenset(source)
+        table: Dict[Any, Any] = {}
+        supports: Dict[Any, frozenset] = {}
+        while start < end:
+            stop = text.find("\n", start + _CHUNK, end) + 1 or end
+            toks = _ROW_RE.findall(text, start, stop) + ["\n"]  # the last line may lack one
+            it = iter(toks)
+            nxt = it.__next__
+            for tok in it:
+                if tok == "\n":
+                    continue
+                row = len(toks) - length_hint(it) - 1  # the index of its first token
+                sup.clear()
+                try:
+                    if kind == "coalgebra":
+                        key, arrow, value = tok, nxt(), read(nxt(), nxt)
+                        ok = key in targets and arrow == "->"
+                        supports[key] = frozenset(sup)
+                    elif kind == "algebra":
+                        key, arrow, value = read(tok, nxt), nxt(), nxt()
+                        ok = arrow == "->" and value in targets
+                    else:
+                        v, at, a, arrow, value = read(tok, nxt), nxt(), nxt(), nxt(), nxt()
+                        key = (v, a)
+                        ok = at == "@" and a in sources and arrow == "->" and value in targets
+                    if not ok or nxt() != "\n" or key in table:
+                        raise _Reject
+                except (_Reject, StopIteration):
+                    pos = next(islice(_ROW_RE.finditer(text, start, stop), row, None)).start(1)
+                    _row_error(kind, read, target, source, text, pos)
+                table[key] = value
+            start = stop
+        return table, supports
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _row_error(kind: str, read, target: Carrier, source: Carrier,

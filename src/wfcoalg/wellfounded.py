@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Iterator, Tuple
 
+from ._record import FrozenRecord
 from .errors import InternalConsistencyError, NotAHomomorphism, NotWellFounded
 from .finset import Carrier, FinMap, Subobject, element_key
 from .coalgebra import (Coalgebra, canonical_graph, induced_subcoalgebra,
@@ -39,13 +39,17 @@ class RankChain(Sequence):
         return (tuple(a for a, r in ranked if r < i) for i in range(self._len))
 
 
-@dataclass(frozen=True)
-class WfPartResult:
-    """Least fixed point of next-time with its iteration trace."""
+class WfPartResult(FrozenRecord):
+    """Least fixed point of next-time with its iteration trace, ``chain``:
+    strictly increasing, its last two stages equal, and left out of equality."""
 
-    coalgebra: Coalgebra
-    part: Subobject
-    chain: RankChain = field(compare=False)  # strictly increasing, last two equal
+    _fields = ("coalgebra", "part", "chain")
+
+    def __init__(self, coalgebra: Coalgebra, part: Subobject, chain: RankChain):
+        vars(self).update(coalgebra=coalgebra, part=part, chain=chain)
+
+    def _key(self) -> tuple:
+        return self.coalgebra, self.part
 
     @cached_property
     def structure(self) -> Coalgebra:

@@ -1,3 +1,4 @@
+import gc
 from itertools import accumulate
 
 import pytest
@@ -7,6 +8,7 @@ from wfcoalg import (Carrier, Const, Exp, Id, ParseError, PowFin, Prod,
                      parse_spec, parse_value, render_functor, render_spec,
                      render_value)
 from wfcoalg.functor import DEFAULT_ENUM_CAP, check_value, size_obj
+from wfcoalg import textform
 from wfcoalg.textform import _CHUNK, MAX_NESTING
 
 from values import POINT, elem, fset, fun, inj, pair, tup
@@ -347,6 +349,47 @@ class TestSpecDocuments:
             with pytest.raises(ParseError) as exc:
                 parse_spec(head + "\n".join(bad))
             assert (exc.value.line, exc.value.col) == (5 + i, rows[i].index("(a,") + 2), i
+
+    def test_no_collection_runs_while_a_section_is_read(self, monkeypatch):
+        # the cyclic collector is paused inside _rows: at most one collection
+        # runs, the one due once it is back on (unpaused, this read starts
+        # about a hundred); the caller's setting is back after a clean parse
+        # and after a parse error
+        n = 20_000
+        head = (f"carrier L = a b\ncarrier A = {' '.join(f's{i}' for i in range(n))}\n"
+                "functor = P(L * X)\ncoalgebra C : A\n  s0 -> {}\n")
+        rows = [f"  s{i} -> {{(a, s{i - 1}), (b, s{i // 2})}}\n" for i in range(1, n)]
+        bad = rows[:-1] + [rows[-1].replace("(a,", "(z,")]
+        inside, seen = [False], []
+
+        def rows_watched(*args):
+            gc.collect()  # none is due as _rows starts
+            inside[0] = True
+            try:
+                return read_rows(*args)
+            finally:
+                inside[0] = False
+
+        def callback(phase, info):
+            if phase == "start" and inside[0]:
+                seen.append(info["generation"])
+
+        read_rows = textform._rows
+        monkeypatch.setattr(textform, "_rows", rows_watched)
+        gc.callbacks.append(callback)
+        try:
+            assert len(parse_spec(head + "".join(rows)).the_coalgebra("C").carrier) == n
+            assert gc.isenabled() and len(seen) <= 1
+            with pytest.raises(ParseError):
+                parse_spec(head + "".join(bad))
+            assert gc.isenabled() and len(seen) <= 2
+            seen.clear()
+            gc.disable()
+            parse_spec(head + "".join(rows))
+            assert not gc.isenabled() and seen == []
+        finally:
+            gc.enable()
+            gc.callbacks.remove(callback)
 
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_spec("# the graph\n\n" + GRAPH_DOC)

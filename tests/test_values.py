@@ -76,6 +76,7 @@ MALFORMED = [
     ("a P value given as a set", PowFin(Id()), {elem("a")}),
     ("a P member outside the carrier", PowFin(Id()), fset(elem("z"))),
     ("a Const atom outside its carrier", Const(L), const("z")),
+    ("an unhashable Const atom", Const(L), [const("l")]),
     ("an unhashable element", Prod((Id(), Id())), tup(elem("a"), [elem("b")])),
 ]
 # eval_map knows no carrier X, so it refuses only the values of the wrong shape
