@@ -1,9 +1,10 @@
 """Plain value classes: what ``dataclasses`` gave them, without the import of
 ``dataclasses`` (and through it ``inspect``) or code generation per class.
 
-A subclass names its fields in ``_fields``, in constructor order, and sets
-them in its own ``__init__``.  As for a dataclass, two values are equal only
-if they are of the same class, and the repr is ``Name(field=value, ...)``.
+A subclass sets its fields in its own ``__init__`` and names them in
+``_fields``, in constructor order: the repr shows them, and equality and the
+hash read them.  As for a dataclass, two values are equal only if they are
+of the same class, and the repr is ``Name(field=value, ...)``.
 """
 
 from typing import Any, Tuple
@@ -13,7 +14,6 @@ class Record:
     """Compared and shown field by field; mutable, so unhashable."""
 
     _fields: Tuple[str, ...] = ()
-
     __hash__ = None
 
     def _key(self) -> tuple:
