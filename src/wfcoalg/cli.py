@@ -90,9 +90,10 @@ def _cmd_canonical_graph(doc, args, out) -> int:
     graph = canonical_graph(doc.the_coalgebra(args.coalgebra))
     if args.dot:
         print("digraph canonical {", file=out)
+        ids = {v: str(v).replace("\\", "\\\\").replace('"', '\\"') for v in graph.vertices}
         for v in graph.vertices:
             for w in sorted(graph.successors(v), key=element_key):
-                print(f'  "{v}" -> "{w}";', file=out)
+                print(f'  "{ids[v]}" -> "{ids[w]}";', file=out)
         print("}", file=out)
     else:
         for v in graph.vertices:

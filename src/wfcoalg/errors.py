@@ -14,7 +14,12 @@ class FunctorMismatch(WfcoalgError):
 
 
 class MalformedValue(WfcoalgError):
-    """A structured value does not match its functor shape or carrier."""
+    """A structured value does not match its functor shape or carrier; a
+    reader's error is ``back`` tokens before the last one it took."""
+
+    def __init__(self, message: str = "", back: int = 0):
+        super().__init__(message)
+        self.back = back
 
 
 class CapExceeded(WfcoalgError):

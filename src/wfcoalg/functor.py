@@ -20,31 +20,42 @@ element, so a value keys a table as it is.
 Each node kind owns its operations as methods: ``size`` (|F X|), ``enum`` (the
 elements of F X), ``fmap`` (F f), ``sort_key`` (a total order on F X, by
 ``element_key`` at atoms and elements, for output and for positions),
-``render`` (the text form) and ``preserves_inverse_images``.  A composite
-node recurses through its children's methods.  ``fmap`` is the one walk over
-a value: it refuses a value of the wrong shape (a tuple of the wrong length, a
-summand index out of range, a P value that is no frozenset, an R pair with
-equal components) and an atom outside its constant carrier.  ``check_value``
-is ``fmap`` of the element test of X, which refuses anything outside X and
-collects the least support.  The module-level functions below are the entry
-points.
+``render`` (the text form), ``reader`` (its inverse: ``reader(ids, push)`` is
+a closure ``read(tok, nxt)`` that gets a value's first token, takes the rest
+from ``nxt``, looks elements up in ``ids`` and passes each to ``push``, so
+those of one value are its least support) and ``preserves_inverse_images``.  A
+composite node recurses through its children's methods.  ``fmap`` is the one
+walk over a value: it refuses a value of the wrong shape (a tuple of the wrong
+length, a summand index out of range, a P value that is no frozenset, an R
+pair with equal components) and an atom outside its constant carrier.
+``check_value`` is ``fmap`` of the element test of X, which refuses anything
+outside X and collects the least support.  The module-level functions below
+are the entry points.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import product
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._record import FrozenRecord
 from .errors import CapExceeded, MalformedValue
 from .finset import Carrier, Subobject, capped_power, element_key
 
 DEFAULT_ENUM_CAP = 100_000
+_TAG_RE = re.compile(r"in(\d+)")
 
 
 def _clip(size: int, cap: Optional[int]) -> int:
     """cap + 1 stands for any size above the cap."""
     return size if cap is None or size <= cap else cap + 1
+
+
+def _want(want: str, tok: str) -> None:
+    """Refuse ``tok`` unless it is ``want``; hot readers compare first."""
+    if tok != want:
+        raise MalformedValue(f"expected {want!r}, found {tok!r}")
 
 
 class FunctorExpr(FrozenRecord):
@@ -78,6 +89,16 @@ class Const(FunctorExpr):
     def render(self, v: Any) -> str:
         return str(v)
 
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        table = {a: a for a in self.values}
+
+        def read(tok, nxt):
+            try:
+                return table[tok]
+            except KeyError:
+                raise MalformedValue(f"{tok!r} is not a constant atom here") from None
+        return read
+
     def preserves_inverse_images(self) -> bool:
         return True
 
@@ -94,6 +115,16 @@ class Id(FunctorExpr):
 
     sort_key = Const.sort_key
     render = Const.render
+
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        def read(tok, nxt):
+            try:
+                v = ids[tok]
+            except KeyError:
+                raise MalformedValue(f"{tok!r} is not a carrier element") from None
+            push(v)
+            return v
+        return read
 
     def preserves_inverse_images(self) -> bool:
         return True
@@ -128,6 +159,19 @@ class Sum(FunctorExpr):
         i, w = v
         return f"in{i} {self.parts[i].render(w)}"
 
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        tags = {f"in{i}": (i, p.reader(ids, push)) for i, p in enumerate(self.parts)}
+
+        def read(tok, nxt):
+            tag = tags.get(tok)
+            if tag is None:
+                m = _TAG_RE.fullmatch(tok)  # "in01" also names in1
+                tag = m and tags.get("in" + (m.group(1).lstrip("0") or "0"))
+                if not tag:
+                    raise MalformedValue(f"expected an injection tag, found {tok!r}")
+            return tag[0], tag[1](nxt(), nxt)
+        return read
+
     def preserves_inverse_images(self) -> bool:
         return all(p.preserves_inverse_images() for p in self.parts)
 
@@ -155,6 +199,22 @@ class Prod(FunctorExpr):
 
     def render(self, v: Any) -> str:
         return "(" + ", ".join(p.render(c) for p, c in zip(self.parts, v)) + ")"
+
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        parts = [p.reader(ids, push) for p in self.parts]
+
+        def read(tok, nxt):
+            if tok != "(":
+                _want("(", tok)
+            items = []
+            for part in parts:
+                if items and (tok := nxt()) != ",":
+                    _want(",", tok)
+                items.append(part(nxt(), nxt))
+            if (tok := nxt()) != ")":
+                _want(")", tok)
+            return tuple(items)
+        return read
 
     def preserves_inverse_images(self) -> bool:
         return all(p.preserves_inverse_images() for p in self.parts)
@@ -189,6 +249,35 @@ class Exp(FunctorExpr):
         return "[" + ", ".join(f"{s}: {self.arg.render(c)}"
                                for s, c in zip(self.alphabet, v)) + "]"
 
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        letters = self.alphabet.elements
+        known = frozenset(letters)
+        arg = self.arg.reader(ids, push)
+
+        def read(tok, nxt):
+            if tok != "[":
+                _want("[", tok)
+            entries: Dict[Any, Any] = {}
+            tok = nxt()
+            while tok != "]":
+                if entries:
+                    if tok != ",":
+                        _want(",", tok)
+                    tok = nxt()
+                if tok not in known:
+                    raise MalformedValue(f"{tok!r} is not in the alphabet")
+                if tok in entries:
+                    raise MalformedValue(f"repeated alphabet entry {tok!r}")
+                if (sep := nxt()) != ":":
+                    _want(":", sep)
+                entries[tok] = arg(nxt(), nxt)
+                tok = nxt()
+            if len(entries) < len(letters):
+                missing = next(s for s in letters if s not in entries)
+                raise MalformedValue(f"missing alphabet entry {missing!r}")
+            return tuple(map(entries.__getitem__, letters))
+        return read
+
     def preserves_inverse_images(self) -> bool:
         return self.arg.preserves_inverse_images()
 
@@ -218,6 +307,24 @@ class PowFin(FunctorExpr):
     def render(self, v: Any) -> str:  # members in key order, not hash order
         return "{" + ", ".join(map(self.arg.render, sorted(v, key=self.arg.sort_key))) + "}"
 
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        arg = self.arg.reader(ids, push)
+
+        def read(tok, nxt):
+            if tok != "{":
+                _want("{", tok)
+            items = []
+            tok = nxt()
+            while tok != "}":
+                if items:
+                    if tok != ",":
+                        _want(",", tok)
+                    tok = nxt()
+                items.append(arg(tok, nxt))
+                tok = nxt()
+            return frozenset(items)
+        return read
+
     def preserves_inverse_images(self) -> bool:
         return self.arg.preserves_inverse_images()
 
@@ -246,6 +353,27 @@ class RFunctor(FunctorExpr):
 
     def render(self, v: Any) -> str:
         return "d" if v is None else f"({v[0]}, {v[1]})"
+
+    def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
+        def read(tok, nxt):
+            if tok == "d":
+                return None
+            if tok != "(":
+                raise MalformedValue(f"expected 'd' or a pair, found {tok!r}")
+            x = nxt()
+            _want(",", nxt())
+            y = nxt()
+            _want(")", nxt())
+            for z, back in ((x, 3), (y, 1)):
+                if z not in ids:
+                    raise MalformedValue(f"{z!r} is not a carrier element", back)
+            if x == y:
+                raise MalformedValue("R pair components must be distinct", 3)
+            x, y = ids[x], ids[y]
+            push(x)
+            push(y)
+            return x, y
+        return read
 
     def preserves_inverse_images(self) -> bool:
         return False

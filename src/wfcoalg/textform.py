@@ -25,8 +25,8 @@ A document holds one functor, named carriers, and named pointwise tables::
       c -> {d}
       d -> {c}
 
-Each table section compiles one value reader for its functor and carrier, a
-closure per functor node that looks tokens up in prebuilt tables, and reads
+Each table section builds one value reader for its functor and carrier, of
+the ``reader`` closures of the functor's nodes (see ``functor``), and reads
 its rows from one token stream.  Errors give the document's line and column;
 a repeated table row or alphabet entry is an error, and each carrier element
 is one token, so that a row names it as a value does.
@@ -41,7 +41,7 @@ from operator import length_hint
 from typing import Any, Dict, List, Optional, Tuple
 
 from ._record import Record
-from .errors import WfcoalgError
+from .errors import MalformedValue, WfcoalgError
 from .finset import Carrier
 from .functor import (DEFAULT_ENUM_CAP, Const, Exp, FunctorExpr, Id, PowFin, Prod,
                       RFunctor, Sum, size_obj)
@@ -56,7 +56,6 @@ class ParseError(WfcoalgError):
 
 
 _TOKEN_RE = re.compile(r"[()\[\]{}^*+,:@=]|[A-Za-z_][A-Za-z_0-9']*+|\d++|->|\S")
-_TAG_RE = re.compile(r"in(\d+)")
 _NAME_RE = re.compile(r"[A-Za-z_]")  # the first character of a name token
 
 
@@ -195,15 +194,7 @@ def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
 def parse_value(expr: FunctorExpr, carrier: Carrier, text: str,
                 line: int = 1) -> Any:
     """Parse one value of F(carrier) that starts on the given line."""
-    return _read(_compile(expr, carrier, [].append), text, line, 1)
-
-
-class _Reject(Exception):
-    """A reader's error at the token ``back`` tokens before the last one taken."""
-
-    def __init__(self, message: str = "", back: int = 0):
-        super().__init__(message)
-        self.back = back
+    return _read(expr.reader({a: a for a in carrier}, [].append), text, line, 1)
 
 
 def _read(reader, text: str, line: int, col: int) -> Any:
@@ -213,140 +204,14 @@ def _read(reader, text: str, line: int, col: int) -> Any:
     try:
         value = reader(nxt(), nxt)
         if length_hint(it):
-            raise _Reject(f"trailing input {toks[-length_hint(it)]!r}", back=-1)
+            raise MalformedValue(f"trailing input {toks[-length_hint(it)]!r}", back=-1)
     except StopIteration:
         raise ParseError("unexpected end of input",
                          _locate(text, line, col, len(toks) - 1)[0], 1) from None
-    except _Reject as bad:
+    except MalformedValue as bad:
         k = len(toks) - length_hint(it) - 1 - bad.back
         raise ParseError(str(bad), *_locate(text, line, col, k)) from None
     return value
-
-
-def _want(want: str, tok: str) -> None:
-    """Refuse ``tok`` unless it is ``want``; the readers of products, exponents
-    and sets, the most frequent, compare first and call it only to raise."""
-    if tok != want:
-        raise _Reject(f"expected {want!r}, found {tok!r}")
-
-
-def _compile(expr: FunctorExpr, carrier: Carrier, push):
-    """The reader of F(carrier) values, one closure per functor node:
-    ``read(tok, nxt)`` gets the value's first token and takes the rest from
-    ``nxt``.  Carrier elements, constant atoms and alphabet letters are
-    looked up by token text; each carrier element read goes to ``push``, so
-    those of one value are its least support.  Values are plain, as in
-    ``functor``; an atom or element read is the carrier's own object."""
-    return _node(expr, {a: a for a in carrier}, push)
-
-
-def _node(expr: FunctorExpr, ids: Dict[Any, Any], push):
-    if isinstance(expr, Const):
-        table = {a: a for a in expr.values}
-
-        def read(tok, nxt):
-            try:
-                return table[tok]
-            except KeyError:
-                raise _Reject(f"{tok!r} is not a constant atom here") from None
-    elif isinstance(expr, Id):
-        def read(tok, nxt):
-            try:
-                v = ids[tok]
-            except KeyError:
-                raise _Reject(f"{tok!r} is not a carrier element") from None
-            push(v)
-            return v
-    elif isinstance(expr, Sum):
-        tags = {f"in{i}": (i, _node(p, ids, push)) for i, p in enumerate(expr.parts)}
-
-        def read(tok, nxt):
-            tag = tags.get(tok)
-            if tag is None:
-                m = _TAG_RE.fullmatch(tok)  # "in01" also names in1
-                tag = m and tags.get("in" + (m.group(1).lstrip("0") or "0"))
-                if not tag:
-                    raise _Reject(f"expected an injection tag, found {tok!r}")
-            return tag[0], tag[1](nxt(), nxt)
-    elif isinstance(expr, Prod):
-        parts = [_node(p, ids, push) for p in expr.parts]
-
-        def read(tok, nxt):
-            if tok != "(":
-                _want("(", tok)
-            items = []
-            for part in parts:
-                if items and (tok := nxt()) != ",":
-                    _want(",", tok)
-                items.append(part(nxt(), nxt))
-            if (tok := nxt()) != ")":
-                _want(")", tok)
-            return tuple(items)
-    elif isinstance(expr, Exp):
-        letters = expr.alphabet.elements
-        known = frozenset(letters)
-        arg = _node(expr.arg, ids, push)
-
-        def read(tok, nxt):
-            if tok != "[":
-                _want("[", tok)
-            entries: Dict[Any, Any] = {}
-            tok = nxt()
-            while tok != "]":
-                if entries:
-                    if tok != ",":
-                        _want(",", tok)
-                    tok = nxt()
-                if tok not in known:
-                    raise _Reject(f"{tok!r} is not in the alphabet")
-                if tok in entries:
-                    raise _Reject(f"repeated alphabet entry {tok!r}")
-                if (sep := nxt()) != ":":
-                    _want(":", sep)
-                entries[tok] = arg(nxt(), nxt)
-                tok = nxt()
-            if len(entries) < len(letters):
-                missing = next(s for s in letters if s not in entries)
-                raise _Reject(f"missing alphabet entry {missing!r}")
-            return tuple(map(entries.__getitem__, letters))
-    elif isinstance(expr, PowFin):
-        arg = _node(expr.arg, ids, push)
-
-        def read(tok, nxt):
-            if tok != "{":
-                _want("{", tok)
-            items = []
-            tok = nxt()
-            while tok != "}":
-                if items:
-                    if tok != ",":
-                        _want(",", tok)
-                    tok = nxt()
-                items.append(arg(tok, nxt))
-                tok = nxt()
-            return frozenset(items)
-    elif isinstance(expr, RFunctor):
-        def read(tok, nxt):
-            if tok == "d":
-                return None
-            if tok != "(":
-                raise _Reject(f"expected 'd' or a pair, found {tok!r}")
-            x = nxt()
-            _want(",", nxt())
-            y = nxt()
-            _want(")", nxt())
-            for z, back in ((x, 3), (y, 1)):
-                if z not in ids:
-                    raise _Reject(f"{z!r} is not a carrier element", back)
-            if x == y:
-                raise _Reject("R pair components must be distinct", 3)
-            x, y = ids[x], ids[y]
-            push(x)
-            push(y)
-            return x, y
-    else:
-        raise TypeError(f"unknown functor node {expr!r}")
-    return read
 
 
 def render_value(expr: FunctorExpr, v: Any) -> str:
@@ -402,8 +267,8 @@ _HEADER_RE = re.compile(
 _HEAD_RE = re.compile(r"\n(\S.*)")  # an unindented line starts a section
 # row ends are tokens too; a token takes the spaces before it, which is faster
 _ROW_RE = re.compile(rf" *+({_TOKEN_RE.pattern}|\n)")
-# carrier elements: each one token, and not '->' or '@', which split table rows
-_ELEMENTS_RE = re.compile(r"(?:(?:[A-Za-z_][A-Za-z_0-9']*+|\d++|[^\s@])(?:\s++|$))*+")
+# carrier elements: one token each, not '->' or '@' (row delimiters), '}' or ']'
+_ELEMENTS_RE = re.compile(r"(?:(?:[A-Za-z_][A-Za-z_0-9']*+|\d++|[^\s@}\]])(?:\s++|$))*+")
 _CHUNK = 1 << 14  # characters of whole rows tokenized at once
 
 
@@ -442,8 +307,9 @@ def parse_spec(text: str) -> SpecDocument:
             if not _ELEMENTS_RE.fullmatch(m.group(2)):
                 bad = next(e for e in re.finditer(r"\S+", header[m.start(2):])
                            if not _ELEMENTS_RE.fullmatch(e.group()))
-                raise ParseError(f"carrier element {bad.group()!r} is not one token "
-                                 "other than '->' and '@'",
+                why = ("would end a set or exponent value" if bad.group() in ("}", "]")
+                       else "is not one token other than '->' and '@'")
+                raise ParseError(f"carrier element {bad.group()!r} {why}",
                                  lineno, m.start(2) + bad.start() + 1)
             carriers[name] = Carrier(tuple(elems))
         elif kind == "functor":
@@ -512,7 +378,7 @@ def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
     gc.disable()
     try:
         sup: List[Any] = []
-        read = _compile(functor, target, sup.append)
+        read = functor.reader({a: a for a in target}, sup.append)
         targets, sources = frozenset(target), frozenset(source)
         table: Dict[Any, Any] = {}
         supports: Dict[Any, frozenset] = {}
@@ -539,8 +405,8 @@ def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
                         key = (v, a)
                         ok = at == "@" and a in sources and arrow == "->" and value in targets
                     if not ok or nxt() != "\n" or key in table:
-                        raise _Reject
-                except (_Reject, StopIteration):
+                        raise MalformedValue
+                except (MalformedValue, StopIteration):
                     pos = next(islice(_ROW_RE.finditer(text, start, stop), row, None)).start(1)
                     _row_error(kind, read, target, source, text, pos)
                 table[key] = value

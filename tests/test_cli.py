@@ -102,6 +102,17 @@ class TestCanonicalGraph:
         assert text.startswith("digraph")
         assert '"c" -> "d";' in text
 
+    @pytest.mark.parametrize("name, dot", [('"', r'"\""'), ("\\", r'"\\"')])
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path, name, dot):
+        p = tmp_path / "quote.txt"
+        p.write_text(f"functor = P(X)\ncarrier A = a {name}\ncoalgebra C : A\n"
+                     f"  a -> {{{name}}}\n  {name} -> {{a, {name}}}\n")
+        assert run("canonical-graph", str(p), "--dot") == (
+            EXIT_OK, f'digraph canonical {{\n  "a" -> {dot};\n  {dot} -> {dot};\n'
+                     f'  {dot} -> "a";\n}}\n')
+        assert run("canonical-graph", str(p)) == (
+            EXIT_OK, f"a -> {name}\n{name} -> {name} a\n")
+
 
 class TestHylo:
     def test_unfold_then_fold(self, pred_file):

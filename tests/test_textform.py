@@ -3,12 +3,13 @@ from itertools import accumulate
 
 import pytest
 
-from wfcoalg import (Carrier, Const, Exp, Id, ParseError, PowFin, Prod,
-                     RFunctor, Sum, eval_map, parse_functor,
+from wfcoalg import (Carrier, Coalgebra, Const, Exp, Id, ParseError, PowFin, Prod,
+                     RFunctor, SpecDocument, Sum, eval_map, parse_functor,
                      parse_spec, parse_value, render_functor, render_spec,
                      render_value)
 from wfcoalg.functor import DEFAULT_ENUM_CAP, check_value, size_obj
 from wfcoalg import textform
+from wfcoalg.cli import EXIT_USAGE, main
 from wfcoalg.textform import _CHUNK, MAX_NESTING
 
 from values import POINT, elem, fset, fun, inj, pair, tup
@@ -225,6 +226,32 @@ class TestSpecDocuments:
         coalg = doc.the_coalgebra("C")
         assert coalg.alpha("x'") == fset(elem("_y"), elem("α"))
         assert coalg.supports[-1] == frozenset({"12", "-"})
+
+    @pytest.mark.parametrize("carrier, functor, column, element", [
+        ("a }", "P(X)", 15, "}"), ("] a", "X ^ A", 13, "]")])
+    def test_a_carrier_element_that_ends_a_value_is_refused(self, carrier, functor,
+                                                            column, element):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(f"carrier A = {carrier}\nfunctor = {functor}\n")
+        assert str(exc.value) == (f"line 1, column {column}: carrier element {element!r} "
+                                  "would end a set or exponent value")
+
+    def test_a_closing_bracket_element_is_a_cli_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "brace.txt"
+        p.write_text("functor = P(X)\ncarrier A = a }\ncoalgebra C : A\n  a -> {}}\n")
+        assert main(["check-wf", str(p)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ("parse error: line 2, column 15: "
+                                           "carrier element '}' would end a set or exponent value\n")
+
+    def test_render_spec_of_a_closing_bracket_element_does_not_reparse(self):
+        carrier = Carrier(("a", "}"))
+        coalg = Coalgebra.from_dict(PowFin(Id()), carrier,
+                                    {"a": frozenset({"}"}), "}": frozenset()})
+        doc = SpecDocument("P(X)", PowFin(Id()), {"A": carrier}, {"C": coalg})
+        text = render_spec(doc)
+        assert text == "carrier A = a }\nfunctor = P(X)\ncoalgebra C : A\n  a -> {}}\n  } -> {}\n"
+        with pytest.raises(ParseError, match="column 15: carrier element '}'"):
+            parse_spec(text)
 
     def test_graph_document(self):
         doc = parse_spec(GRAPH_DOC)
