@@ -4,13 +4,11 @@ from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient, InternalConsistencyError,
                      MalformedValue, NotAHomomorphism, NotWellFounded,
                      WfcoalgError)
-from .finset import (Carrier, FinMap, Subobject, all_maps, all_subsets,
-                     direct_image, element_key, inverse_image, pullback)
+from .finset import Carrier, FinMap, Subobject, all_subsets, element_key
 from .functor import (Const, Exp, FunctorExpr, Id, PowFin, Prod, RFunctor, Sum,
-                      eval_map, eval_obj, in_image, preserves_inverse_images,
-                      support)
+                      eval_map, eval_obj, preserves_inverse_images, support)
 from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, ParAlgebra, canonical_graph,
-                        coproduct, enumerate_homs, induced_subcoalgebra, is_cartesian,
+                        enumerate_homs, induced_subcoalgebra, is_cartesian,
                         is_coalgebra_hom, is_subcoalgebra, next_time, quotient)
 from .wellfounded import WfPartResult, coreflect, is_wellfounded, wf_part
 from .recursion import (InitialChain, OracleVerdict, OracleWitness,

@@ -92,9 +92,6 @@ class Algebra(Record):
             raise ValueError(f"algebra table is not total; missing {functor.render(missing)}")
         return Algebra(functor, carrier, table=table)
 
-    def apply(self, v: Any) -> Any:
-        return self.operation(v)
-
 
 class ParAlgebra(Record):
     """A pointwise table for parametric recursion: (F-value, state) -> result."""
@@ -261,18 +258,6 @@ def quotient(coalg: Coalgebra, e: FinMap) -> Coalgebra:
             raise IncompatibleQuotient(pushed[b][0], a)
         pushed.setdefault(b, (a, image))
     return Coalgebra(coalg.functor, e.cod, tuple(pushed[b][1] for b in e.cod))
-
-
-def coproduct(c1: Coalgebra, c2: Coalgebra) -> Tuple[Coalgebra, FinMap, FinMap]:
-    """Disjoint union with injected structures; returns both injections."""
-    _require_same_functor(c1, c2)
-    elems = tuple((0, a) for a in c1.carrier) + tuple((1, b) for b in c2.carrier)
-    carrier = Carrier(elems)
-    in1 = FinMap(c1.carrier, carrier, tuple((0, a) for a in c1.carrier))
-    in2 = FinMap(c2.carrier, carrier, tuple((1, b) for b in c2.carrier))
-    structure = tuple(eval_map(c1.functor, in1, c1.alpha(a)) for a in c1.carrier) + \
-        tuple(eval_map(c2.functor, in2, c2.alpha(b)) for b in c2.carrier)
-    return Coalgebra(c1.functor, carrier, structure), in1, in2
 
 
 def enumerate_homs(src: Coalgebra, dst: Coalgebra,

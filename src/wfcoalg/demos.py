@@ -100,7 +100,7 @@ def _printable_values(values: Iterable[int], what: str) -> Carrier:
     checked as it is produced: one with more decimal digits than int-to-str
     conversion allows (sys.get_int_max_str_digits) raises CapExceeded, so a
     result too long to print stops before any coalgebra is built."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     bound = 10 ** limit if limit else None
     seen = {}
     for v in values:

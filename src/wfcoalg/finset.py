@@ -1,4 +1,4 @@
-"""Finite sets, total functions, subsets, pullbacks and images.
+"""Finite sets, total functions and subsets.
 
 Everything here is immutable and pure.  Carrier elements are opaque
 hashable labels (strings, ints, None, and tuples and frozensets of them, so
@@ -8,8 +8,7 @@ order so that enumerations and rendered reports are reproducible.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
+from typing import Any, Iterable, Iterator, Optional, Tuple
 
 from ._record import FrozenRecord
 from .errors import CarrierMismatch
@@ -17,14 +16,12 @@ from .errors import CarrierMismatch
 
 def element_key(x: Any):
     """Total ordering key over all label kinds we allow in carriers."""
-    if type(x) is str:  # document labels, the common case
+    if isinstance(x, str):  # document labels, the common case
         return ("s", x)
     if isinstance(x, bool):
         return ("b", x)
     if isinstance(x, int):
         return ("i", x)
-    if isinstance(x, str):
-        return ("s", x)
     if isinstance(x, tuple):
         return ("t", tuple(element_key(c) for c in x))
     if isinstance(x, frozenset):
@@ -44,10 +41,6 @@ class Carrier(FrozenRecord):
         if len(as_set) != len(elements):
             raise ValueError("carrier has duplicate elements")
         vars(self).update(elements=elements, _set=as_set)
-
-    @staticmethod
-    def empty() -> "Carrier":
-        return Carrier(())
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.elements)
@@ -84,10 +77,6 @@ class FinMap(FrozenRecord):
         return FinMap(dom, cod, tuple(table[x] for x in dom))
 
     @staticmethod
-    def from_callable(dom: Carrier, cod: Carrier, fn: Callable[[Any], Any]) -> "FinMap":
-        return FinMap(dom, cod, tuple(fn(x) for x in dom))
-
-    @staticmethod
     def identity(carrier: Carrier) -> "FinMap":
         return FinMap(carrier, carrier, carrier.elements)
 
@@ -104,15 +93,6 @@ class FinMap(FrozenRecord):
 
     def __call__(self, x: Any) -> Any:
         return self._table[x]
-
-    def compose(self, other: "FinMap") -> "FinMap":
-        """self after other: (self . other)(x) = self(other(x))."""
-        if other.cod != self.dom:
-            raise CarrierMismatch("composition domains do not match")
-        return FinMap(other.dom, self.cod, tuple(self(v) for v in other.values))
-
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
 
     def is_surjective(self) -> bool:
         return set(self.values) == self.cod._set
@@ -151,23 +131,12 @@ class Subobject(FrozenRecord):
         return not self.members
 
     def __le__(self, other: "Subobject") -> bool:
-        self._check(other)
+        if self.of != other.of:
+            raise CarrierMismatch("subobjects of different carriers")
         return self.members <= other.members
-
-    def __lt__(self, other: "Subobject") -> bool:
-        self._check(other)
-        return self.members < other.members
 
     def __contains__(self, x: Any) -> bool:
         return x in self.members
-
-    def union(self, other: "Subobject") -> "Subobject":
-        self._check(other)
-        return Subobject(self.of, self.members | other.members)
-
-    def intersection(self, other: "Subobject") -> "Subobject":
-        self._check(other)
-        return Subobject(self.of, self.members & other.members)
 
     def as_carrier(self) -> Carrier:
         """The members as a carrier, in the ambient carrier's order."""
@@ -178,37 +147,6 @@ class Subobject(FrozenRecord):
 
     def sorted_members(self) -> Tuple[Any, ...]:
         return tuple(sorted(self.members, key=element_key))
-
-    def _check(self, other: "Subobject"):
-        if self.of != other.of:
-            raise CarrierMismatch("subobjects of different carriers")
-
-
-def pullback(f: FinMap, g: FinMap) -> Tuple[Carrier, FinMap, FinMap]:
-    """The pullback of f and g over their shared codomain.
-
-    Returns the carrier of matching pairs together with the two
-    projections; pairs appear in the lexicographic domain order.
-    """
-    if f.cod != g.cod:
-        raise CarrierMismatch("pullback requires a shared codomain")
-    pairs = tuple((x, y) for x in f.dom for y in g.dom if f(x) == g(y))
-    carrier = Carrier(pairs)
-    p1 = FinMap(carrier, f.dom, tuple(x for x, _ in pairs))
-    p2 = FinMap(carrier, g.dom, tuple(y for _, y in pairs))
-    return carrier, p1, p2
-
-
-def inverse_image(f: FinMap, s: Subobject) -> Subobject:
-    if s.of != f.cod:
-        raise CarrierMismatch("subobject is not of the codomain")
-    return Subobject(f.dom, frozenset(x for x in f.dom if f(x) in s.members))
-
-
-def direct_image(f: FinMap, t: Subobject) -> Subobject:
-    if t.of != f.dom:
-        raise CarrierMismatch("subobject is not of the domain")
-    return Subobject(f.cod, frozenset(f(x) for x in t.members))
 
 
 def all_subsets(carrier: Carrier) -> Iterator[Subobject]:
@@ -229,9 +167,3 @@ def capped_power(base: int, exp: int, cap: Optional[int] = None) -> int:
         if result > cap:
             return cap + 1
     return result
-
-
-def all_maps(dom: Carrier, cod: Carrier) -> Iterator[FinMap]:
-    """All total maps dom -> cod in lexicographic table order."""
-    for values in product(cod.elements, repeat=len(dom)):
-        yield FinMap(dom, cod, values)

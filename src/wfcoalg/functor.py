@@ -425,11 +425,6 @@ def support(expr: FunctorExpr, x: Carrier, v: Any) -> Subobject:
     return Subobject(x, check_value(expr, x, v))
 
 
-def in_image(expr: FunctorExpr, s: Subobject, v: Any) -> bool:
-    """Is v in the image of F applied to the inclusion of s?"""
-    return check_value(expr, s.of, v) <= s.members
-
-
 def preserves_inverse_images(expr: FunctorExpr) -> bool:
     """Structural verdict: true iff no R leaf occurs."""
     return expr.preserves_inverse_images()

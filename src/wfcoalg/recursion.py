@@ -202,7 +202,7 @@ def find_homs(coalg: Coalgebra, alg: Algebra,
         raise CapExceeded("coalgebra-to-algebra search", cap)
 
     def allowed(_a: Any, w: Any) -> Tuple[Any, ...]:
-        x = alg.apply(w)
+        x = alg.operation(w)
         return (x,) if x in alg.carrier else ()
     return solution_maps(coalg, alg.carrier, allowed)
 
@@ -243,19 +243,17 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
         return OracleVerdict("pass", None, tuple(sizes_checked), False)
 
     for n in range(max_carrier + 1):
-        x = Carrier(tuple(range(n)))
-        try:
-            fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
-        except CapExceeded:
+        size = size_obj(coalg.functor, n, cap)  # counted before anything is listed
+        if size > cap:
             return undecided()
-        if not n and fx:
+        if not n and size:
             continue  # no algebra on the empty carrier
-        if parametric:
-            keys = [(w, a) for w in fx for a in coalg.carrier]
-        else:
-            keys = list(fx)
-        if capped_power(n, len(coalg.carrier), cap) > cap:
+        if capped_power(n, len(coalg.carrier), cap) > cap or (
+                parametric and size * len(coalg.carrier) > cap):
             return undecided()
+        x = Carrier(tuple(range(n)))
+        fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
+        keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
         position = {k: i for i, k in enumerate(keys)}
         forced = list(search_tables(
             coalg, plan, x, lambda a, w: x,

@@ -339,6 +339,8 @@ def parse_spec(text: str) -> SpecDocument:
         if not m:
             raise ParseError(f"expected '{kind} NAME : {shape[1]}'", lineno, 1)
         name, *over = m.groups()
+        if name in getattr(doc, kind + "s"):  # doc.coalgebras, .algebras, .paralgebras
+            raise ParseError(f"duplicate {kind} {name!r}", lineno, 1)
         for n in over:
             if n not in carriers:
                 raise ParseError(f"unknown carrier {n!r}", lineno, 1)
@@ -450,13 +452,18 @@ def _element(text: str, carrier: Carrier, where: str, lineno: int) -> None:
 
 
 def render_spec(doc: SpecDocument) -> str:
-    """Render a document so that it reparses to an equal document."""
+    """Render a document so that it reparses to an equal document.  Raises
+    ValueError on a carrier label that a carrier line cannot hold as one
+    element: one that is no ``str``, or no single token the reader accepts."""
     names = {c: n for n, c in doc.carriers.items()}
     out = []
     if doc.description:
         out.append(f"description {doc.description}")
     for name, carrier in doc.carriers.items():
-        out.append(f"carrier {name} = " + " ".join(str(x) for x in carrier))
+        for x in carrier:
+            if not (isinstance(x, str) and _scan(x) == [x] and _ELEMENTS_RE.fullmatch(x)):
+                raise ValueError(f"carrier {name!r}: {x!r} is not one element of a carrier line")
+        out.append(f"carrier {name} = " + " ".join(carrier))
     out.append(f"functor = {doc.functor_text}")
     for name, coalg in doc.coalgebras.items():
         out.append(f"coalgebra {name} : {names[coalg.carrier]}")

@@ -481,6 +481,16 @@ class TestErrors:
         code, text = run("find-homs", graph_file, "--max-enum", "1")
         assert code in (EXIT_CAP, EXIT_USAGE)
 
+    @pytest.mark.parametrize("argv, message", [
+        (("check-wf",), "give a spec file or --demo NAME"),
+        (("check-wf", "--demo", "nope"),
+         "no built-in document 'nope' (try graph-g, r-coalgebra)"),
+        (("demo", "nope"), "unknown demo 'nope'"),
+        (("check-wf", "--demo", "graph-g", "--coalgebra", "Z"), "no coalgebra named 'Z'"),
+    ])
+    def test_a_usage_error_names_its_cause(self, argv, message):
+        assert run(*argv) == (EXIT_USAGE, f"error: {message}\n")
+
     def test_no_coalgebra_section(self, tmp_path):
         p = tmp_path / "bare.txt"
         p.write_text("functor = 1 + X\n")

@@ -16,6 +16,7 @@ from wfcoalg import cli
 from wfcoalg.functor import DEFAULT_ENUM_CAP
 
 from generators import random_functor
+from setalg import is_injective
 
 
 # --- test-only reference: the closed-term chain -----------------------------------
@@ -32,7 +33,7 @@ def closed_chain(functor, max_depth: int, cap: int) -> ClosedChain:
     """W_{i+1} = F(W_i) as closed terms sorted by the node order, an element of
     W_i ordered by its place in W_i, with w_{i,i+1} = F(w_{i-1,i}) applied to
     closed terms."""
-    stages = [Carrier.empty()]
+    stages = [Carrier(())]
     maps: List[FinMap] = []
     for i in range(max_depth + 1):
         try:
@@ -49,7 +50,7 @@ def closed_chain(functor, max_depth: int, cap: int) -> ClosedChain:
                 eval_map(functor, maps[i - 1], v) for v in stages[i]))
         stages.append(nxt)
         maps.append(w)
-        if len(stages[i]) == len(nxt) and w.is_injective():
+        if len(stages[i]) == len(nxt) and is_injective(w):
             return ClosedChain(stages, maps, True, i, False)
     return ClosedChain(stages, maps, False, None, False)
 
@@ -198,7 +199,7 @@ class Forgetful(Sum):
     """1 + X whose F f sends every value to the constant: not injective."""
 
     def fmap(self, f, v):
-        return next(self.enum(Carrier.empty()))
+        return next(self.enum(Carrier(())))
 
 
 ONE_PLUS_X = Sum((Const(Carrier(("*",))), Id()))

@@ -11,23 +11,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
-                     Id, PowFin, Prod, RFunctor, all_maps, enumerate_homs,
+                     Id, PowFin, Prod, RFunctor, enumerate_homs,
                      eval_map, eval_obj, find_homs, is_coalgebra_hom,
                      parametric_oracle, recursive_oracle)
 from wfcoalg import coalgebra as coalgebra_module
+from wfcoalg import recursion as recursion_module
 from wfcoalg.cli import main
 from wfcoalg.demos import predecessor
 from wfcoalg.functor import size_obj
 from wfcoalg.recursion import OracleVerdict, OracleWitness, _fills
 
 from generators import bounded_functor, random_coalgebra, random_instance
+from setalg import all_maps
 
 
 # --- test-only references: the scans over every map and every table ------------
 
 def find_homs_scan(coalg: Coalgebra, alg: Algebra) -> List[FinMap]:
     return [h for h in all_maps(coalg.carrier, alg.carrier)
-            if all(h(a) == alg.apply(eval_map(coalg.functor, h, coalg.alpha(a)))
+            if all(h(a) == alg.operation(eval_map(coalg.functor, h, coalg.alpha(a)))
                    for a in coalg.carrier)]
 
 
@@ -245,6 +247,35 @@ def test_oracle_caps_bound_candidates_and_pairs():
     verdict = parametric_oracle(predecessor(3), max_carrier=2, cap=119)
     assert verdict == OracleVerdict("pass", None, (1,), False)
     assert parametric_oracle(predecessor(3), max_carrier=2, cap=120).complete
+
+
+def listed_sizes(monkeypatch):
+    """The carrier sizes at which the oracles list F(n), in call order."""
+    sizes = []
+
+    def eval_obj_spy(expr, x, cap):
+        sizes.append(len(x))
+        return eval_obj(expr, x, cap=cap)
+    monkeypatch.setattr(recursion_module, "eval_obj", eval_obj_spy)
+    return sizes
+
+
+@pytest.mark.parametrize("run", [recursive_oracle, parametric_oracle])
+def test_an_oracle_counts_candidates_before_it_lists(monkeypatch, run):
+    # 2 ** 4 = 16 candidate maps at size 2, one over the cap: F(2) is not listed
+    sizes = listed_sizes(monkeypatch)
+    assert run(predecessor(3), 2, cap=15) == OracleVerdict("pass", None, (1,), False)
+    assert sizes == [1]
+
+
+def test_parametric_keys_are_counted_before_they_are_built(monkeypatch):
+    # at size 1, |F(1)| * 4 states = 8 table keys against one candidate map
+    sizes = listed_sizes(monkeypatch)
+    assert parametric_oracle(predecessor(3), 1, cap=7) == OracleVerdict("pass", None, (), False)
+    assert sizes == []
+    assert parametric_oracle(predecessor(3), 1, cap=8) == OracleVerdict("pass", None, (1,), True)
+    assert recursive_oracle(predecessor(3), 1, cap=7) == OracleVerdict("pass", None, (1,), True)
+    assert sizes == [1, 1]
 
 
 @given(st.integers(1, 5), st.integers(0, 12),

@@ -1,17 +1,19 @@
 import gc
+import random
 from itertools import accumulate
 
 import pytest
 
-from wfcoalg import (Carrier, Coalgebra, Const, Exp, Id, ParseError, PowFin, Prod,
-                     RFunctor, SpecDocument, Sum, eval_map, parse_functor,
-                     parse_spec, parse_value, render_functor, render_spec,
-                     render_value)
+from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, Id, ParAlgebra, ParseError,
+                     PowFin, Prod, RFunctor, SpecDocument, Sum, eval_map, eval_obj,
+                     parse_functor, parse_spec, parse_value, render_functor,
+                     render_spec, render_value)
 from wfcoalg.functor import DEFAULT_ENUM_CAP, check_value, size_obj
 from wfcoalg import textform
 from wfcoalg.cli import EXIT_USAGE, main
 from wfcoalg.textform import _CHUNK, MAX_NESTING
 
+from generators import bounded_functor, random_coalgebra
 from values import POINT, elem, fset, fun, inj, pair, tup
 
 GRAPH_DOC = """\
@@ -178,6 +180,17 @@ class TestValueSyntax:
             assert parse_value(expr, a, render_value(expr, v)) == v
 
 
+def carriers_of(expr):
+    """The constant carriers and alphabets of a functor, which a document names."""
+    if isinstance(expr, Const):
+        return [expr.values]
+    if isinstance(expr, Exp):
+        return [expr.alphabet] + carriers_of(expr.arg)
+    if isinstance(expr, PowFin):
+        return carriers_of(expr.arg)
+    return [c for p in getattr(expr, "parts", ()) for c in carriers_of(p)]
+
+
 R_DOC = "carrier A = a b\ncarrier B = x y\nfunctor = R\n"
 P_DOC = "carrier A = a b\nfunctor = P(X)\n"
 TABLE_ERRORS = [
@@ -210,6 +223,20 @@ TABLE_ERRORS = [
      "line 1, column 13: carrier element '1a' is not one token other than '->' and '@'"),
     ("carrier A = a @\nfunctor = X\n",
      "line 1, column 15: carrier element '@' is not one token other than '->' and '@'"),
+    ("  a -> {}\n" + P_DOC, "line 1, column 1: indented line outside a section"),
+    (P_DOC + "widget W\n", "line 3, column 1: unknown section 'widget'"),
+    ("carrier A = a\n" + P_DOC, "line 2, column 1: duplicate carrier 'A'"),
+    ("carrier A = a b a\nfunctor = X\n",
+     "line 1, column 1: carrier 'A' has duplicate elements"),
+    (P_DOC + "functor = X\n", "line 3, column 1: duplicate functor section"),
+    ("carrier A = a\ncarrier B = b\n", "line 2, column 1: document has no functor section"),
+    (P_DOC + "coalgebra G : A\n  a -> {}\n  b -> {}\ncoalgebra G : A\n  a -> {a}\n  b -> {}\n",
+     "line 6, column 1: duplicate coalgebra 'G'"),
+    (P_DOC + "algebra E : A\n  {} -> a\n  {a} -> a\n  {b} -> a\n  {a, b} -> a\nalgebra E : A\n",
+     "line 8, column 1: duplicate algebra 'E'"),
+    (R_DOC + "paralgebra E : B @ A\n  d @ a -> x\n  d @ b -> x\n  (x, y) @ a -> y\n"
+     "  (x, y) @ b -> y\n  (y, x) @ a -> x\n  (y, x) @ b -> x\nparalgebra E : B @ A\n",
+     "line 11, column 1: duplicate paralgebra 'E'"),
 ]
 
 
@@ -244,14 +271,52 @@ class TestSpecDocuments:
                                            "carrier element '}' would end a set or exponent value\n")
 
     def test_render_spec_of_a_closing_bracket_element_does_not_reparse(self):
+        # so render_spec refuses the element rather than write this text
         carrier = Carrier(("a", "}"))
         coalg = Coalgebra.from_dict(PowFin(Id()), carrier,
                                     {"a": frozenset({"}"}), "}": frozenset()})
         doc = SpecDocument("P(X)", PowFin(Id()), {"A": carrier}, {"C": coalg})
-        text = render_spec(doc)
-        assert text == "carrier A = a }\nfunctor = P(X)\ncoalgebra C : A\n  a -> {}}\n  } -> {}\n"
+        with pytest.raises(ValueError, match="carrier 'A': '}' is not one element"):
+            render_spec(doc)
+        text = "carrier A = a }\nfunctor = P(X)\ncoalgebra C : A\n  a -> {}}\n  } -> {}\n"
         with pytest.raises(ParseError, match="column 15: carrier element '}'"):
             parse_spec(text)
+
+    @pytest.mark.parametrize("labels, bad", [
+        (("a", "x-1"), "'x-1'"), ((0, 1), "0"), (("a b",), "'a b'"), (("",), "''"),
+        (("a", "#"), "'#'"), (("->",), "'->'"), (("a", "@"), "'@'")])
+    def test_render_spec_refuses_a_label_a_carrier_line_cannot_hold(self, labels, bad):
+        doc = SpecDocument("P(X)", PowFin(Id()), {"A": Carrier(labels)})
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == f"carrier 'A': {bad} is not one element of a carrier line"
+
+    def test_generated_documents_round_trip(self):
+        rng = random.Random(23)
+        words = ("a", "worked", "example", "of", "recursion")
+        for _ in range(60):
+            states = Carrier(tuple(f"a{i}" for i in range(rng.randint(1, 3))))
+            target = Carrier(("t0", "t1"))
+            functor = bounded_functor(rng, depth=2, carrier_size=3, size_cap=32)
+            names = {c: f"K{i}" for i, c in enumerate(dict.fromkeys(carriers_of(functor)))}
+            names.update({states: "A", target: "T"})
+            values = eval_obj(functor, target)
+            doc = SpecDocument(
+                render_functor(functor, names), functor, {n: c for c, n in names.items()},
+                {"C": random_coalgebra(rng, functor, states)},
+                {"E": Algebra.from_table(functor, target,
+                                         {v: rng.choice(target.elements) for v in values})},
+                {"Q": ParAlgebra(functor, target, states, {
+                    (v, a): rng.choice(target.elements) for v in values for a in states})},
+                " ".join(rng.choices(words, k=rng.randint(1, 4))))
+            text = render_spec(doc)
+            again = parse_spec(text)
+            assert render_spec(again) == text
+            assert (again.functor_text, again.functor, again.carriers, again.coalgebras,
+                    again.paralgebras, again.description) == (
+                doc.functor_text, doc.functor, doc.carriers, doc.coalgebras,
+                doc.paralgebras, doc.description)
+            assert again.the_algebra("E").table == doc.the_algebra("E").table
 
     def test_graph_document(self):
         doc = parse_spec(GRAPH_DOC)

@@ -4,7 +4,7 @@ import pytest
 
 from wfcoalg import (Carrier, Coalgebra, Const, FinMap, Id,
                      NotAHomomorphism, NotWellFounded, PowFin,
-                     Subobject, Sum, all_subsets, canonical_graph, coproduct,
+                     Subobject, Sum, all_subsets, canonical_graph,
                      coreflect, induced_subcoalgebra, is_coalgebra_hom,
                      is_subcoalgebra, is_wellfounded, next_time, quotient,
                      wf_part)
@@ -12,6 +12,7 @@ from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, r_coalgebra)
 
 from generators import random_instance
+from setalg import compose, coproduct, from_callable
 from values import fset
 
 
@@ -101,7 +102,7 @@ class TestClosureLaws:
                 continue
             # merge the first two states when the structures push compatibly
             merged = Carrier(("m",) + c.carrier.elements[2:])
-            e = FinMap.from_callable(
+            e = from_callable(
                 c.carrier, merged,
                 lambda x: "m" if x in c.carrier.elements[:2] else x)
             try:
@@ -134,14 +135,14 @@ class TestCoreflection:
         # hom n=0 -> b: both map to the empty set / halt
         pg = Coalgebra(g.functor, src.carrier,
                        tuple(fset() for _ in src.carrier))
-        f = FinMap.from_callable(pg.carrier, g.carrier, lambda _: "b")
+        f = from_callable(pg.carrier, g.carrier, lambda _: "b")
         restricted = coreflect(f, pg, g)
         assert restricted.cod.elements == ("a", "b")
         assert all(restricted(x) == "b" for x in pg.carrier)
 
     def test_source_must_be_wellfounded(self):
         r = r_coalgebra()
-        f = FinMap.from_callable(r.carrier, r.carrier, lambda x: x)
+        f = from_callable(r.carrier, r.carrier, lambda x: x)
         with pytest.raises(NotWellFounded):
             coreflect(f, r, r)
 
@@ -149,7 +150,7 @@ class TestCoreflection:
         g = graph_g()
         sub = induced_subcoalgebra(
             g, Subobject.of_members(g.carrier, ("a", "b")))
-        bad = FinMap.from_callable(sub.carrier, g.carrier, lambda _: "c")
+        bad = from_callable(sub.carrier, g.carrier, lambda _: "c")
         with pytest.raises(NotAHomomorphism):
             coreflect(bad, sub, g)
 
@@ -169,4 +170,4 @@ class TestCoreflection:
                 assert all(f(x) in part.members for x in src.carrier)
                 restricted = coreflect(f, src, dst)
                 incl = FinMap.inclusion(restricted.cod, dst.carrier)
-                assert incl.compose(restricted) == f
+                assert compose(incl, restricted) == f
