@@ -12,9 +12,9 @@ pass is evidence only.  Neither enumerates the algebras.  A search over
 candidate maps (``search_tables``, shared with ``find_homs``) gives the
 table entries each candidate forces; every table has exactly one solution
 iff the forced tables are pairwise incompatible and their cylinders fill the
-table space, and where that fails a descent in lexicographic order finds the
-first table that does not, which is the witness a scan of every table would
-report.
+table space.  Only where that fails is F(n) listed, for a descent in
+lexicographic order to find the first table that does not, which is the
+witness a scan of every table would report.
 """
 
 from __future__ import annotations
@@ -233,9 +233,11 @@ class OracleVerdict(FrozenRecord):
 def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
             parametric: bool) -> OracleVerdict:
     """Each candidate h: A -> X forces the algebra-table entries 'h is a
-    solution' needs; a table's solution count is the number of forced
-    tables it extends, and the first table whose count is not 1 is found
-    by ``_first_bad_table``."""
+    solution' needs, keyed by the value w, or (w, a) when parametric; a
+    table's solution count is the number of forced tables it extends.  A
+    size passes when ``_partitioned`` holds of all the forced tables; only
+    a failing size lists F(n), to find the first table whose count is not 1
+    with ``_first_bad_table``."""
     sizes_checked: List[int] = []
     plan = search_plan(coalg)
 
@@ -252,79 +254,57 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
                 parametric and size * len(coalg.carrier) > cap):
             return undecided()
         x = Carrier(tuple(range(n)))
-        fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
-        keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
-        position = {k: i for i, k in enumerate(keys)}
-        forced = list(search_tables(
-            coalg, plan, x, lambda a, w: x,
-            (lambda a, w: position[(w, a)]) if parametric else
-            (lambda a, w: position[w])))
+        forced = list(search_tables(coalg, plan, x, lambda a, w: x,
+                                    (lambda a, w: (w, a)) if parametric else
+                                    (lambda a, w: w)))
         if len(forced) * (len(forced) - 1) // 2 > cap:
             return undecided()
-        bad = _first_bad_table(forced, n, len(keys))
-        if bad is not None:
-            table, count = bad
-            witness = OracleWitness(x, tuple(zip(keys, table)), count)
-            return OracleVerdict("fail", witness, tuple(sizes_checked), False)
-        sizes_checked.append(n)
+        clash = [(i, j) for i, j in combinations(range(len(forced)), 2)
+                 if all(forced[j].get(k, v) == v for k, v in forced[i].items())]
+        live = {i: len(t) for i, t in enumerate(forced)}
+        if _partitioned(n, live, clash):
+            sizes_checked.append(n)
+            continue
+        fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
+        keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
+        table, count = _first_bad_table(forced, n, keys, live, clash)
+        witness = OracleWitness(x, tuple(zip(keys, table)), count)
+        return OracleVerdict("fail", witness, tuple(sizes_checked), False)
     return OracleVerdict("pass", None, tuple(sizes_checked), True)
 
 
-def _first_bad_table(forced: List[Dict[int, Any]], n: int, width: int
-                     ) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """The lexicographically first table over range(n) ** width that does
-    not extend exactly one of the partial tables in ``forced``, with the
-    number it extends; None when every table extends exactly one.
+def _partitioned(n: int, live: Dict[int, int], clash: List[Tuple[int, int]]) -> bool:
+    """Whether every table on the free keys extends exactly one forced table
+    in ``live``, which maps each to its r entries on those keys: iff no
+    ``clash`` pair is live and the cylinders of n ** (free - r) tables fill
+    the n ** free, that is sum(n ** (m - r)) == n ** m for m = max r <= |A|."""
+    if any(i in live and j in live for i, j in clash):
+        return False
+    m = max(live.values(), default=0)
+    return sum(n ** (m - r) for r in live.values()) == n ** m
 
-    A prefix is *partitioned* when its live forced tables (those the prefix
-    extends) are pairwise incompatible and their cylinders of n ** (free
-    positions) tables sum to n ** (remaining positions): then every table
-    under it extends exactly one.  Any other prefix holds a table that
-    extends two (an overlap) or none (a gap), so the descent fixes the
-    positions in order, each time stepping into the first child prefix that
-    is not partitioned.
-    """
-    clash = [(i, j) for i, j in combinations(range(len(forced)), 2)
-             if all(forced[j].get(p, v) == v for p, v in forced[i].items())]
 
-    def partitioned(live: List[int], d: int) -> bool:
-        alive = set(live)
-        if any(i in alive and j in alive for i, j in clash):
-            return False
-        rest = width - d
-        return _fills(n, rest, [rest - sum(p >= d for p in forced[i]) for i in live])
-
-    live = list(range(len(forced)))
-    if partitioned(live, 0):
-        return None
+def _first_bad_table(forced: List[Dict[Any, Any]], n: int, keys: List[Any],
+                     live: Dict[int, int], clash: List[Tuple[int, int]]
+                     ) -> Tuple[Tuple[int, ...], int]:
+    """The lexicographically first table keys -> range(n) that does not
+    extend exactly one of the partial tables in ``forced``, with the number
+    it extends, where ``live`` is not ``_partitioned``.  A prefix that is not
+    holds a table that extends two (an overlap) or none (a gap), so the
+    descent fixes the keys in order, each time stepping into the first child
+    prefix that is not partitioned."""
     table = []
-    for d in range(width):
+    for k in keys:
         for v in range(n):
-            child = [i for i in live if forced[i].get(d, v) == v]
+            child = {i: r - (k in forced[i]) for i, r in live.items()
+                     if forced[i].get(k, v) == v}
             # the prefix holds a bad table: under the last child if not before
-            if v == n - 1 or not partitioned(child, d + 1):
+            if v == n - 1 or not _partitioned(n, child, clash):
                 break
         table.append(v)
         live = child
-        alive = set(live)
-        clash = [(i, j) for i, j in clash if i in alive and j in alive]
+        clash = [(i, j) for i, j in clash if i in live and j in live]
     return tuple(table), len(live)
-
-
-def _fills(n: int, r: int, exponents: List[int]) -> bool:
-    """Whether sum(n ** e for e in exponents) == n ** r, for exponents at
-    most r: added in base n with carries, so no power of n is built."""
-    if n == 1:
-        return len(exponents) == 1
-    carry = e = 0  # the terms added so far sum to carry * n ** e
-    for f, k in [(f, 1) for f in sorted(exponents)] + [(r, 0)]:
-        while carry and e < f:
-            carry, rest = divmod(carry, n)
-            if rest:
-                return False  # terms of n ** f and above cannot make it up
-            e += 1
-        carry, e = carry + k, f
-    return carry == 1
 
 
 def recursive_oracle(coalg: Coalgebra, max_carrier: int,

@@ -453,12 +453,20 @@ def _element(text: str, carrier: Carrier, where: str, lineno: int) -> None:
 
 def render_spec(doc: SpecDocument) -> str:
     """Render a document so that it reparses to an equal document.  Raises
-    ValueError on a carrier label that a carrier line cannot hold as one
-    element: one that is no ``str``, or no single token the reader accepts."""
+    ValueError on what it cannot write back: a description that is not one
+    line without '#' or outer spaces, a carrier label that a carrier line
+    cannot hold as one element (no ``str``, or no single token the reader
+    accepts), or a table over a carrier that ``doc.carriers`` does not name."""
     names = {c: n for n, c in doc.carriers.items()}
-    out = []
-    if doc.description:
-        out.append(f"description {doc.description}")
+
+    def named(kind: str, name: str, carrier: Carrier) -> str:
+        if carrier not in names:
+            raise ValueError(f"{kind} {name!r} is over a carrier the document does not name")
+        return names[carrier]
+    d = doc.description
+    if d and (d.splitlines() != [d] or d.strip() != d or "#" in d):
+        raise ValueError(f"description {d!r} is not one line without '#' or outer spaces")
+    out = [f"description {d}"] if d else []
     for name, carrier in doc.carriers.items():
         for x in carrier:
             if not (isinstance(x, str) and _scan(x) == [x] and _ELEMENTS_RE.fullmatch(x)):
@@ -466,15 +474,16 @@ def render_spec(doc: SpecDocument) -> str:
         out.append(f"carrier {name} = " + " ".join(carrier))
     out.append(f"functor = {doc.functor_text}")
     for name, coalg in doc.coalgebras.items():
-        out.append(f"coalgebra {name} : {names[coalg.carrier]}")
+        out.append(f"coalgebra {name} : {named('coalgebra', name, coalg.carrier)}")
         for a in coalg.carrier:
             out.append(f"  {a} -> {render_value(doc.functor, coalg.alpha(a))}")
     for name, alg in doc.algebras.items():
-        out.append(f"algebra {name} : {names[alg.carrier]}")
+        out.append(f"algebra {name} : {named('algebra', name, alg.carrier)}")
         for v in sorted(alg.table, key=doc.functor.sort_key):
             out.append(f"  {render_value(doc.functor, v)} -> {alg.table[v]}")
     for name, par in doc.paralgebras.items():
-        out.append(f"paralgebra {name} : {names[par.target]} @ {names[par.source]}")
+        out.append(f"paralgebra {name} : {named('paralgebra', name, par.target)} "
+                   f"@ {named('paralgebra', name, par.source)}")
         for (v, a), x in sorted(par.table.items(),
                                 key=lambda kv: (doc.functor.sort_key(kv[0][0]), str(kv[0][1]))):
             out.append(f"  {render_value(doc.functor, v)} @ {a} -> {x}")

@@ -214,6 +214,12 @@ class TestDemos:
         assert "recursive oracle: pass" in text
         assert "parametric oracle: fail" in text
 
+    @pytest.mark.parametrize("name, text", [
+        ("automaton", "deterministic automaton, 2 states, well-founded: False\n"),
+        ("lts", "next-time {s2} = {s1, s2}\n")])
+    def test_automaton_and_lts(self, name, text):
+        assert run("demo", name) == (EXIT_OK, text)
+
     def test_r_coalgebra_with_an_undecided_oracle_is_a_cap(self):
         # at cap 1 the size-2 carrier is not checked: a pass that is evidence of nothing
         assert run("demo", "r-coalgebra", "--max-enum", "1") == (

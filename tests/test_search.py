@@ -19,7 +19,7 @@ from wfcoalg import recursion as recursion_module
 from wfcoalg.cli import main
 from wfcoalg.demos import predecessor
 from wfcoalg.functor import size_obj
-from wfcoalg.recursion import OracleVerdict, OracleWitness, _fills
+from wfcoalg.recursion import OracleVerdict, OracleWitness
 
 from generators import bounded_functor, random_coalgebra, random_instance
 from setalg import all_maps
@@ -262,27 +262,33 @@ def listed_sizes(monkeypatch):
 
 @pytest.mark.parametrize("run", [recursive_oracle, parametric_oracle])
 def test_an_oracle_counts_candidates_before_it_lists(monkeypatch, run):
-    # 2 ** 4 = 16 candidate maps at size 2, one over the cap: F(2) is not listed
+    # 2 ** 4 = 16 candidate maps at size 2, one over the cap: F(2) is not
+    # listed, and size 1 passes, so F(1) is not listed either
     sizes = listed_sizes(monkeypatch)
     assert run(predecessor(3), 2, cap=15) == OracleVerdict("pass", None, (1,), False)
-    assert sizes == [1]
+    assert sizes == []
 
 
 def test_parametric_keys_are_counted_before_they_are_built(monkeypatch):
     # at size 1, |F(1)| * 4 states = 8 table keys against one candidate map
     sizes = listed_sizes(monkeypatch)
     assert parametric_oracle(predecessor(3), 1, cap=7) == OracleVerdict("pass", None, (), False)
-    assert sizes == []
     assert parametric_oracle(predecessor(3), 1, cap=8) == OracleVerdict("pass", None, (1,), True)
     assert recursive_oracle(predecessor(3), 1, cap=7) == OracleVerdict("pass", None, (1,), True)
-    assert sizes == [1, 1]
+    assert sizes == []
 
 
-@given(st.integers(1, 5), st.integers(0, 12),
-       st.lists(st.integers(0, 12), max_size=40))
-def test_fills_is_the_exact_sum(n, r, exponents):
-    exponents = [min(e, r) for e in exponents]
-    assert _fills(n, r, exponents) == (sum(n ** e for e in exponents) == n ** r)
+@pytest.mark.parametrize("run", [recursive_oracle, parametric_oracle])
+def test_an_oracle_lists_f_n_only_at_the_failing_size(monkeypatch, run):
+    # a -> {a} passes at size 1 and fails at size 2: e({0}) = 0, e({1}) = 1
+    # has two solutions; F(2) is listed once, for the witness, and size 3
+    # is never reached
+    loop = Coalgebra(PowFin(Id()), Carrier(("a",)), (frozenset({"a"}),))
+    sizes = listed_sizes(monkeypatch)
+    verdict = run(loop, 3)
+    assert (verdict.status, verdict.sizes_checked) == ("fail", (1,))
+    assert verdict.witness.carrier == Carrier((0, 1))
+    assert sizes == [2]
 
 
 # --- size checks saturate at the cap ------------------------------------------------

@@ -291,9 +291,32 @@ class TestSpecDocuments:
             render_spec(doc)
         assert str(exc.value) == f"carrier 'A': {bad} is not one element of a carrier line"
 
+    @pytest.mark.parametrize("description", [
+        "issue #3 fixed", "two\nlines", "a\r\nb", "form\x0cfeed", "line\u2028sep",
+        " leading", "trailing ", "\ttab"])
+    def test_render_spec_refuses_a_description_it_cannot_write_back(self, description):
+        doc = SpecDocument("X", Id(), {}, description=description)
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == (f"description {description!r} is not one line "
+                                  "without '#' or outer spaces")
+
+    @pytest.mark.parametrize("kind", ["coalgebra", "algebra", "paralgebra"])
+    def test_render_spec_refuses_a_table_over_an_unnamed_carrier(self, kind):
+        a = Carrier(("a",))
+        tables = {"coalgebra": Coalgebra(Id(), a, ("a",)),
+                  "algebra": Algebra.from_table(Id(), a, {"a": "a"}),
+                  "paralgebra": ParAlgebra(Id(), a, a, {("a", "a"): "a"})}
+        doc = SpecDocument("X", Id(), {}, **{kind + "s": {"Z": tables[kind]}})
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == f"{kind} 'Z' is over a carrier the document does not name"
+
     def test_generated_documents_round_trip(self):
         rng = random.Random(23)
-        words = ("a", "worked", "example", "of", "recursion")
+        # description words a header line keeps: punctuation, tabs, non-ASCII
+        words = ("a", "worked", "example", "of", "recursion", "(x-1)", "3/4:",
+                 "a\tb", "->", "{@}", "naïve", "description")
         for _ in range(60):
             states = Carrier(tuple(f"a{i}" for i in range(rng.randint(1, 3))))
             target = Carrier(("t0", "t1"))
