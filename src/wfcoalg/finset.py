@@ -23,9 +23,9 @@ def element_key(x: Any):
     if isinstance(x, int):
         return ("i", x)
     if isinstance(x, tuple):
-        return ("t", tuple(element_key(c) for c in x))
+        return ("t", tuple([element_key(c) for c in x]))
     if isinstance(x, frozenset):
-        return ("f", tuple(sorted(element_key(c) for c in x)))
+        return ("f", tuple(sorted([element_key(c) for c in x])))
     if x is None:  # the point d of R
         return ("n",)
     raise TypeError(f"unorderable carrier element: {x!r}")
@@ -115,10 +115,6 @@ class Subobject(FrozenRecord):
     @staticmethod
     def full(carrier: Carrier) -> "Subobject":
         return Subobject(carrier, frozenset(carrier.elements))
-
-    @staticmethod
-    def empty(carrier: Carrier) -> "Subobject":
-        return Subobject(carrier, frozenset())
 
     @staticmethod
     def of_members(carrier: Carrier, members: Iterable[Any]) -> "Subobject":

@@ -18,19 +18,18 @@ hashing are Python's: two values of F X are equal iff they are the same
 element, so a value keys a table as it is.
 
 Each node kind owns its operations as methods: ``size`` (|F X|), ``enum`` (the
-elements of F X), ``fmap`` (F f), ``sort_key`` (a total order on F X, by
-``element_key`` at atoms and elements, for output and for positions),
-``render`` (the text form), ``reader`` (its inverse: ``reader(ids, push)`` is
-a closure ``read(tok, nxt)`` that gets a value's first token, takes the rest
-from ``nxt``, looks elements up in ``ids`` and passes each to ``push``, so
-those of one value are its least support) and ``preserves_inverse_images``.  A
-composite node recurses through its children's methods.  ``fmap`` is the one
-walk over a value: it refuses a value of the wrong shape (a tuple of the wrong
-length, a summand index out of range, a P value that is no frozenset, an R
-pair with equal components) and an atom outside its constant carrier.
-``check_value`` is ``fmap`` of the element test of X, which refuses anything
-outside X and collects the least support.  The module-level functions below
-are the entry points.
+elements of F X), ``fmap`` (F f), ``render`` (the text form), ``reader`` (its
+inverse: ``reader(ids, push)`` is a closure ``read(tok, nxt)`` that gets a
+value's first token, takes the rest from ``nxt``, looks elements up in ``ids``
+and passes each to ``push``, so those of one value are its least support) and
+``preserves_inverse_images``.  A composite node recurses through its children's
+methods.  ``fmap`` is the one walk over a value: it refuses a value of the
+wrong shape (a tuple of the wrong length, a summand index out of range, a P
+value that is no frozenset, an R pair with equal components) and an atom
+outside its constant carrier.  ``check_value`` is ``fmap`` of the element test
+of X, which refuses anything outside X and collects the least support.  Values
+are ordered, for output and for positions, by ``element_key`` as elements are.
+The module-level functions below are the entry points.
 """
 
 from __future__ import annotations
@@ -83,9 +82,6 @@ class Const(FunctorExpr):
             pass
         raise MalformedValue(f"{v!r} is not a constant of the declared carrier")
 
-    def sort_key(self, v: Any) -> Any:
-        return element_key(v)
-
     def render(self, v: Any) -> str:
         return str(v)
 
@@ -113,7 +109,6 @@ class Id(FunctorExpr):
     def fmap(self, f: Callable[[Any], Any], v: Any) -> Any:
         return f(v)
 
-    sort_key = Const.sort_key
     render = Const.render
 
     def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
@@ -150,10 +145,6 @@ class Sum(FunctorExpr):
             raise MalformedValue(f"{v!r} is not a valid injection")
         i, w = v
         return i, self.parts[i].fmap(f, w)
-
-    def sort_key(self, v: Any) -> Any:
-        i, w = v
-        return i, self.parts[i].sort_key(w)
 
     def render(self, v: Any) -> str:
         i, w = v
@@ -193,9 +184,6 @@ class Prod(FunctorExpr):
         if not (isinstance(v, tuple) and len(v) == len(self.parts)):
             raise MalformedValue(f"{v!r} is not a valid tuple")
         return tuple([p.fmap(f, c) for p, c in zip(self.parts, v)])
-
-    def sort_key(self, v: Any) -> Any:
-        return tuple([p.sort_key(c) for p, c in zip(self.parts, v)])
 
     def render(self, v: Any) -> str:
         return "(" + ", ".join(p.render(c) for p, c in zip(self.parts, v)) + ")"
@@ -241,9 +229,6 @@ class Exp(FunctorExpr):
         if not (isinstance(v, tuple) and len(v) == len(self.alphabet)):
             raise MalformedValue(f"{v!r} is not one entry per alphabet letter")
         return tuple([self.arg.fmap(f, c) for c in v])
-
-    def sort_key(self, v: Any) -> Any:
-        return tuple([self.arg.sort_key(c) for c in v])
 
     def render(self, v: Any) -> str:
         return "[" + ", ".join(f"{s}: {self.arg.render(c)}"
@@ -292,7 +277,7 @@ class PowFin(FunctorExpr):
         return capped_power(2, self.arg.size(n, cap), cap)
 
     def enum(self, x: Carrier) -> Iterator[Any]:
-        inner = sorted(self.arg.enum(x), key=self.arg.sort_key)
+        inner = sorted(self.arg.enum(x), key=element_key)
         for mask in range(1 << len(inner)):
             yield frozenset([v for i, v in enumerate(inner) if mask >> i & 1])
 
@@ -301,11 +286,8 @@ class PowFin(FunctorExpr):
             raise MalformedValue(f"{v!r} is not a set value (a frozenset)")
         return frozenset([self.arg.fmap(f, c) for c in v])
 
-    def sort_key(self, v: Any) -> Any:
-        return tuple(sorted(map(self.arg.sort_key, v)))
-
     def render(self, v: Any) -> str:  # members in key order, not hash order
-        return "{" + ", ".join(map(self.arg.render, sorted(v, key=self.arg.sort_key))) + "}"
+        return "{" + ", ".join(map(self.arg.render, sorted(v, key=element_key))) + "}"
 
     def reader(self, ids: dict, push: Callable[[Any], Any]) -> Callable:
         arg = self.arg.reader(ids, push)
@@ -347,9 +329,6 @@ class RFunctor(FunctorExpr):
             raise MalformedValue(f"{v!r} is not a pair of distinct elements")
         a, b = f(v[0]), f(v[1])
         return None if a == b else (a, b)
-
-    def sort_key(self, v: Any) -> Any:
-        return () if v is None else (element_key(v[0]), element_key(v[1]))
 
     def render(self, v: Any) -> str:
         return "d" if v is None else f"({v[0]}, {v[1]})"

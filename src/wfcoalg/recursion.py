@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ._record import FrozenRecord
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      InternalConsistencyError, NotWellFounded)
-from .finset import Carrier, FinMap, capped_power
+from .finset import Carrier, FinMap, capped_power, element_key
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, eval_map, eval_obj,
                       preserves_inverse_images, size_obj)
 from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
@@ -93,7 +93,7 @@ class InitialChain(FrozenRecord):
     """Stages W_0 = empty, W_{i+1} = F(W_i) with connecting maps, over positions.
 
     ``sizes[i]`` is |W_i|.  Built when first read, against ``sizes``:
-    ``stages[i + 1]``, F(range |W_i|) in ``sort_key`` order, so each value names
+    ``stages[i + 1]``, F(range |W_i|) in ``element_key`` order, so each value names
     elements of W_i by position; ``maps[i]``, w_{i,i+1} as positions in stage
     i + 1.  The chain stabilizes where a connecting map is a bijection, at the
     initial algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
@@ -115,7 +115,7 @@ class InitialChain(FrozenRecord):
             if size_obj(self.functor, n, size) != size:  # counted before it is built
                 raise InternalConsistencyError(f"W{len(stages)} is not of size {size}")
             values = eval_obj(self.functor, Carrier(tuple(range(n))), cap=size)
-            stages.append(tuple(sorted(values, key=self.functor.sort_key)))
+            stages.append(tuple(sorted(values, key=element_key)))
         return tuple(stages)
 
     @cached_property
@@ -146,6 +146,8 @@ class InitialChain(FrozenRecord):
 
 def initial_chain(functor: FunctorExpr, max_depth: int,
                   cap: int = DEFAULT_ENUM_CAP) -> InitialChain:
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, not {max_depth}")
     sizes = [0]
     for i in range(max_depth + 1):
         sizes.append(size_obj(functor, sizes[i], cap))
@@ -238,6 +240,8 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
     size passes when ``_partitioned`` holds of all the forced tables; only
     a failing size lists F(n), to find the first table whose count is not 1
     with ``_first_bad_table``."""
+    if max_carrier < 0:
+        raise ValueError(f"max_carrier must be at least 0, not {max_carrier}")
     sizes_checked: List[int] = []
     plan = search_plan(coalg)
 
@@ -265,7 +269,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
         if _partitioned(n, live, clash):
             sizes_checked.append(n)
             continue
-        fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
+        fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=element_key)
         keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
         table, count = _first_bad_table(forced, n, keys, live, clash)
         witness = OracleWitness(x, tuple(zip(keys, table)), count)

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ._record import Record
 from .errors import MalformedValue, WfcoalgError
-from .finset import Carrier
+from .finset import Carrier, element_key
 from .functor import (DEFAULT_ENUM_CAP, Const, Exp, FunctorExpr, Id, PowFin, Prod,
                       RFunctor, Sum, size_obj)
 from .coalgebra import Algebra, Coalgebra, ParAlgebra
@@ -215,7 +215,7 @@ def _read(reader, text: str, line: int, col: int) -> Any:
 
 
 def render_value(expr: FunctorExpr, v: Any) -> str:
-    """The text form of a value of F X, set members in ``sort_key`` order."""
+    """The text form of a value of F X, set members in ``element_key`` order."""
     return expr.render(v)
 
 
@@ -479,12 +479,11 @@ def render_spec(doc: SpecDocument) -> str:
             out.append(f"  {a} -> {render_value(doc.functor, coalg.alpha(a))}")
     for name, alg in doc.algebras.items():
         out.append(f"algebra {name} : {named('algebra', name, alg.carrier)}")
-        for v in sorted(alg.table, key=doc.functor.sort_key):
+        for v in sorted(alg.table, key=element_key):
             out.append(f"  {render_value(doc.functor, v)} -> {alg.table[v]}")
     for name, par in doc.paralgebras.items():
         out.append(f"paralgebra {name} : {named('paralgebra', name, par.target)} "
                    f"@ {named('paralgebra', name, par.source)}")
-        for (v, a), x in sorted(par.table.items(),
-                                key=lambda kv: (doc.functor.sort_key(kv[0][0]), str(kv[0][1]))):
+        for (v, a), x in sorted(par.table.items(), key=lambda kv: element_key(kv[0])):
             out.append(f"  {render_value(doc.functor, v)} @ {a} -> {x}")
     return "\n".join(out) + "\n"

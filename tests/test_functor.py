@@ -205,7 +205,7 @@ class TestInImage:
 
     def test_r_point_lands_in_empty_subset(self):
         x = Carrier((0, 1))
-        assert in_image(RFunctor(), Subobject.empty(x), POINT)
+        assert in_image(RFunctor(), Subobject(x), POINT)
 
     def test_full_subset_always_contains(self):
         rng = random.Random(37)

@@ -45,7 +45,7 @@ def size_ref(expr, n, cap=None):
 
 
 def key_ref(expr, v):
-    """The former ``FValue.key()``, the order the node's ``sort_key`` keeps."""
+    """The former ``FValue.key()``, the order ``element_key`` keeps on F X."""
     if isinstance(expr, Const):
         return ("c", element_key(v))
     if isinstance(expr, Id):
@@ -216,6 +216,7 @@ def preserves_ref(expr):
 ONE, TWO = Carrier(("s",)), Carrier(("s", "t"))
 P, PQ = Const(Carrier(("p",))), Const(Carrier(("p", "q")))
 CARRIERS = [Carrier(()), Carrier((0,)), Carrier((0, 1)), Carrier(("a", "b", "c"))]
+MIXED = [Carrier((1, "a", None, (0, "b"))), Carrier((True, 2, "z"))]  # labels of every kind
 NESTED = [PowFin(Exp(ONE, RFunctor())),
           Exp(TWO, PowFin(Id())),
           Sum((PQ, PowFin(PowFin(P)), RFunctor())),
@@ -307,13 +308,13 @@ def test_fmap_value_or_message():
     assert kinds == {"value", "malformed", "outside the domain"}
 
 
-def test_sort_key_keeps_the_former_key_order():
+def test_element_key_keeps_the_former_key_order():
     for f in functors(15):
-        for x in CARRIERS:
+        for x in CARRIERS + MIXED:
             values = eval_obj(f, x)
-            ordered = sorted(values, key=f.sort_key)
+            ordered = sorted(values, key=element_key)
             assert ordered == sorted(values, key=lambda v: key_ref(f, v))
-            keys = list(map(f.sort_key, ordered))
+            keys = list(map(element_key, ordered))
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
 

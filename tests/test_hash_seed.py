@@ -1,6 +1,6 @@
 """CLI output does not depend on PYTHONHASHSEED: a frozenset of strings
 iterates in hash order, so every P value that reaches output is walked in
-sort_key order.  The commands run in two processes with different seeds."""
+element_key order.  The commands run in two processes with different seeds."""
 
 import os
 import subprocess

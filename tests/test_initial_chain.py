@@ -10,7 +10,7 @@ from typing import Any, List, NamedTuple, Optional, Tuple
 import pytest
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
-                     Id, InitialChain, InternalConsistencyError, Sum,
+                     Id, InitialChain, InternalConsistencyError, Sum, element_key,
                      eval_map, eval_obj, initial_chain, parse_functor)
 from wfcoalg import cli
 from wfcoalg.functor import DEFAULT_ENUM_CAP
@@ -41,7 +41,7 @@ def closed_chain(functor, max_depth: int, cap: int) -> ClosedChain:
         except CapExceeded:
             return ClosedChain(stages, maps, False, None, True)
         place = {t: j for j, t in enumerate(stages[i])}
-        nxt = Carrier(tuple(sorted(values, key=lambda v: functor.sort_key(
+        nxt = Carrier(tuple(sorted(values, key=lambda v: element_key(
             eval_map(functor, place.__getitem__, v)))))
         if i == 0:
             w = FinMap(stages[0], nxt, ())

@@ -30,7 +30,7 @@ from values import POINT, const, elem, inj, pair
 
 def kleene_chain(coalg: Coalgebra) -> List[Subobject]:
     """next-time iterated from the empty set until two stages agree."""
-    current = Subobject.empty(coalg.carrier)
+    current = Subobject(coalg.carrier)
     chain = [current]
     while True:
         nxt = next_time(coalg, current)
@@ -318,7 +318,7 @@ def test_every_node_of_a_deep_unfolding_hashes_compares_and_prints():
         v = unfolded.nodes[node[a]]
         same = eval_map(c.functor, node.__getitem__, c.alpha(a))  # built afresh
         assert v == same and hash(v) == hash(same)
-        assert c.functor.sort_key(v) == c.functor.sort_key(same) and repr(v) == repr(same)
+        assert element_key(v) == element_key(same) and repr(v) == repr(same)
     deepest = unfolded.nodes[node[3000]]
     assert repr(deepest) == repr(inj(0, elem(node[2999])))
     for k, v in enumerate(unfolded.nodes):  # each node after the nodes it names

@@ -6,7 +6,9 @@ import pytest
 from wfcoalg import (Algebra, CapExceeded, Carrier, CarrierMismatch, Coalgebra, Exp,
                      FinMap, FunctorMismatch, Id, ParAlgebra, PowFin, Subobject,
                      element_key, enumerate_homs, find_homs, hylo, initial_chain,
-                     is_coalgebra_hom, next_time, para_hylo, quotient)
+                     is_coalgebra_hom, next_time, para_hylo, parametric_oracle, quotient,
+                     recursive_oracle)
+from wfcoalg.demos import predecessor
 
 A, B = Carrier(("a",)), Carrier(("b",))
 AB = Carrier(("a", "b"))
@@ -48,12 +50,18 @@ LOOPS = Coalgebra(P, AB, (frozenset({"a"}), frozenset({"b"})))
     (lambda: Exp(Carrier(()), Id()), ValueError, "exponent alphabet must be nonempty"),
     (lambda: initial_chain(P, 1).mu_coalgebra(), ValueError, "chain did not stabilize"),
     (lambda: element_key(1.5), TypeError, "unorderable carrier element: 1.5"),
+    (lambda: recursive_oracle(predecessor(2), -1), ValueError,
+     "max_carrier must be at least 0, not -1"),
+    (lambda: parametric_oracle(predecessor(2), -1), ValueError,
+     "max_carrier must be at least 0, not -1"),
+    (lambda: initial_chain(P, -1), ValueError, "max_depth must be at least 0, not -1"),
 ], ids=["hylo-functor", "para_hylo-functor", "find_homs-functor",
         "is_coalgebra_hom-carrier", "next_time-carrier", "quotient-carrier",
         "subobject-le-carrier", "quotient-not-surjective", "enumerate_homs-cap",
         "short-structure", "algebra-result", "duplicate-elements", "finmap-short",
         "finmap-image", "inclusion", "subobject-member", "exp-empty-alphabet",
-        "mu-unstable", "element-key"])
+        "mu-unstable", "element-key", "recursive-oracle-bound",
+        "parametric-oracle-bound", "initial-chain-bound"])
 def test_a_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
-                     Id, PowFin, Prod, RFunctor, enumerate_homs,
+                     Id, PowFin, Prod, RFunctor, element_key, enumerate_homs,
                      eval_map, eval_obj, find_homs, is_coalgebra_hom,
                      parametric_oracle, recursive_oracle)
 from wfcoalg import coalgebra as coalgebra_module
@@ -69,7 +69,7 @@ def oracle_scan(coalg: Coalgebra, max_carrier: int, cap: int,
     for n in range(max_carrier + 1):
         x = Carrier(tuple(range(n)))
         try:
-            fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=coalg.functor.sort_key)
+            fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=element_key)
         except CapExceeded:
             return OracleVerdict("pass", None, tuple(sizes_checked), False)
         if n == 0:
@@ -292,6 +292,20 @@ def test_an_oracle_lists_f_n_only_at_the_failing_size(monkeypatch, run):
 
 
 # --- size checks saturate at the cap ------------------------------------------------
+
+def test_a_witness_lists_f_n_in_element_key_order(tmp_path):
+    """The full table at the failing size: d before the R pairs, the R
+    summand before the P one, and each set by its sorted members."""
+    doc = tmp_path / "rp.txt"
+    doc.write_text("functor = R + P(X)\ncarrier A = a b\ncoalgebra C : A\n"
+                   "  a -> in1 {a, b}\n  b -> in0 (a, b)\n")
+    out = io.StringIO()
+    assert main(["oracle-recursive", str(doc), "--max-carrier", "3"], out=out) == 1
+    assert out.getvalue() == (
+        "fail at carrier size 2: 2 solutions\n"
+        "  in0 d -> 0\n  in0 (0, 1) -> 0\n  in0 (1, 0) -> 0\n"
+        "  in1 {} -> 0\n  in1 {0} -> 0\n  in1 {0, 1} -> 1\n  in1 {1} -> 0\n")
+
 
 def test_size_obj_saturates_at_the_cap():
     pppx = PowFin(PowFin(PowFin(Id())))

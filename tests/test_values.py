@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, Id, MalformedValue, PowFin,
-                     Prod, RFunctor, Sum, eval_map, eval_obj, parse_functor, render_value)
+                     Prod, RFunctor, Sum, element_key, eval_map, eval_obj, parse_functor,
+                     render_value)
 from wfcoalg.functor import check_value, size_obj
 
 from generators import random_functor
@@ -22,7 +23,7 @@ def has_powerset(expr):
 
 
 def test_generated_enumerations_are_duplicate_free_counted_and_ordered():
-    """eval_obj is duplicate-free and of length size_obj; sort_key orders F X
+    """eval_obj is duplicate-free and of length size_obj; element_key orders F X
     strictly.  Without P, eval_obj lists F X in that order (over a carrier in
     element_key order); P lists its subsets by bit mask, as it always has."""
     rng = random.Random(71)
@@ -34,10 +35,10 @@ def test_generated_enumerations_are_duplicate_free_counted_and_ordered():
                 continue
             values = eval_obj(f, x)
             assert len(values) == len(set(values)) == size_obj(f, len(x))
-            keys = sorted(map(f.sort_key, values))
+            keys = sorted(map(element_key, values))
             assert all(a < b for a, b in zip(keys, keys[1:]))
             if not has_powerset(f):
-                assert list(map(f.sort_key, values)) == keys
+                assert list(map(element_key, values)) == keys
             kinds[has_powerset(f)] += 1
     assert kinds[True] > 50 and kinds[False] > 50
 
