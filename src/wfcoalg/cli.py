@@ -33,12 +33,8 @@ EXIT_CAP = 3
 EXIT_PIPE = 141
 
 
-def _fmt_members(members) -> str:
-    return "{" + ", ".join(str(x) for x in members) + "}"
-
-
 def _fmt_subset(s: Subobject) -> str:
-    return _fmt_members(s.sorted_members())
+    return "{" + ", ".join(str(x) for x in s.sorted_members()) + "}"
 
 
 def _load_document(args) -> SpecDocument:
@@ -80,9 +76,9 @@ def _cmd_check_wf(doc, args, out) -> int:
 
 def _cmd_wf_part(doc, args, out) -> int:
     result = wf_part(doc.the_coalgebra(args.coalgebra))
-    for i, members in enumerate(result.chain.sorted_stages()):
-        print(f"step {i}: {_fmt_members(members)}", file=out)
-    print(f"part: {_fmt_members(members)}", file=out)  # the last stage is the part
+    for i, members in enumerate(result.chain.stage_texts()):
+        print(f"step {i}: {{{members}}}", file=out)
+    print(f"part: {{{members}}}", file=out)  # the last stage is the part
     return EXIT_OK
 
 

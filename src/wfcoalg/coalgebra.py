@@ -9,7 +9,7 @@ from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
 from ._record import FrozenRecord, Record
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
-from .finset import Carrier, FinMap, Subobject, capped_power, element_key
+from .finset import Carrier, FinMap, Subobject, capped_power, check_bounds, element_key
 from .functor import FunctorExpr, check_value, eval_map, eval_obj, size_obj
 
 DEFAULT_SEARCH_CAP = 10_000_000  # maps searched: homs, find_homs, oracles, --max-enum
@@ -264,6 +264,7 @@ def enumerate_homs(src: Coalgebra, dst: Coalgebra,
                    cap: int = DEFAULT_SEARCH_CAP) -> Iterator[FinMap]:
     """All coalgebra homomorphisms src -> dst, in lexicographic table order."""
     _require_same_functor(src, dst)
+    check_bounds(cap=cap)
     if capped_power(len(dst.carrier), len(src.carrier), cap) > cap:
         raise CapExceeded("homomorphism search", cap)
     preimages: Dict[Any, List[Any]] = {}

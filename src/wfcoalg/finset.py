@@ -152,6 +152,13 @@ def all_subsets(carrier: Carrier) -> Iterator[Subobject]:
         yield Subobject(carrier, frozenset(x for i, x in enumerate(elems) if mask >> i & 1))
 
 
+def check_bounds(**bounds: int) -> None:
+    """Refuse a negative search bound or enumeration cap by its name."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, not {value}")
+
+
 def capped_power(base: int, exp: int, cap: Optional[int] = None) -> int:
     """base ** exp; with a cap, cap + 1 stands for any value above it, and
     the power is not built past the cap."""

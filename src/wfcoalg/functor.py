@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._record import FrozenRecord
 from .errors import CapExceeded, MalformedValue
-from .finset import Carrier, Subobject, capped_power, element_key
+from .finset import Carrier, Subobject, capped_power, check_bounds, element_key
 
 DEFAULT_ENUM_CAP = 100_000
 _TAG_RE = re.compile(r"in(\d+)")
@@ -368,6 +368,7 @@ def size_obj(expr: FunctorExpr, n: int, cap: Optional[int] = None) -> int:
 
 def eval_obj(expr: FunctorExpr, x: Carrier, cap: int = DEFAULT_ENUM_CAP) -> List[Any]:
     """Enumerate all of F X, duplicate-free, in a deterministic order."""
+    check_bounds(cap=cap)
     if size_obj(expr, len(x), cap) > cap:
         raise CapExceeded("functor enumeration", cap)
     return list(expr.enum(x))

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ._record import FrozenRecord
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      InternalConsistencyError, NotWellFounded)
-from .finset import Carrier, FinMap, capped_power, element_key
+from .finset import Carrier, FinMap, capped_power, check_bounds, element_key
 from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, eval_map, eval_obj,
                       preserves_inverse_images, size_obj)
 from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
@@ -146,8 +146,7 @@ class InitialChain(FrozenRecord):
 
 def initial_chain(functor: FunctorExpr, max_depth: int,
                   cap: int = DEFAULT_ENUM_CAP) -> InitialChain:
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, not {max_depth}")
+    check_bounds(max_depth=max_depth, cap=cap)
     sizes = [0]
     for i in range(max_depth + 1):
         sizes.append(size_obj(functor, sizes[i], cap))
@@ -200,6 +199,7 @@ def find_homs(coalg: Coalgebra, alg: Algebra,
     """All coalgebra-to-algebra morphisms, in lexicographic table order."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
+    check_bounds(cap=cap)
     if capped_power(len(alg.carrier), len(coalg.carrier), cap) > cap:
         raise CapExceeded("coalgebra-to-algebra search", cap)
 
@@ -240,8 +240,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
     size passes when ``_partitioned`` holds of all the forced tables; only
     a failing size lists F(n), to find the first table whose count is not 1
     with ``_first_bad_table``."""
-    if max_carrier < 0:
-        raise ValueError(f"max_carrier must be at least 0, not {max_carrier}")
+    check_bounds(max_carrier=max_carrier, cap=cap)
     sizes_checked: List[int] = []
     plan = search_plan(coalg)
 

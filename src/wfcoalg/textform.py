@@ -26,8 +26,9 @@ A document holds one functor, named carriers, and named pointwise tables::
       d -> {c}
 
 Each table section builds one value reader for its functor and carrier, of
-the ``reader`` closures of the functor's nodes (see ``functor``), and reads
-its rows from one token stream.  Errors give the document's line and column;
+the ``reader`` closures of the functor's nodes (see ``functor``): coalgebra
+and algebra rows from one token stream, and a paralgebra row as one line
+match, each distinct value text read once.  Errors give the line and column;
 a repeated table row or alphabet entry is an error, and each carrier element
 is one token, so that a row names it as a value does.
 """
@@ -270,6 +271,8 @@ _ROW_RE = re.compile(rf" *+({_TOKEN_RE.pattern}|\n)")
 # carrier elements: one token each, not '->' or '@' (row delimiters), '}' or ']'
 _ELEMENTS_RE = re.compile(r"(?:(?:[A-Za-z_][A-Za-z_0-9']*+|\d++|[^\s@}\]])(?:\s++|$))*+")
 _CHUNK = 1 << 14  # characters of whole rows tokenized at once
+_PARA_ROW_RE = re.compile(  # a paralgebra line: value text to '@', element, result or None
+    r"[^\S\n]*+(?=\S)([^@\n]*)(?:@[^\S\n]*(\S+?)[^\S\n]*->[^\S\n]*(\S+?)[^\S\n]*$|.*)", re.M)
 
 
 def parse_spec(text: str) -> SpecDocument:
@@ -369,9 +372,9 @@ def parse_spec(text: str) -> SpecDocument:
 
 def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
           text: str, start: int, end: int):
-    """A table section's rows, text[start:end], read from one token stream, a
-    chunk of whole lines at a time: {key: value}, and each coalgebra row's
-    least support.  A row the stream cannot take goes to ``_row_error``.
+    """A table section's rows, text[start:end], as {key: value} and each
+    coalgebra row's least support: paralgebra rows line by line, the others
+    from one token stream a chunk of lines at a time; a bad row to ``_row_error``.
 
     The cyclic collector is paused meanwhile: the reader makes no reference
     cycle, and the collections its allocations would start cost more than
@@ -384,6 +387,21 @@ def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
         targets, sources = frozenset(target), frozenset(source)
         table: Dict[Any, Any] = {}
         supports: Dict[Any, frozenset] = {}
+        if kind == "paralgebra":  # a total table repeats each value text |source| times
+            values: Dict[str, Any] = {}
+            for m in _PARA_ROW_RE.finditer(text, start, end):
+                vtext, a, value = m.groups()
+                if vtext not in values:  # the first row with this value text
+                    sup.clear()
+                    try:
+                        values[vtext] = _read(read, vtext, 1, 1)
+                    except ParseError:
+                        _row_error(kind, read, target, source, text, m.start())
+                key = (values[vtext], a)
+                if a not in sources or value not in targets or key in table:
+                    _row_error(kind, read, target, source, text, m.start())
+                table[key] = value
+            return table, supports
         while start < end:
             stop = text.find("\n", start + _CHUNK, end) + 1 or end
             toks = _ROW_RE.findall(text, start, stop) + ["\n"]  # the last line may lack one
@@ -399,13 +417,9 @@ def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
                         key, arrow, value = tok, nxt(), read(nxt(), nxt)
                         ok = key in targets and arrow == "->"
                         supports[key] = frozenset(sup)
-                    elif kind == "algebra":
+                    else:
                         key, arrow, value = read(tok, nxt), nxt(), nxt()
                         ok = arrow == "->" and value in targets
-                    else:
-                        v, at, a, arrow, value = read(tok, nxt), nxt(), nxt(), nxt(), nxt()
-                        key = (v, a)
-                        ok = at == "@" and a in sources and arrow == "->" and value in targets
                     if not ok or nxt() != "\n" or key in table:
                         raise MalformedValue
                 except (MalformedValue, StopIteration):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property
-from typing import Any, Dict, Iterator, Tuple
+from itertools import compress
+from typing import Any, Dict, Iterator
 
 from ._record import FrozenRecord
 from .errors import InternalConsistencyError, NotAHomomorphism, NotWellFounded
@@ -32,11 +33,17 @@ class RankChain(Sequence):
         return Subobject(self._carrier,
                          frozenset(a for a, r in self._rank.items() if r < stage))
 
-    def sorted_stages(self) -> Iterator[Tuple[Any, ...]]:
-        """Each stage's members in ``element_key`` order, filtered from one
-        sort of the ranked states rather than sorted stage by stage."""
-        ranked = sorted(self._rank.items(), key=lambda item: element_key(item[0]))
-        return (tuple(a for a, r in ranked if r < i) for i in range(self._len))
+    def stage_texts(self) -> Iterator[str]:
+        """Each stage's members as ``str`` in ``element_key`` order, joined by ", "."""
+        ranked = sorted(self._rank, key=element_key)
+        labels, mask = list(map(str, ranked)), bytearray(len(ranked))
+        joining = [[] for _ in range(self._len)]  # stage i gains the states of rank i - 1
+        for j, a in enumerate(ranked):
+            joining[self._rank[a] + 1].append(j)
+        for positions in joining:
+            for j in positions:
+                mask[j] = 1
+            yield ", ".join(compress(labels, mask))
 
 
 class WfPartResult(FrozenRecord):

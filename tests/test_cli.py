@@ -89,6 +89,19 @@ class TestWfPart:
         assert lines[1] == "step 1: {b}"
         assert lines[-1] == "part: {a, b}"
 
+    def test_a_cyclic_tail_and_tied_ranks(self, tmp_path):
+        # b and d have rank 0, a and c rank 1, e rank 2; f and g lie on a cycle
+        p = tmp_path / "tail.txt"
+        p.write_text("functor = P(X)\ncarrier A = g f e d c b a\ncoalgebra C : A\n"
+                     "  a -> {b, d}\n  b -> {}\n  c -> {d}\n  d -> {}\n  e -> {a, c}\n"
+                     "  f -> {g, e}\n  g -> {f}\n")
+        assert run("wf-part", str(p)) == (EXIT_OK, "step 0: {}\n"
+                                                   "step 1: {b, d}\n"
+                                                   "step 2: {a, b, c, d}\n"
+                                                   "step 3: {a, b, c, d, e}\n"
+                                                   "step 4: {a, b, c, d, e}\n"
+                                                   "part: {a, b, c, d, e}\n")
+
 
 class TestCanonicalGraph:
     def test_edges(self, graph_file):

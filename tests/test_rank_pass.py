@@ -22,7 +22,7 @@ from wfcoalg.coalgebra import search_plan
 from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, quicksort, r_coalgebra)
 
-from generators import random_instance
+from generators import bounded_functor, random_coalgebra, random_instance
 from values import POINT, const, elem, inj, pair
 
 
@@ -137,10 +137,25 @@ def test_wf_part_and_chain_match_kleene_iteration():
         reference = kleene_chain(c)
         assert len(result.chain) == len(reference)
         assert list(result.chain) == reference
-        assert list(result.chain.sorted_stages()) == [
-            s.sorted_members() for s in reference]
+        assert list(result.chain.stage_texts()) == [
+            ", ".join(map(str, s.sorted_members())) for s in reference]
         assert result.chain[-1] == result.chain[-2] == result.part
         assert result.part == reference[-1]
+
+
+def test_stage_texts_join_each_stage_in_element_key_order():
+    # ints sort by value and mixed labels by kind, not by their str
+    rng = random.Random(137)
+    labels = (tuple(range(12)), ("s10", "s9", "b", "a10", "a2", "B"),
+              (1, "a", None, (0, "b"), False, 10, "B", (1,)))
+    for _ in range(200):
+        pool = rng.choice(labels)
+        carrier = Carrier(tuple(rng.sample(pool, rng.randint(1, len(pool)))))
+        functor = bounded_functor(rng, depth=2, carrier_size=len(carrier), size_cap=4096)
+        chain = wf_part(random_coalgebra(rng, functor, carrier)).chain
+        assert list(chain.stage_texts()) == [
+            ", ".join(str(a) for a in sorted(stage.members, key=element_key))
+            for stage in chain]
 
 
 def test_chain_slices_as_a_tuple():

@@ -5,7 +5,7 @@ import pytest
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, CarrierMismatch, Coalgebra, Exp,
                      FinMap, FunctorMismatch, Id, ParAlgebra, PowFin, Subobject,
-                     element_key, enumerate_homs, find_homs, hylo, initial_chain,
+                     element_key, enumerate_homs, eval_obj, find_homs, hylo, initial_chain,
                      is_coalgebra_hom, next_time, para_hylo, parametric_oracle, quotient,
                      recursive_oracle)
 from wfcoalg.demos import predecessor
@@ -55,13 +55,26 @@ LOOPS = Coalgebra(P, AB, (frozenset({"a"}), frozenset({"b"})))
     (lambda: parametric_oracle(predecessor(2), -1), ValueError,
      "max_carrier must be at least 0, not -1"),
     (lambda: initial_chain(P, -1), ValueError, "max_depth must be at least 0, not -1"),
+    (lambda: eval_obj(Id(), A, cap=-1), ValueError, "cap must be at least 0, not -1"),
+    (lambda: initial_chain(P, 2, cap=-1), ValueError, "cap must be at least 0, not -1"),
+    (lambda: find_homs(EMPTY, Algebra(P, A, lambda v: "a"), cap=-1), ValueError,
+     "cap must be at least 0, not -1"),
+    (lambda: list(enumerate_homs(LOOPS, LOOPS, cap=-1)), ValueError,
+     "cap must be at least 0, not -1"),
+    (lambda: recursive_oracle(predecessor(2), 2, cap=-1), ValueError,
+     "cap must be at least 0, not -1"),
+    (lambda: parametric_oracle(predecessor(2), 2, cap=-1), ValueError,
+     "cap must be at least 0, not -1"),
 ], ids=["hylo-functor", "para_hylo-functor", "find_homs-functor",
         "is_coalgebra_hom-carrier", "next_time-carrier", "quotient-carrier",
         "subobject-le-carrier", "quotient-not-surjective", "enumerate_homs-cap",
         "short-structure", "algebra-result", "duplicate-elements", "finmap-short",
         "finmap-image", "inclusion", "subobject-member", "exp-empty-alphabet",
         "mu-unstable", "element-key", "recursive-oracle-bound",
-        "parametric-oracle-bound", "initial-chain-bound"])
+        "parametric-oracle-bound", "initial-chain-bound", "eval-obj-negative-cap",
+        "initial-chain-negative-cap", "find-homs-negative-cap",
+        "enumerate-homs-negative-cap", "recursive-oracle-negative-cap",
+        "parametric-oracle-negative-cap"])
 def test_a_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -14,7 +14,7 @@ from wfcoalg.cli import EXIT_USAGE, main
 from wfcoalg.textform import _CHUNK, MAX_NESTING
 
 from generators import bounded_functor, random_coalgebra
-from values import POINT, elem, fset, fun, inj, pair, tup
+from values import POINT, const, elem, fset, fun, inj, pair, tup
 
 GRAPH_DOC = """\
 carrier A = a b c d
@@ -509,3 +509,83 @@ class TestSpecDocuments:
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_spec("# the graph\n\n" + GRAPH_DOC)
         assert doc.the_coalgebra("G").alpha("c") == fset(elem("d"))
+
+
+class TestParalgebraRows:
+    """A paralgebra row is matched as one line and each distinct value text is
+    read once; a row that does not match keeps the message the token stream
+    gave it."""
+
+    HEAD = ("carrier A = a b\ncarrier B = x y\nfunctor = X + 1\ncoalgebra C : A\n"
+            "  a -> in1 u0\n  b -> in0 a\nparalgebra Q : B @ A\n")
+    ROWS = ["  in0 x @ a -> x", "  in0 x @ b -> y", "  in0 y @ a -> y", "  in0 y @ b -> x",
+            "  in1 u0 @ a -> x", "  in1 u0 @ b -> y"]
+    TABLE = {(inj(0, elem("x")), "a"): "x", (inj(0, elem("x")), "b"): "y",
+             (inj(0, elem("y")), "a"): "y", (inj(0, elem("y")), "b"): "x",
+             (inj(1, const("u0")), "a"): "x", (inj(1, const("u0")), "b"): "y"}
+
+    def table(self, lines):
+        return parse_spec(self.HEAD + "\n".join(lines) + "\n").the_paralgebra("Q").table
+
+    @pytest.mark.parametrize("row, message", [
+        ("@ a -> x", "line 8, column 1: unexpected end of input"),
+        ("in0 @x @ a -> x", "line 8, column 7: '@' is not a carrier element"),
+        ("in0 x a -> x", "line 8, column 1: expected 'value @ element -> result'"),
+        ("in0 x @ a @ b -> x", "line 8, column 9: trailing input '@'"),
+        ("in0 x @ a -> x y", "line 8, column 1: 'x y' is not in the target carrier"),
+        ("in0 x x @ a -> x", "line 8, column 9: trailing input 'x'"),
+        ("in0 x @ a x", "line 8, column 1: expected 'lhs -> rhs'"),
+    ])
+    def test_a_bad_row_keeps_its_message(self, row, message):
+        with pytest.raises(ParseError) as exc:
+            self.table([f"  {row}"] + self.ROWS[1:])
+        assert str(exc.value) == message
+
+    def test_a_repeated_row_is_named_at_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            self.table(self.ROWS + self.ROWS[:1])
+        assert str(exc.value) == "line 14, column 1: duplicate row for 'in0 x @ a'"
+
+    @pytest.mark.parametrize("lines", [
+        ROWS,
+        [row.replace(" ", "\t") for row in ROWS],
+        ["  in0 x@a->x"] + ROWS[1:],
+        [row.replace(" @ ", "\xa0@\xa0").replace(" -> ", "\xa0->\xa0") for row in ROWS],
+        [ROWS[0], "", "  # a comment", "\t", "# at column 1", ROWS[1] + "  # trailing"]
+        + ROWS[2:],
+    ], ids=["spaces", "tabs", "no-spaces", "no-break-spaces", "blank-and-comment-lines"])
+    def test_rows_may_be_spaced_as_the_token_stream_allows(self, lines):
+        assert self.table(lines) == self.TABLE
+
+    def test_random_tables_read_as_parse_value_reads_each_row(self):
+        rng = random.Random(41)
+        tight = set("()[]{}^*+,:@=") | {"->"}  # tokens that need no space beside them
+
+        def respaced(tokens):
+            out = tokens[0]
+            for before, tok in zip(tokens, tokens[1:]):
+                gaps = (" ", "  ", "\t", "\xa0", " \t") + (("",) * 3 if {before, tok} & tight
+                                                           else ())
+                out += rng.choice(gaps) + tok
+            return out
+
+        for _ in range(60):
+            source = Carrier(tuple(f"a{i}" for i in range(rng.randint(1, 3))))
+            target = Carrier(("t0", "t1"))
+            functor = bounded_functor(rng, depth=2, carrier_size=2, size_cap=32)
+            names = {c: f"K{i}" for i, c in enumerate(dict.fromkeys(carriers_of(functor)))}
+            names.update({source: "A", target: "T"})
+            lines, expected = [], {}
+            for v in eval_obj(functor, target):
+                for a in source:
+                    x = rng.choice(target.elements)
+                    vtext = respaced(textform._scan(render_value(functor, v)))
+                    expected[parse_value(functor, target, vtext), a] = x
+                    lines.append(rng.choice((" ", "  ", "\t", "\xa0")) + respaced(
+                        [vtext, "@", a, "->", x]) + rng.choice(("", " ", "\t", "  # row")))
+                    if rng.random() < 0.1:
+                        lines.append(rng.choice(("", "  ", "\t", "  # between rows")))
+            rng.shuffle(lines)
+            head = "".join(f"carrier {n} = {' '.join(c)}\n" for c, n in names.items())
+            head += f"functor = {render_functor(functor, names)}\nparalgebra Q : T @ A\n"
+            assert parse_spec(head + "\n".join(lines) + "\n").the_paralgebra("Q").table == expected
