@@ -1,10 +1,11 @@
 """Plain value classes: what ``dataclasses`` gave them, without the import of
 ``dataclasses`` (and through it ``inspect``) or code generation per class.
 
-A subclass sets its fields in its own ``__init__`` and names them in
-``_fields``, in constructor order: the repr shows them, and equality and the
-hash read them.  As for a dataclass, two values are equal only if they are
-of the same class, and the repr is ``Name(field=value, ...)``.
+A subclass names its fields in ``_fields``, in constructor order: the one
+``__init__`` here stores them, by position or by name, unless the subclass
+checks, derives or defaults one in its own; the repr shows them, and equality
+and the hash read them.  As for a dataclass, two values are equal only if
+they are of the same class, and the repr is ``Name(field=value, ...)``.
 """
 
 from typing import Any, Tuple
@@ -15,6 +16,14 @@ class Record:
 
     _fields: Tuple[str, ...] = ()
     __hash__ = None
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        fields = self._fields  # by position, the common case, checked first; or by name
+        if (len(args) != len(fields) or kwargs) and (
+                len(args) + len(kwargs) != len(fields)
+                or not kwargs.keys() <= set(fields[len(args):])):
+            raise TypeError(f"{type(self).__qualname__} takes ({', '.join(fields)}), each once")
+        vars(self).update(zip(fields, args), **kwargs)
 
     def _key(self) -> tuple:
         """The values that equality compares and the hash reads."""

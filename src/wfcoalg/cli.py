@@ -43,7 +43,7 @@ def _load_document(args) -> SpecDocument:
     if not args.spec:
         raise WfcoalgError("give a spec file or --demo NAME")
     try:  # caught here, not in main: a BrokenPipeError is an OSError too
-        with open(args.spec, encoding="utf-8") as fh:
+        with open(args.spec, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:  # no such file, a directory, no permission to read
         raise WfcoalgError(str(exc)) from None

@@ -98,10 +98,6 @@ class ParAlgebra(Record):
 
     _fields = ("functor", "target", "source", "table")
 
-    def __init__(self, functor: FunctorExpr, target: Carrier, source: Carrier,
-                 table: Dict[Tuple[Any, Any], Any]):
-        self.functor, self.target, self.source, self.table = functor, target, source, table
-
 
 class CanonicalGraph(FrozenRecord):
     """Successor structure extracted from a coalgebra via least supports:
@@ -261,24 +257,27 @@ def quotient(coalg: Coalgebra, e: FinMap) -> Coalgebra:
 
 
 def enumerate_homs(src: Coalgebra, dst: Coalgebra,
-                   cap: int = DEFAULT_SEARCH_CAP) -> Iterator[FinMap]:
-    """All coalgebra homomorphisms src -> dst, in lexicographic table order."""
+                   cap: int = DEFAULT_SEARCH_CAP) -> List[FinMap]:
+    """The list of all coalgebra homomorphisms src -> dst, in lexicographic
+    table order."""
     _require_same_functor(src, dst)
-    check_bounds(cap=cap)
-    if capped_power(len(dst.carrier), len(src.carrier), cap) > cap:
-        raise CapExceeded("homomorphism search", cap)
     preimages: Dict[Any, List[Any]] = {}
     for b in dst.carrier:
         preimages.setdefault(dst.alpha(b), []).append(b)
-    yield from solution_maps(src, dst.carrier, lambda a, w: preimages.get(w, ()))
+    return solution_maps(src, dst.carrier, lambda a, w: preimages.get(w, ()),
+                         cap, "homomorphism search")
 
 
 # --- candidate search ---------------------------------------------------------
 
-def solution_maps(coalg: Coalgebra, target: Carrier,
-                  allowed: Callable[[Any, Any], Collection]) -> List[FinMap]:
+def solution_maps(coalg: Coalgebra, target: Carrier, allowed: Callable[[Any, Any], Collection],
+                  cap: int, what: str) -> List[FinMap]:
     """Every h: A -> target with h(a) in allowed(a, Fh(alpha a)) at each
-    state a, in lexicographic table order."""
+    state a, in lexicographic table order; the |target| ** |A| candidates
+    are counted against ``cap`` first, and ``what`` names the search."""
+    check_bounds(cap=cap)
+    if capped_power(len(target), len(coalg.carrier), cap) > cap:
+        raise CapExceeded(what, cap)
     index = {x: i for i, x in enumerate(target)}
     rows = sorted((tuple(h[a] for a in coalg.carrier)
                    for h in search_tables(coalg, search_plan(coalg), target, allowed)),
@@ -287,7 +286,7 @@ def solution_maps(coalg: Coalgebra, target: Carrier,
 
 
 def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]],
-                  target: Carrier, allowed: Callable[[Any, Any], Collection],
+                  target: Collection, allowed: Callable[[Any, Any], Collection],
                   key: Callable[[Any, Any], Any] = lambda a, w: a
                   ) -> Iterator[Dict[Any, Any]]:
     """Backtracking search for every h: A -> target such that, at each state

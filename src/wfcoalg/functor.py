@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ._record import FrozenRecord
 from .errors import CapExceeded, MalformedValue
@@ -64,9 +64,6 @@ class FunctorExpr(FrozenRecord):
 
 class Const(FunctorExpr):
     _fields = ("values",)
-
-    def __init__(self, values: Carrier):
-        vars(self).update(values=values)
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(len(self.values), cap)
@@ -128,9 +125,6 @@ class Id(FunctorExpr):
 class Sum(FunctorExpr):
     _fields = ("parts",)
 
-    def __init__(self, parts: Tuple[FunctorExpr, ...]):
-        vars(self).update(parts=parts)
-
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(sum(p.size(n, cap) for p in self.parts), cap)
 
@@ -169,7 +163,6 @@ class Sum(FunctorExpr):
 
 class Prod(FunctorExpr):
     _fields = ("parts",)
-    __init__ = Sum.__init__
 
     def size(self, n: int, cap: Optional[int]) -> int:
         total = 1
@@ -269,9 +262,6 @@ class Exp(FunctorExpr):
 
 class PowFin(FunctorExpr):
     _fields = ("arg",)
-
-    def __init__(self, arg: FunctorExpr):
-        vars(self).update(arg=arg)
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return capped_power(2, self.arg.size(n, cap), cap)

@@ -170,11 +170,6 @@ class UnfoldResult(FrozenRecord):
 
     _fields = ("nodes", "mapping", "cycle", "complete")
 
-    def __init__(self, nodes: Optional[Tuple[Any, ...]],
-                 mapping: Optional[Tuple[Tuple[Any, int], ...]],
-                 cycle: Optional[Tuple[Any, ...]], complete: bool):
-        vars(self).update(nodes=nodes, mapping=mapping, cycle=cycle, complete=complete)
-
     def as_dict(self) -> Dict[Any, int]:
         return dict(self.mapping or ())
 
@@ -199,14 +194,11 @@ def find_homs(coalg: Coalgebra, alg: Algebra,
     """All coalgebra-to-algebra morphisms, in lexicographic table order."""
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
-    check_bounds(cap=cap)
-    if capped_power(len(alg.carrier), len(coalg.carrier), cap) > cap:
-        raise CapExceeded("coalgebra-to-algebra search", cap)
 
     def allowed(_a: Any, w: Any) -> Tuple[Any, ...]:
         x = alg.operation(w)
         return (x,) if x in alg.carrier else ()
-    return solution_maps(coalg, alg.carrier, allowed)
+    return solution_maps(coalg, alg.carrier, allowed, cap, "coalgebra-to-algebra search")
 
 
 class OracleWitness(FrozenRecord):
@@ -214,19 +206,11 @@ class OracleWitness(FrozenRecord):
 
     _fields = ("carrier", "table", "solution_count")
 
-    def __init__(self, carrier: Carrier, table: tuple, solution_count: int):
-        vars(self).update(carrier=carrier, table=table, solution_count=solution_count)
-
 
 class OracleVerdict(FrozenRecord):
     """``status`` is "pass" or "fail"; ``complete``, every requested size decided."""
 
     _fields = ("status", "witness", "sizes_checked", "complete")
-
-    def __init__(self, status: str, witness: Optional[OracleWitness],
-                 sizes_checked: Tuple[int, ...], complete: bool):
-        vars(self).update(status=status, witness=witness, sizes_checked=sizes_checked,
-                          complete=complete)
 
     def passed(self) -> bool:
         return self.status == "pass"
@@ -256,8 +240,8 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
         if capped_power(n, len(coalg.carrier), cap) > cap or (
                 parametric and size * len(coalg.carrier) > cap):
             return undecided()
-        x = Carrier(tuple(range(n)))
-        forced = list(search_tables(coalg, plan, x, lambda a, w: x,
+        values = range(n)
+        forced = list(search_tables(coalg, plan, values, lambda a, w: values,
                                     (lambda a, w: (w, a)) if parametric else
                                     (lambda a, w: w)))
         if len(forced) * (len(forced) - 1) // 2 > cap:
@@ -268,6 +252,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
         if _partitioned(n, live, clash):
             sizes_checked.append(n)
             continue
+        x = Carrier(tuple(values))  # built at the failing size only, for the witness
         fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=element_key)
         keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
         table, count = _first_bad_table(forced, n, keys, live, clash)

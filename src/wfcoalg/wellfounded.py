@@ -52,9 +52,6 @@ class WfPartResult(FrozenRecord):
 
     _fields = ("coalgebra", "part", "chain")
 
-    def __init__(self, coalgebra: Coalgebra, part: Subobject, chain: RankChain):
-        vars(self).update(coalgebra=coalgebra, part=part, chain=chain)
-
     def _key(self) -> tuple:
         return self.coalgebra, self.part
 

@@ -63,6 +63,20 @@ def pred_file(tmp_path):
     return str(p)
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("check-wf", "functor = P(X)\ncarrier A = a b\ncoalgebra C : A\n  a -> {b}\n  b -> {}\n"),
+    ("check-wf", GRAPH_DOC),
+    ("hylo", PRED_DOC),
+], ids=["functor-line-first", "carrier-line-first", "hylo"])
+def test_a_byte_order_mark_is_read_past(tmp_path, command, doc):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(doc, encoding="utf-8")
+    marked.write_text(doc, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    code, text = run(command, str(plain))
+    assert code in (EXIT_OK, EXIT_FAIL) and run(command, str(marked)) == (code, text)
+
+
 class TestCheckWf:
     def test_graph_fails_with_the_part(self, graph_file):
         code, text = run("check-wf", graph_file)

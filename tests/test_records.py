@@ -14,6 +14,7 @@ from wfcoalg import (Algebra, CanonicalGraph, CapExceeded, Carrier, Coalgebra, C
                      FinMap, Id, InitialChain, OracleVerdict, OracleWitness, ParAlgebra,
                      PowFin, Prod, RFunctor, SpecDocument, Subobject, Sum, UnfoldResult,
                      WfPartResult)
+from wfcoalg._record import Record
 from wfcoalg.wellfounded import RankChain
 
 A = Carrier(("a", "b"))
@@ -132,6 +133,24 @@ def test_a_value_class_behaves_as_its_dataclass_twin(cls, fields, flags, args, o
         for value in (ours, theirs):
             setattr(value, name, "set")
         assert field_values(ours, names) == field_values(theirs, names)
+
+
+@pytest.mark.parametrize("cls, fields, flags, args, other", CASES,
+                         ids=[case[0].__name__ for case in CASES])
+def test_a_value_class_refuses_what_its_dataclass_twin_refuses(cls, fields, flags, args, other):
+    twin, names = twin_of(cls, fields, flags), names_of(fields)
+    calls = [(args + (None,), {}), (args, {"nonesuch": None})]  # one too many, unknown
+    if names:  # the first field by position and by name
+        calls.append((args, {names[0]: args[0]}))
+    if names and all(f.default is f.default_factory is MISSING for f in fields_of(twin)):
+        calls.append((args[:-1], {}))  # the last field missing
+    for call_args, kwargs in calls:
+        with pytest.raises(TypeError):
+            twin(*call_args, **kwargs)
+        with pytest.raises(TypeError) as refused:
+            cls(*call_args, **kwargs)
+        if cls.__init__ is Record.__init__:  # the shared constructor names class and fields
+            assert str(refused.value) == f"{cls.__name__} takes ({', '.join(names)}), each once"
 
 
 def test_values_of_different_classes_are_unequal():

@@ -25,6 +25,8 @@ LOOPS = Coalgebra(P, AB, (frozenset({"a"}), frozenset({"b"})))
      "coalgebra and paralgebra are over different functors"),
     (lambda: find_homs(EMPTY, ON_ID), FunctorMismatch,
      "coalgebra and algebra are over different functors"),
+    (lambda: enumerate_homs(EMPTY, Coalgebra(Id(), A, ("a",))), FunctorMismatch,
+     "objects are over different functors"),
     (lambda: is_coalgebra_hom(FinMap.identity(B), EMPTY, EMPTY), CarrierMismatch,
      "map endpoints do not match the coalgebras"),
     (lambda: next_time(EMPTY, Subobject.full(B)), CarrierMismatch,
@@ -35,7 +37,7 @@ LOOPS = Coalgebra(P, AB, (frozenset({"a"}), frozenset({"b"})))
      "subobjects of different carriers"),
     (lambda: quotient(EMPTY, FinMap(A, AB, ("a",))), ValueError,
      "quotient map must be surjective"),
-    (lambda: list(enumerate_homs(LOOPS, LOOPS, cap=3)), CapExceeded,
+    (lambda: enumerate_homs(LOOPS, LOOPS, cap=3), CapExceeded,
      "homomorphism search: more than 3"),
     (lambda: Coalgebra(P, AB, (frozenset(),)), ValueError,
      "structure table does not cover the carrier"),
@@ -59,13 +61,13 @@ LOOPS = Coalgebra(P, AB, (frozenset({"a"}), frozenset({"b"})))
     (lambda: initial_chain(P, 2, cap=-1), ValueError, "cap must be at least 0, not -1"),
     (lambda: find_homs(EMPTY, Algebra(P, A, lambda v: "a"), cap=-1), ValueError,
      "cap must be at least 0, not -1"),
-    (lambda: list(enumerate_homs(LOOPS, LOOPS, cap=-1)), ValueError,
+    (lambda: enumerate_homs(LOOPS, LOOPS, cap=-1), ValueError,
      "cap must be at least 0, not -1"),
     (lambda: recursive_oracle(predecessor(2), 2, cap=-1), ValueError,
      "cap must be at least 0, not -1"),
     (lambda: parametric_oracle(predecessor(2), 2, cap=-1), ValueError,
      "cap must be at least 0, not -1"),
-], ids=["hylo-functor", "para_hylo-functor", "find_homs-functor",
+], ids=["hylo-functor", "para_hylo-functor", "find_homs-functor", "enumerate_homs-functor",
         "is_coalgebra_hom-carrier", "next_time-carrier", "quotient-carrier",
         "subobject-le-carrier", "quotient-not-surjective", "enumerate_homs-cap",
         "short-structure", "algebra-result", "duplicate-elements", "finmap-short",

@@ -291,6 +291,20 @@ def test_an_oracle_lists_f_n_only_at_the_failing_size(monkeypatch, run):
     assert sizes == [2]
 
 
+@pytest.mark.parametrize("run", [recursive_oracle, parametric_oracle])
+def test_an_oracle_builds_a_carrier_only_for_its_witness(monkeypatch, run):
+    # a passing size searches over range(n), so nothing bounds the cost of
+    # an empty coalgebra's sizes but the sizes themselves; the failing size
+    # of a -> {a} builds the one carrier its witness holds
+    built = Counting(Carrier)
+    monkeypatch.setattr(recursion_module, "Carrier", built)
+    empty = Coalgebra(Const(Carrier(("u",))), Carrier(()), ())
+    assert run(empty, 3000).sizes_checked == tuple(range(1, 3001))
+    assert run(predecessor(3), 3).complete and built.calls == 0
+    loop = Coalgebra(PowFin(Id()), Carrier(("a",)), (frozenset({"a"}),))
+    assert run(loop, 3).witness.carrier == Carrier((0, 1)) and built.calls == 1
+
+
 # --- size checks saturate at the cap ------------------------------------------------
 
 def test_a_witness_lists_f_n_in_element_key_order(tmp_path):
