@@ -55,11 +55,10 @@ def _load_document(args) -> SpecDocument:
 def _demo_document(name: str) -> SpecDocument:
     if name == "graph-g":
         g = demos.graph_g()
-        return SpecDocument("P(X)", g.functor, {"A": g.carrier},
-                            coalgebras={"G": g})
+        return SpecDocument(g.functor, {"A": g.carrier}, coalgebras={"G": g})
     if name == "r-coalgebra":
         c = demos.r_coalgebra()
-        return SpecDocument("R", c.functor, {"C": c.carrier}, coalgebras={"C": c})
+        return SpecDocument(c.functor, {"C": c.carrier}, coalgebras={"C": c})
     raise WfcoalgError(f"no built-in document {name!r} (try graph-g, r-coalgebra)")
 
 

@@ -19,7 +19,7 @@ from .finset import Carrier, Subobject
 from .functor import Const, Exp, Id, PowFin, Prod, RFunctor, Sum
 from .coalgebra import Algebra, Coalgebra
 
-UNIT = Carrier(("u0",))
+UNIT = Const.numeral(1).values
 
 
 def graph_g() -> Coalgebra:

@@ -18,17 +18,19 @@ hashing are Python's: two values of F X are equal iff they are the same
 element, so a value keys a table as it is.
 
 Each node kind owns its operations as methods: ``size`` (|F X|), ``enum`` (the
-elements of F X), ``fmap`` (F f), ``render`` (the text form), ``reader`` (its
+elements of F X), ``fmap`` (F f), ``render`` (the text form) and ``reader`` (its
 inverse: ``reader(ids, push)`` is a closure ``read(tok, nxt)`` that gets a
 value's first token, takes the rest from ``nxt``, looks elements up in ``ids``
-and passes each to ``push``, so those of one value are its least support) and
-``preserves_inverse_images``.  A composite node recurses through its children's
-methods.  ``fmap`` is the one walk over a value: it refuses a value of the
-wrong shape (a tuple of the wrong length, a summand index out of range, a P
-value that is no frozenset, an R pair with equal components) and an atom
-outside its constant carrier.  ``check_value`` is ``fmap`` of the element test
-of X, which refuses anything outside X and collects the least support.  Values
-are ordered, for output and for positions, by ``element_key`` as elements are.
+and passes each to ``push``, so those of one value are its least support).  A
+composite node recurses through its children's methods.  One rule answers
+``preserves_inverse_images``: all direct subexpressions (``parts``) preserve;
+only ``RFunctor`` overrides it.  ``Const.numeral(n)`` is the literal ``n``.
+``fmap`` is the one walk over a value: it refuses a value of the wrong shape
+(a tuple of the wrong length, a summand index out of range, a P value that is
+no frozenset, an R pair with equal components) and an atom outside its
+constant carrier.  ``check_value`` is ``fmap`` of the element test of X, which
+refuses anything outside X and collects the least support.  Values are
+ordered, for output and for positions, by ``element_key`` as elements are.
 The module-level functions below are the entry points.
 """
 
@@ -59,11 +61,20 @@ def _want(want: str, tok: str) -> None:
 
 class FunctorExpr(FrozenRecord):
     """Base class; the concrete nodes below own the operations listed in
-    the module docstring."""
+    the module docstring.  ``parts`` are a node's direct subexpressions."""
+
+    parts: tuple = ()
+
+    def preserves_inverse_images(self) -> bool:
+        return all(p.preserves_inverse_images() for p in self.parts)
 
 
 class Const(FunctorExpr):
     _fields = ("values",)
+
+    @classmethod
+    def numeral(cls, n: int) -> Const:  # the text form's literal n: u0 ... u(n-1)
+        return cls(Carrier(tuple(f"u{i}" for i in range(n))))
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return _clip(len(self.values), cap)
@@ -92,9 +103,6 @@ class Const(FunctorExpr):
                 raise MalformedValue(f"{tok!r} is not a constant atom here") from None
         return read
 
-    def preserves_inverse_images(self) -> bool:
-        return True
-
 
 class Id(FunctorExpr):
     def size(self, n: int, cap: Optional[int]) -> int:
@@ -117,9 +125,6 @@ class Id(FunctorExpr):
             push(v)
             return v
         return read
-
-    def preserves_inverse_images(self) -> bool:
-        return True
 
 
 class Sum(FunctorExpr):
@@ -156,9 +161,6 @@ class Sum(FunctorExpr):
                     raise MalformedValue(f"expected an injection tag, found {tok!r}")
             return tag[0], tag[1](nxt(), nxt)
         return read
-
-    def preserves_inverse_images(self) -> bool:
-        return all(p.preserves_inverse_images() for p in self.parts)
 
 
 class Prod(FunctorExpr):
@@ -197,15 +199,13 @@ class Prod(FunctorExpr):
             return tuple(items)
         return read
 
-    def preserves_inverse_images(self) -> bool:
-        return all(p.preserves_inverse_images() for p in self.parts)
-
 
 class Exp(FunctorExpr):
     """arg ** alphabet: functions from a fixed finite alphabet, as the tuple
     of their entries in alphabet order."""
 
     _fields = ("alphabet", "arg")
+    parts = property(lambda self: (self.arg,))
 
     def __init__(self, alphabet: Carrier, arg: FunctorExpr):
         if len(alphabet) == 0:
@@ -256,12 +256,10 @@ class Exp(FunctorExpr):
             return tuple(map(entries.__getitem__, letters))
         return read
 
-    def preserves_inverse_images(self) -> bool:
-        return self.arg.preserves_inverse_images()
-
 
 class PowFin(FunctorExpr):
     _fields = ("arg",)
+    parts = Exp.parts
 
     def size(self, n: int, cap: Optional[int]) -> int:
         return capped_power(2, self.arg.size(n, cap), cap)
@@ -296,9 +294,6 @@ class PowFin(FunctorExpr):
                 tok = nxt()
             return frozenset(items)
         return read
-
-    def preserves_inverse_images(self) -> bool:
-        return self.arg.preserves_inverse_images()
 
 
 class RFunctor(FunctorExpr):
@@ -344,7 +339,7 @@ class RFunctor(FunctorExpr):
             return x, y
         return read
 
-    def preserves_inverse_images(self) -> bool:
+    def preserves_inverse_images(self) -> bool:  # Adámek, Lücke & Milius (2007)
         return False
 
 

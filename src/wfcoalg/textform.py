@@ -151,7 +151,7 @@ def parse_functor(text: str, carriers: Dict[str, Carrier],
             digits = tok.lstrip("0") or "0"
             if len(digits) > len(str(DEFAULT_ENUM_CAP)) or int(digits) > DEFAULT_ENUM_CAP:
                 fail(f"a constant of more than {DEFAULT_ENUM_CAP} atoms", pos - 1)
-            return Const(Carrier(tuple(f"u{i}" for i in range(int(digits))))), 0
+            return Const.numeral(int(digits)), 0
         if _NAME_RE.match(tok):
             if tok not in carriers:
                 fail(f"unknown carrier {tok!r}", pos - 1)
@@ -173,7 +173,10 @@ def render_functor(expr: FunctorExpr, carrier_names: Dict[Carrier, str]) -> str:
         if isinstance(e, PowFin):
             return f"P({go(e.arg, 0)})"
         if isinstance(e, Const):
-            return carrier_names.get(e.values) or str(len(e.values))
+            name = carrier_names.get(e.values)
+            if name is None and e != Const.numeral(len(e.values)):
+                raise ValueError("constant carrier has no document name and is not a numeral")
+            return name or str(len(e.values))
         if isinstance(e, Exp):
             name = carrier_names.get(e.alphabet)
             if name is None:
@@ -223,18 +226,19 @@ def render_value(expr: FunctorExpr, v: Any) -> str:
 # --- documents -------------------------------------------------------------------
 
 class SpecDocument(Record):
-    """A parsed document; each table maps a section's name to its object."""
+    """A parsed document: its functor as a tree (``render_functor`` writes it
+    back), and tables that map each section's name to its object."""
 
-    _fields = ("functor_text", "functor", "carriers", "coalgebras", "algebras",
-               "paralgebras", "description")
+    _fields = ("functor", "carriers", "coalgebras", "algebras", "paralgebras",
+               "description")
 
-    def __init__(self, functor_text: str, functor: FunctorExpr,
+    def __init__(self, functor: FunctorExpr,
                  carriers: Optional[Dict[str, Carrier]] = None,
                  coalgebras: Optional[Dict[str, Coalgebra]] = None,
                  algebras: Optional[Dict[str, Algebra]] = None,
                  paralgebras: Optional[Dict[str, ParAlgebra]] = None,
                  description: str = ""):
-        self.functor_text, self.functor = functor_text, functor
+        self.functor = functor
         self.carriers = {} if carriers is None else carriers
         self.coalgebras = {} if coalgebras is None else coalgebras
         self.algebras = {} if algebras is None else algebras
@@ -291,7 +295,7 @@ def parse_spec(text: str) -> SpecDocument:
             raise ParseError(f"unknown section {header.split()[0]!r}", lineno, 1)
         sections.append((m.group(1), lineno, header, (at + len(header), end)))
 
-    functor_text = None
+    functor_at = None  # the expression, its line and column
     carriers: Dict[str, Carrier] = {}
     doc_description = []
     deferred = []  # non-carrier sections, handled after carriers are known
@@ -319,21 +323,18 @@ def parse_spec(text: str) -> SpecDocument:
             m = re.fullmatch(r"functor\s*=\s*(.*)", header)
             if not m or not m.group(1).strip():
                 raise ParseError("expected 'functor = expression'", lineno, 1)
-            if functor_text is not None:
+            if functor_at is not None:
                 raise ParseError("duplicate functor section", lineno, 1)
-            functor_text = m.group(1).strip()
-            functor_at = (lineno, m.start(1) + 1)
+            functor_at = (m.group(1).strip(), lineno, m.start(1) + 1)
         elif kind == "description":
             doc_description.append(header.partition("description")[2].strip())
         else:
             deferred.append((kind, lineno, header, body))
 
-    if functor_text is None:
+    if functor_at is None:
         raise ParseError("document has no functor section", text.count("\n") + 1, 1)
-    functor = parse_functor(functor_text, carriers, *functor_at)
-
-    doc = SpecDocument(functor_text, functor, carriers,
-                       description=" ".join(doc_description))
+    functor = parse_functor(functor_at[0], carriers, *functor_at[1:])
+    doc = SpecDocument(functor, carriers, description=" ".join(doc_description))
 
     for kind, lineno, header, body in deferred:
         shape = ((r"(\w+)\s*@\s*(\w+)", "TARGET @ SOURCE") if kind == "paralgebra"
@@ -486,7 +487,7 @@ def render_spec(doc: SpecDocument) -> str:
             if not (isinstance(x, str) and _scan(x) == [x] and _ELEMENTS_RE.fullmatch(x)):
                 raise ValueError(f"carrier {name!r}: {x!r} is not one element of a carrier line")
         out.append(f"carrier {name} = " + " ".join(carrier))
-    out.append(f"functor = {doc.functor_text}")
+    out.append(f"functor = {render_functor(doc.functor, names)}")
     for name, coalg in doc.coalgebras.items():
         out.append(f"coalgebra {name} : {named('coalgebra', name, coalg.carrier)}")
         for a in coalg.carrier:

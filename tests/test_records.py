@@ -67,11 +67,11 @@ CASES = [
     (WfPartResult, ["coalgebra", "part", ("chain", Any, field(compare=False))], FROZEN,
      (G, Subobject(A, frozenset({"a", "b"})), RankChain(A, {"a": 0, "b": 1})),
      (Coalgebra(PX, L, (frozenset(),)), Subobject(A), RankChain(L, {"l": 0}))),
-    (SpecDocument, ["functor_text", "functor",
+    (SpecDocument, ["functor",
                     *[(name, Any, field(default_factory=dict))
                       for name in ("carriers", "coalgebras", "algebras", "paralgebras")],
                     ("description", str, "")], {},
-     ("P(X)", PX, {"A": A}, {"G": G}, {}, {}, "a graph"), ("X", Id())),
+     (PX, {"A": A}, {"G": G}, {}, {}, "a graph"), (Id(),)),
 ]
 
 

@@ -275,7 +275,7 @@ class TestSpecDocuments:
         carrier = Carrier(("a", "}"))
         coalg = Coalgebra.from_dict(PowFin(Id()), carrier,
                                     {"a": frozenset({"}"}), "}": frozenset()})
-        doc = SpecDocument("P(X)", PowFin(Id()), {"A": carrier}, {"C": coalg})
+        doc = SpecDocument(PowFin(Id()), {"A": carrier}, {"C": coalg})
         with pytest.raises(ValueError, match="carrier 'A': '}' is not one element"):
             render_spec(doc)
         text = "carrier A = a }\nfunctor = P(X)\ncoalgebra C : A\n  a -> {}}\n  } -> {}\n"
@@ -286,7 +286,7 @@ class TestSpecDocuments:
         (("a", "x-1"), "'x-1'"), ((0, 1), "0"), (("a b",), "'a b'"), (("",), "''"),
         (("a", "#"), "'#'"), (("->",), "'->'"), (("a", "@"), "'@'")])
     def test_render_spec_refuses_a_label_a_carrier_line_cannot_hold(self, labels, bad):
-        doc = SpecDocument("P(X)", PowFin(Id()), {"A": Carrier(labels)})
+        doc = SpecDocument(PowFin(Id()), {"A": Carrier(labels)})
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
         assert str(exc.value) == f"carrier 'A': {bad} is not one element of a carrier line"
@@ -295,7 +295,7 @@ class TestSpecDocuments:
         "issue #3 fixed", "two\nlines", "a\r\nb", "form\x0cfeed", "line\u2028sep",
         " leading", "trailing ", "\ttab"])
     def test_render_spec_refuses_a_description_it_cannot_write_back(self, description):
-        doc = SpecDocument("X", Id(), {}, description=description)
+        doc = SpecDocument(Id(), {}, description=description)
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
         assert str(exc.value) == (f"description {description!r} is not one line "
@@ -307,7 +307,7 @@ class TestSpecDocuments:
         tables = {"coalgebra": Coalgebra(Id(), a, ("a",)),
                   "algebra": Algebra.from_table(Id(), a, {"a": "a"}),
                   "paralgebra": ParAlgebra(Id(), a, a, {("a", "a"): "a"})}
-        doc = SpecDocument("X", Id(), {}, **{kind + "s": {"Z": tables[kind]}})
+        doc = SpecDocument(Id(), {}, **{kind + "s": {"Z": tables[kind]}})
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
         assert str(exc.value) == f"{kind} 'Z' is over a carrier the document does not name"
@@ -325,7 +325,7 @@ class TestSpecDocuments:
             names.update({states: "A", target: "T"})
             values = eval_obj(functor, target)
             doc = SpecDocument(
-                render_functor(functor, names), functor, {n: c for c, n in names.items()},
+                functor, {n: c for c, n in names.items()},
                 {"C": random_coalgebra(rng, functor, states)},
                 {"E": Algebra.from_table(functor, target,
                                          {v: rng.choice(target.elements) for v in values})},
@@ -335,9 +335,9 @@ class TestSpecDocuments:
             text = render_spec(doc)
             again = parse_spec(text)
             assert render_spec(again) == text
-            assert (again.functor_text, again.functor, again.carriers, again.coalgebras,
+            assert (again.functor, again.carriers, again.coalgebras,
                     again.paralgebras, again.description) == (
-                doc.functor_text, doc.functor, doc.carriers, doc.coalgebras,
+                doc.functor, doc.carriers, doc.coalgebras,
                 doc.paralgebras, doc.description)
             assert again.the_algebra("E").table == doc.the_algebra("E").table
 
