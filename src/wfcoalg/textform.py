@@ -229,8 +229,7 @@ class SpecDocument(Record):
     """A parsed document: its functor as a tree (``render_functor`` writes it
     back), and tables that map each section's name to its object."""
 
-    _fields = ("functor", "carriers", "coalgebras", "algebras", "paralgebras",
-               "description")
+    _fields = ("functor", "carriers", "coalgebras", "algebras", "paralgebras", "description")
 
     def __init__(self, functor: FunctorExpr,
                  carriers: Optional[Dict[str, Carrier]] = None,
@@ -283,14 +282,12 @@ def parse_spec(text: str) -> SpecDocument:
     """Parse a document; raises ParseError with a location on bad input."""
     text = re.sub(r"#.*", "", "\n".join(text.splitlines()))
     heads = [(m.start(1) - 1, m.group(1).rstrip()) for m in _HEAD_RE.finditer("\n" + text)]
-    stray = re.search(r"\S", text[:heads[0][0]] if heads else text)
-    if stray:
-        raise ParseError("indented line outside a section",
-                         text.count("\n", 0, stray.start()) + 1, 1)
+    _no_rows(text, 0, heads[0][0] if heads else len(text), 1, "indented line outside a section")
     sections: List[Tuple[str, int, str, Tuple[int, int]]] = []
+    lineno, counted = 1, 0  # the line of text[counted], carried from header to header
     for (at, header), end in zip(heads, [h[0] for h in heads[1:]] + [len(text)]):
         m = _HEADER_RE.match(header)
-        lineno = text.count("\n", 0, at) + 1
+        lineno, counted = lineno + text.count("\n", counted, at), at
         if not m:
             raise ParseError(f"unknown section {header.split()[0]!r}", lineno, 1)
         sections.append((m.group(1), lineno, header, (at + len(header), end)))
@@ -330,6 +327,8 @@ def parse_spec(text: str) -> SpecDocument:
             doc_description.append(header.partition("description")[2].strip())
         else:
             deferred.append((kind, lineno, header, body))
+            continue
+        _no_rows(text, *body, lineno, f"a {kind} section takes no rows")
 
     if functor_at is None:
         raise ParseError("document has no functor section", text.count("\n") + 1, 1)
@@ -369,6 +368,13 @@ def parse_spec(text: str) -> SpecDocument:
             doc.paralgebras[name] = ParAlgebra(functor, target, source, table)
 
     return doc
+
+
+def _no_rows(text: str, start: int, end: int, lineno: int, message: str) -> None:
+    """Refuse the first token in text[start:end], which starts on ``lineno``."""
+    stray = _TOKEN_RE.search(text, start, end)
+    if stray:
+        raise ParseError(message, lineno + text.count("\n", start, stray.start()), 1)
 
 
 def _rows(kind: str, functor: FunctorExpr, target: Carrier, source: Carrier,
@@ -467,11 +473,12 @@ def _element(text: str, carrier: Carrier, where: str, lineno: int) -> None:
 
 
 def render_spec(doc: SpecDocument) -> str:
-    """Render a document so that it reparses to an equal document.  Raises
-    ValueError on what it cannot write back: a description that is not one
-    line without '#' or outer spaces, a carrier label that a carrier line
-    cannot hold as one element (no ``str``, or no single token the reader
-    accepts), or a table over a carrier that ``doc.carriers`` does not name."""
+    """Render a document so that it reparses to an equal document, the functor
+    with ``render_functor``.  Raises ValueError on what it cannot write back: a
+    description that is not one line without '#' or outer spaces, a carrier
+    label that a carrier line cannot hold as one element (no ``str``, or no
+    single token the reader accepts), or a table, an exponent alphabet or a
+    non-numeral constant over a carrier that ``doc.carriers`` does not name."""
     names = {c: n for n, c in doc.carriers.items()}
 
     def named(kind: str, name: str, carrier: Carrier) -> str:

@@ -185,13 +185,12 @@ class TestOracles:
         assert code == EXIT_OK
         assert text.startswith("pass")
 
-    def test_graph_passes_up_to_the_bound(self, graph_file):
-        # G is not well-founded, but no failing algebra exists at size <= 2
-        # for its cyclic part within the default bound? powerset self-loops
-        # do fail; check the verdict is reported either way with a clean line
+    def test_graph_fails_at_carrier_size_two(self, graph_file):
+        # G's cycle c <-> d gives an algebra on 2 elements with two solutions
         code, text = run("oracle-recursive", graph_file)
-        assert code in (EXIT_OK, EXIT_FAIL)
-        assert text.splitlines()[0].startswith(("pass", "fail"))
+        assert code == EXIT_FAIL
+        assert text == ("fail at carrier size 2: 2 solutions\n"
+                        "  {} -> 0\n  {0} -> 0\n  {0, 1} -> 0\n  {1} -> 1\n")
 
 
 class TestInitialChain:

@@ -236,6 +236,17 @@ class TestInverseImagePreservation:
         assert not preserves_inverse_images(RFunctor())
         assert not preserves_inverse_images(Sum((Id(), RFunctor())))
 
+    def test_an_r_leaf_under_any_node_breaks_preservation(self):
+        # one rule on FunctorExpr over `parts`, which Exp and PowFin give as (arg,)
+        sigma = Carrier(("p",))
+        assert Exp(sigma, RFunctor()).parts == PowFin(RFunctor()).parts == (RFunctor(),)
+        assert Const(sigma).parts == Id().parts == RFunctor().parts == ()
+        for wrap in (lambda f: Exp(sigma, f), PowFin, lambda f: Prod((Id(), f)),
+                     lambda f: Sum((f, Const(sigma)))):
+            assert preserves_inverse_images(wrap(Id()))
+            assert not preserves_inverse_images(wrap(RFunctor()))
+            assert not preserves_inverse_images(PowFin(wrap(RFunctor())))
+
     def test_r_breaks_a_pullback_square(self):
         # const_1 against the inclusion of {0}: the pullback is empty, but
         # applying R merges (0,1) with d, so R of the square is not a pullback

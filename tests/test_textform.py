@@ -11,6 +11,7 @@ from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, Id, ParAlgebra, Pa
 from wfcoalg.functor import DEFAULT_ENUM_CAP, check_value, size_obj
 from wfcoalg import textform
 from wfcoalg.cli import EXIT_USAGE, main
+from wfcoalg.demos import UNIT
 from wfcoalg.textform import _CHUNK, MAX_NESTING
 
 from generators import bounded_functor, random_coalgebra
@@ -34,7 +35,9 @@ class TestFunctorSyntax:
         assert parse_functor("P(X)", {}) == PowFin(Id())
 
     def test_int_constant(self):
-        assert parse_functor("3", {}) == Const(Carrier(("u0", "u1", "u2")))
+        assert parse_functor("3", {}) == Const(Carrier(("u0", "u1", "u2"))) == Const.numeral(3)
+        assert parse_functor("0", {}) == Const.numeral(0) == Const(Carrier(()))
+        assert UNIT == Const.numeral(1).values == Carrier(("u0",))
         assert parse_functor("007", {}) == parse_functor("7", {})
         assert len(parse_functor(str(DEFAULT_ENUM_CAP), {}).values) == DEFAULT_ENUM_CAP
 
@@ -340,6 +343,83 @@ class TestSpecDocuments:
                 doc.functor, doc.carriers, doc.coalgebras,
                 doc.paralgebras, doc.description)
             assert again.the_algebra("E").table == doc.the_algebra("E").table
+
+    @pytest.mark.parametrize("doc, message", [
+        ("functor = P(X)\n  junk here !!\ncarrier A = a\n  more junk\ncoalgebra C : A\n  a -> {}\n",
+         "line 2, column 1: a functor section takes no rows"),
+        ("functor = P(X)\ncarrier A = a\n\n   # a comment\n  more junk\ncoalgebra C : A\n",
+         "line 5, column 1: a carrier section takes no rows"),
+        ("description two\n  lines\nfunctor = X\n",
+         "line 2, column 1: a description section takes no rows"),
+        # an unknown section is still found before any section is read
+        ("functor = X\n  junk\nwidget W\n", "line 3, column 1: unknown section 'widget'"),
+    ], ids=["functor", "carrier", "description", "unknown section first"])
+    def test_a_header_that_takes_no_rows_refuses_an_indented_line(self, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(doc)
+        assert str(exc.value) == message
+
+    def test_blank_and_comment_lines_under_a_header_are_no_rows(self):
+        doc = parse_spec("description d\n\n  # note\nfunctor = P(X)  # f\n   \n"
+                         "carrier A = a\n\t\ncoalgebra C : A\n  a -> {}\n")
+        assert (doc.description, doc.functor, doc.carriers) == (
+            "d", PowFin(Id()), {"A": Carrier(("a",))})
+
+    @pytest.mark.parametrize("tail, message", [
+        ("widget W\n", "line 3004, column 1: unknown section 'widget'"),
+        ("  stray\n", "line 3004, column 1: a description section takes no rows"),
+        ("coalgebra C : A\n  a -> {b}\n", "line 3005, column 9: 'b' is not a carrier element"),
+    ])
+    def test_line_numbers_after_many_sections(self, tail, message):
+        # counted forward from header to header, not from the start per section
+        head = "functor = P(X)\ncarrier A = a\n\n" + "description x\n\n" * 1000
+        text = head + "description y\n  # c\n" * 500 + tail
+        with pytest.raises(ParseError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == message
+
+    def test_render_spec_writes_the_functor_tree(self):
+        graph = Coalgebra.from_dict(PowFin(Id()), Carrier(("a", "b")),
+                                    {"a": frozenset({"b"}), "b": frozenset()})
+        doc = SpecDocument(PowFin(Id()), {"A": graph.carrier}, {"G": graph})
+        text = render_spec(doc)
+        assert text == "carrier A = a b\nfunctor = P(X)\ncoalgebra G : A\n  a -> {b}\n  b -> {}\n"
+        assert parse_spec(text).the_coalgebra("G") == graph
+
+    @pytest.mark.parametrize("functor, names, line", [
+        (Sum((Id(), Const.numeral(2))), {}, "functor = X + 2"),
+        (PowFin(Prod((Const(Carrier(("l", "m"))), Id()))), {"L": ("l", "m")},
+         "functor = P(L * X)"),
+        (Sum((Exp(Carrier(("l", "m")), Id()), Const.numeral(1))), {"L": ("l", "m")},
+         "functor = X^L + 1"),
+        (Prod((Const.numeral(2), Exp(Carrier(("p",)), PowFin(Id())))),
+         {"U": ("u0", "u1"), "S": ("p",)}, "functor = U * P(X)^S"),
+    ], ids=["numeral", "named constant", "exponent", "named numeral carrier"])
+    def test_render_spec_round_trips_constants_and_exponents(self, functor, names, line):
+        states = Carrier(("a", "b"))
+        carriers = {"A": states, **{n: Carrier(elems) for n, elems in names.items()}}
+        doc = SpecDocument(functor, carriers,
+                           {"C": random_coalgebra(random.Random(5), functor, states)})
+        text = render_spec(doc)
+        assert line in text.splitlines()
+        again = parse_spec(text)
+        assert (again.functor, again.carriers, again.coalgebras) == (
+            doc.functor, doc.carriers, doc.coalgebras)
+        assert render_spec(again) == text
+
+    @pytest.mark.parametrize("functor, message", [
+        (Sum((Id(), Const(Carrier(("p", "q"))))),
+         "constant carrier has no document name and is not a numeral"),
+        (Sum((Id(), Const(Carrier(("u1", "u0"))))),
+         "constant carrier has no document name and is not a numeral"),
+        (Prod((Id(), Exp(Carrier(("p", "q")), Id()))), "exponent alphabet has no document name"),
+    ], ids=["unnamed constant", "reordered numeral carrier", "unnamed alphabet"])
+    def test_render_spec_refuses_a_functor_it_cannot_name(self, functor, message):
+        for write in (lambda: render_spec(SpecDocument(functor, {})),
+                      lambda: render_functor(functor, {})):
+            with pytest.raises(ValueError) as exc:
+                write()
+            assert str(exc.value) == message
 
     def test_graph_document(self):
         doc = parse_spec(GRAPH_DOC)
