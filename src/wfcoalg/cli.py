@@ -140,7 +140,7 @@ def _cmd_oracle(doc, args, out, parametric: bool) -> int:
     run = parametric_oracle if parametric else recursive_oracle
     verdict = run(coalg, args.max_carrier, cap=args.max_enum)
     sizes = ", ".join(map(str, verdict.sizes_checked))
-    if verdict.status == "fail":
+    if not verdict.passed():
         w = verdict.witness
         print(f"fail at carrier size {len(w.carrier)}: "
               f"{w.solution_count} solutions", file=out)
@@ -185,9 +185,9 @@ def _cmd_demo(args, out) -> int:
         print(f"well-founded: {is_wellfounded(c)}", file=out)
         rec = recursive_oracle(c, args.max_carrier, cap=args.max_enum)
         par = parametric_oracle(c, args.max_carrier, cap=args.max_enum)
-        print(f"recursive oracle: {rec.status} "
+        print(f"recursive oracle: {'pass' if rec.passed() else 'fail'} "
               f"(sizes {list(rec.sizes_checked)})", file=out)
-        print(f"parametric oracle: {par.status}", file=out)
+        print(f"parametric oracle: {'pass' if par.passed() else 'fail'}", file=out)
         undecided = any(v.passed() and not v.complete for v in (rec, par))
         return EXIT_CAP if undecided else EXIT_OK
     if name == "automaton":

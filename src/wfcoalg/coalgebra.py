@@ -53,9 +53,10 @@ class Coalgebra(FrozenRecord):
 class Algebra(Record):
     """A carrier together with e: F(carrier) -> carrier.
 
-    The operation is given either as an explicit table over the whole of
-    eval_obj(F, carrier) (see ``from_table``), and is then the table's
-    lookup, or as a total callable for carriers too large to tabulate.
+    The operation is either an explicit table over the whole of
+    eval_obj(F, carrier), whose lookup it is, or a total callable for carriers
+    too large to tabulate.  A table's results lie in the carrier, and its keys,
+    taken to be in F(carrier) (``from_table`` checks them), count |F(carrier)|.
     Equal only to itself; the repr leaves the table out.
     """
 
@@ -67,30 +68,26 @@ class Algebra(Record):
                  table: Optional[Dict[Any, Any]] = None):
         if (operation is None) == (table is None):
             raise ValueError("an algebra takes either an operation or a table")
+        if table is not None:
+            for x in table.values():
+                if x not in carrier:
+                    raise ValueError(f"algebra result {x!r} outside the carrier")
+            if size_obj(functor, len(carrier), len(table)) > len(table):
+                try:
+                    gap = next(v for v in eval_obj(functor, carrier) if v not in table)
+                except CapExceeded:
+                    raise ValueError("algebra table is not total") from None
+                raise ValueError(f"algebra table is not total; missing {functor.render(gap)}")
         self.functor, self.carrier, self.table = functor, carrier, table
         self.operation = operation if table is None else table.__getitem__
 
     @staticmethod
     def from_table(functor: FunctorExpr, carrier: Carrier,
                    table: Dict[Any, Any]) -> "Algebra":
-        """Total iff its keys, each checked in F(carrier), count |F(carrier)|."""
+        """The algebra of a copy of ``table``, each key checked in F(carrier)."""
         for v in table:
             check_value(functor, carrier, v)
-        return Algebra._parsed(functor, carrier, dict(table))
-
-    @staticmethod
-    def _parsed(functor: FunctorExpr, carrier: Carrier, table: Dict[Any, Any]) -> "Algebra":
-        """Keys a document reader built in F(carrier): only results and totality."""
-        for x in table.values():
-            if x not in carrier:
-                raise ValueError(f"algebra result {x!r} outside the carrier")
-        if size_obj(functor, len(carrier), len(table)) > len(table):
-            try:
-                missing = next(v for v in eval_obj(functor, carrier) if v not in table)
-            except CapExceeded:
-                raise ValueError("algebra table is not total") from None
-            raise ValueError(f"algebra table is not total; missing {functor.render(missing)}")
-        return Algebra(functor, carrier, table=table)
+        return Algebra(functor, carrier, table=dict(table))
 
 
 class ParAlgebra(Record):
@@ -279,8 +276,8 @@ def solution_maps(coalg: Coalgebra, target: Carrier, allowed: Callable[[Any, Any
     if capped_power(len(target), len(coalg.carrier), cap) > cap:
         raise CapExceeded(what, cap)
     index = {x: i for i, x in enumerate(target)}
-    rows = sorted((tuple(h[a] for a in coalg.carrier)
-                   for h in search_tables(coalg, search_plan(coalg), target, allowed)),
+    tables = search_tables(coalg, canonical_graph(coalg).placement(), target, allowed)
+    rows = sorted((tuple(h[a] for a in coalg.carrier) for h in tables),
                   key=lambda row: [index[x] for x in row])
     return [FinMap(coalg.carrier, target, row) for row in rows]
 
@@ -295,11 +292,11 @@ def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]
 
     Yields the table key -> value of each solution, in no fixed order; with
     the default key, the state itself, that table is h.  States are assigned
-    in the order of ``plan``, ``search_plan(coalg)``: the one placement pass
-    over the canonical graph that also gives the ranks, the cycle witness and
-    the evaluation order.  Each state's condition is checked once h is defined
-    on the state and its support; a settled state takes only allowed(a, w)
-    for the one w computed on entry.
+    in the order of ``plan``, ``canonical_graph(coalg).placement()``: the one
+    placement pass over the canonical graph that also gives the ranks, the
+    cycle witness and the evaluation order.  Each state's condition is checked
+    once h is defined on the state and its support; a settled state takes only
+    allowed(a, w) for the one w computed on entry.
     """
     if not plan:
         yield {}
@@ -349,8 +346,3 @@ def search_tables(coalg: Coalgebra, plan: List[Tuple[Any, bool, Tuple[Any, ...]]
             stack.append(options(i + 1))
         else:
             yield dict(table)
-
-
-def search_plan(coalg: Coalgebra) -> List[Tuple[Any, bool, Tuple[Any, ...]]]:
-    """The order in which ``search_tables`` assigns states: the placement."""
-    return canonical_graph(coalg).placement()

@@ -1,20 +1,20 @@
 """Certified structured recursion, the initial-algebra chain, and oracles.
 
-``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism of
-a coalgebra whose well-foundedness has been verified (the termination
-certificate).  ``initial_chain`` counts |W_{i+1}| = |F(W_i)|; its stages,
-over positions, and mu F, on the positions of the stable stage, are built
-only when read.  ``unfold_to_mu`` interns one node per distinct closed term.
+``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism of a
+coalgebra whose well-foundedness has been verified (the termination
+certificate).  ``initial_chain`` counts |W_{i+1}| = |F(W_i)|; its stages and
+mu F are built only when read.  ``unfold_to_mu`` interns one node per distinct
+closed term; its cycle report is final iff ``preserves_inverse_images(F)``.
 ``recursive_oracle``/``parametric_oracle`` decide the defining universal
-quantification ("every algebra has exactly one solution") for every algebra
-on each carrier up to a size bound: a fail is a conclusive counterexample, a
-pass is evidence only.  Neither enumerates the algebras.  A search over
-candidate maps (``search_tables``, shared with ``find_homs``) gives the
-table entries each candidate forces; every table has exactly one solution
-iff the forced tables are pairwise incompatible and their cylinders fill the
-table space.  Only where that fails is F(n) listed, for a descent in
-lexicographic order to find the first table that does not, which is the
-witness a scan of every table would report.
+quantification ("every algebra has exactly one solution") for every algebra on
+each carrier up to a size bound: a verdict fails iff it has a witness, a
+conclusive counterexample; a pass is evidence only.  Neither enumerates the
+algebras.  A search over candidate maps (``search_tables``, shared with
+``find_homs``) gives the table entries each candidate forces; every table has
+exactly one solution iff the forced tables are pairwise incompatible and their
+cylinders fill the table space.  Only where that fails is F(n) listed, for a
+descent in lexicographic order to find the first table that does not, which is
+the witness a scan of every table would report.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from ._record import FrozenRecord
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      InternalConsistencyError, NotWellFounded)
 from .finset import Carrier, FinMap, capped_power, check_bounds, element_key
-from .functor import (DEFAULT_ENUM_CAP, FunctorExpr, eval_map, eval_obj,
-                      preserves_inverse_images, size_obj)
+from .functor import DEFAULT_ENUM_CAP, FunctorExpr, eval_map, eval_obj, size_obj
 from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
-                        canonical_graph, search_plan, search_tables, solution_maps)
+                        canonical_graph, search_tables, solution_maps)
 
 
 # --- certified evaluation -----------------------------------------------------
@@ -95,17 +94,15 @@ class InitialChain(FrozenRecord):
     ``sizes[i]`` is |W_i|.  Built when first read, against ``sizes``:
     ``stages[i + 1]``, F(range |W_i|) in ``element_key`` order, so each value names
     elements of W_i by position; ``maps[i]``, w_{i,i+1} as positions in stage
-    i + 1.  The chain stabilizes where a connecting map is a bijection, at the
-    initial algebra (Lambek); ``cap_exceeded`` is the error that stopped it early.
+    i + 1.  ``stable_index`` (else None) is where a connecting map is a bijection,
+    at the initial algebra (Lambek); ``cap_exceeded``, the error that stopped it early.
     """
 
-    _fields = ("functor", "sizes", "stabilized", "stable_index", "cap_exceeded")
+    _fields = ("functor", "sizes", "stable_index", "cap_exceeded")
 
-    def __init__(self, functor: FunctorExpr, sizes: Tuple[int, ...], stabilized: bool,
-                 stable_index: Optional[int] = None,
-                 cap_exceeded: Optional[CapExceeded] = None):
-        vars(self).update(functor=functor, sizes=sizes, stabilized=stabilized,
-                          stable_index=stable_index, cap_exceeded=cap_exceeded)
+    @property
+    def stabilized(self) -> bool:
+        return self.stable_index is not None
 
     @cached_property
     def stages(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -151,11 +148,11 @@ def initial_chain(functor: FunctorExpr, max_depth: int,
     for i in range(max_depth + 1):
         sizes.append(size_obj(functor, sizes[i], cap))
         if sizes[-1] > cap:
-            return InitialChain(functor, tuple(sizes[:-1]), False, None,
+            return InitialChain(functor, tuple(sizes[:-1]), None,
                                 CapExceeded("functor enumeration", cap))
         if sizes[i] == sizes[-1]:  # F keeps injections: w_{i,i+1} is a bijection
-            return InitialChain(functor, tuple(sizes), True, i)
-    return InitialChain(functor, tuple(sizes), False)
+            return InitialChain(functor, tuple(sizes), i, None)
+    return InitialChain(functor, tuple(sizes), None, None)
 
 
 # --- unfolding into the initial algebra ---------------------------------------
@@ -163,12 +160,12 @@ def initial_chain(functor: FunctorExpr, max_depth: int,
 class UnfoldResult(FrozenRecord):
     """Either a total unfolding or a cycle witness.  ``nodes`` holds one
     F-value over node ids per distinct closed term, each after the nodes it
-    names; ``mapping`` gives each state's node id.  For functors with an R
-    leaf a cycle report is sound but incomplete: a coalgebra-to-algebra
-    morphism into the initial algebra may still exist (search with find_homs).
+    names; ``mapping`` gives each state's node id.  Where F has an R leaf, so that
+    ``preserves_inverse_images(F)`` fails, a cycle report is sound but incomplete:
+    a coalgebra-to-algebra morphism into mu F may still exist (see find_homs).
     """
 
-    _fields = ("nodes", "mapping", "cycle", "complete")
+    _fields = ("nodes", "mapping", "cycle")
 
     def as_dict(self) -> Dict[Any, int]:
         return dict(self.mapping or ())
@@ -180,11 +177,9 @@ def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
     ids: Dict[Any, int] = {}
     h, cycle = _fold(coalg, lambda of, v, _a: ids.setdefault(
         eval_map(coalg.functor, of, v), len(ids)))
-    complete = preserves_inverse_images(coalg.functor)
     if cycle is not None:
-        return UnfoldResult(None, None, tuple(cycle), complete)
-    return UnfoldResult(tuple(ids), tuple((a, h[a]) for a in coalg.carrier),
-                        None, complete)
+        return UnfoldResult(None, None, tuple(cycle))
+    return UnfoldResult(tuple(ids), tuple((a, h[a]) for a in coalg.carrier), None)
 
 
 # --- morphism search and oracles ------------------------------------------------
@@ -208,12 +203,12 @@ class OracleWitness(FrozenRecord):
 
 
 class OracleVerdict(FrozenRecord):
-    """``status`` is "pass" or "fail"; ``complete``, every requested size decided."""
+    """A fail iff ``witness`` is not None; ``complete``, every requested size decided."""
 
-    _fields = ("status", "witness", "sizes_checked", "complete")
+    _fields = ("witness", "sizes_checked", "complete")
 
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.witness is None
 
 
 def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
@@ -226,10 +221,10 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
     with ``_first_bad_table``."""
     check_bounds(max_carrier=max_carrier, cap=cap)
     sizes_checked: List[int] = []
-    plan = search_plan(coalg)
+    plan = canonical_graph(coalg).placement()
 
     def undecided() -> OracleVerdict:  # a cap binds: the size is not checked
-        return OracleVerdict("pass", None, tuple(sizes_checked), False)
+        return OracleVerdict(None, tuple(sizes_checked), False)
 
     for n in range(max_carrier + 1):
         size = size_obj(coalg.functor, n, cap)  # counted before anything is listed
@@ -257,8 +252,8 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
         keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
         table, count = _first_bad_table(forced, n, keys, live, clash)
         witness = OracleWitness(x, tuple(zip(keys, table)), count)
-        return OracleVerdict("fail", witness, tuple(sizes_checked), False)
-    return OracleVerdict("pass", None, tuple(sizes_checked), True)
+        return OracleVerdict(witness, tuple(sizes_checked), False)
+    return OracleVerdict(None, tuple(sizes_checked), True)
 
 
 def _partitioned(n: int, live: Dict[int, int], clash: List[Tuple[int, int]]) -> bool:

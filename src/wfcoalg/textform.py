@@ -8,7 +8,7 @@ Functor expressions::
     E ^ Name        functions from the named alphabet into E
     E * E, E + E    products and sums (usual precedence, parens allowed)
     3               a fresh 3-element constant {u0, u1, u2}
-    Name            a named carrier as a constant
+    Name            a named carrier as a constant (a name token but X, R or P)
 
 Values are written against the functor shape: carrier elements and
 constant atoms by name, ``in0 v`` for sums, ``(v, w)`` for products,
@@ -56,8 +56,9 @@ class ParseError(WfcoalgError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"[()\[\]{}^*+,:@=]|[A-Za-z_][A-Za-z_0-9']*+|\d++|->|\S")
-_NAME_RE = re.compile(r"[A-Za-z_]")  # the first character of a name token
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9']*+")  # a name token, the form of a carrier's name
+_TOKEN_RE = re.compile(rf"[()\[\]{{}}^*+,:@=]|{_NAME_RE.pattern}|\d++|->|\S")
+_KEYWORDS = ("X", "R", "P")  # names that the grammar reads as functors, not carriers
 
 
 def _scan(text: str) -> List[str]:
@@ -272,7 +273,7 @@ _HEAD_RE = re.compile(r"\n(\S.*)")  # an unindented line starts a section
 # row ends are tokens too; a token takes the spaces before it, which is faster
 _ROW_RE = re.compile(rf" *+({_TOKEN_RE.pattern}|\n)")
 # carrier elements: one token each, not '->' or '@' (row delimiters), '}' or ']'
-_ELEMENTS_RE = re.compile(r"(?:(?:[A-Za-z_][A-Za-z_0-9']*+|\d++|[^\s@}\]])(?:\s++|$))*+")
+_ELEMENTS_RE = re.compile(rf"(?:(?:{_NAME_RE.pattern}|\d++|[^\s@}}\]])(?:\s++|$))*+")
 _CHUNK = 1 << 14  # characters of whole rows tokenized at once
 _PARA_ROW_RE = re.compile(  # a paralgebra line: value text to '@', element, result or None
     r"[^\S\n]*+(?=\S)([^@\n]*)(?:@[^\S\n]*(\S+?)[^\S\n]*->[^\S\n]*(\S+?)[^\S\n]*$|.*)", re.M)
@@ -299,10 +300,13 @@ def parse_spec(text: str) -> SpecDocument:
 
     for kind, lineno, header, body in sections:
         if kind == "carrier":
-            m = re.fullmatch(r"carrier\s+(\w+)\s*=\s*(.*)", header)
+            m = re.fullmatch(rf"carrier\s+({_NAME_RE.pattern})\s*=\s*(.*)", header)
             if not m:
                 raise ParseError("expected 'carrier NAME = elements'", lineno, 1)
             name, elems = m.group(1), m.group(2).split()
+            if name in _KEYWORDS:
+                raise ParseError(f"carrier name {name!r} is a functor keyword",
+                                 lineno, m.start(1) + 1)
             if name in carriers:
                 raise ParseError(f"duplicate carrier {name!r}", lineno, 1)
             if len(set(elems)) != len(elems):
@@ -336,8 +340,8 @@ def parse_spec(text: str) -> SpecDocument:
     doc = SpecDocument(functor, carriers, description=" ".join(doc_description))
 
     for kind, lineno, header, body in deferred:
-        shape = ((r"(\w+)\s*@\s*(\w+)", "TARGET @ SOURCE") if kind == "paralgebra"
-                 else (r"(\w+)", "CARRIER"))
+        shape = ((r"([\w']+)\s*@\s*([\w']+)", "TARGET @ SOURCE") if kind == "paralgebra"
+                 else (r"([\w']+)", "CARRIER"))  # carrier names, looked up below
         m = re.fullmatch(rf"{kind}\s+(\w+)\s*:\s*{shape[0]}", header)
         if not m:
             raise ParseError(f"expected '{kind} NAME : {shape[1]}'", lineno, 1)
@@ -359,7 +363,7 @@ def parse_spec(text: str) -> SpecDocument:
                 map(table.__getitem__, states)), tuple(map(supports.__getitem__, states)))
         elif kind == "algebra":
             try:
-                doc.algebras[name] = Algebra._parsed(functor, target, table)
+                doc.algebras[name] = Algebra(functor, target, table=table)
             except ValueError as exc:
                 raise ParseError(f"algebra {name!r}: {exc}", lineno, 1) from exc
         else:  # the rows are distinct in F(target) x source: count up to len(table)
@@ -476,12 +480,15 @@ def render_spec(doc: SpecDocument) -> str:
     """Render a document so that it reparses to an equal document, the functor
     with ``render_functor``.  Raises ValueError on what it cannot write back: a
     description that is not one line without '#' or outer spaces, a carrier
-    label that a carrier line cannot hold as one element (no ``str``, or no
-    single token the reader accepts), or a table, an exponent alphabet or a
-    non-numeral constant over a carrier that ``doc.carriers`` does not name."""
+    name that a functor cannot read, a carrier label that a carrier line cannot
+    hold as one element (no ``str``, or no single token the reader accepts), a
+    table name not of word characters, an algebra with no table, or a table, an
+    exponent alphabet or a non-numeral constant over an unnamed carrier."""
     names = {c: n for n, c in doc.carriers.items()}
 
     def named(kind: str, name: str, carrier: Carrier) -> str:
+        if not re.fullmatch(r"\w+", name):
+            raise ValueError(f"{kind} name {name!r} is not of word characters")
         if carrier not in names:
             raise ValueError(f"{kind} {name!r} is over a carrier the document does not name")
         return names[carrier]
@@ -490,6 +497,8 @@ def render_spec(doc: SpecDocument) -> str:
         raise ValueError(f"description {d!r} is not one line without '#' or outer spaces")
     out = [f"description {d}"] if d else []
     for name, carrier in doc.carriers.items():
+        if name in _KEYWORDS or not _NAME_RE.fullmatch(name):
+            raise ValueError(f"carrier name {name!r} is not a name other than X, R and P")
         for x in carrier:
             if not (isinstance(x, str) and _scan(x) == [x] and _ELEMENTS_RE.fullmatch(x)):
                 raise ValueError(f"carrier {name!r}: {x!r} is not one element of a carrier line")
@@ -500,6 +509,8 @@ def render_spec(doc: SpecDocument) -> str:
         for a in coalg.carrier:
             out.append(f"  {a} -> {render_value(doc.functor, coalg.alpha(a))}")
     for name, alg in doc.algebras.items():
+        if alg.table is None:
+            raise ValueError(f"algebra {name!r} has an operation but no table")
         out.append(f"algebra {name} : {named('algebra', name, alg.carrier)}")
         for v in sorted(alg.table, key=element_key):
             out.append(f"  {render_value(doc.functor, v)} -> {alg.table[v]}")

@@ -267,6 +267,17 @@ class TestAlgebraTables:
         with pytest.raises(ValueError):
             Algebra(PowFin(Id()), b)
 
+    @pytest.mark.parametrize("table, message", [
+        ({}, "algebra table is not total; missing {}"),
+        ({fset(): "x"}, "algebra table is not total; missing {x}"),
+        ({fset(): "x", fset(elem("x")): "z"}, "algebra result 'z' outside the carrier"),
+    ])
+    def test_the_constructor_refuses_a_partial_table(self, table, message):
+        # a partial table once ended a hylo in a bare KeyError
+        with pytest.raises(ValueError) as exc:
+            Algebra(PowFin(Id()), Carrier(("x",)), table=table)
+        assert str(exc.value) == message
+
     def test_past_the_enumeration_cap_no_missing_value_is_named(self):
         b = Carrier(tuple(f"b{i}" for i in range(17)))  # |P(B)| = 131,072
         with pytest.raises(ValueError) as exc:

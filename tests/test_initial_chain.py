@@ -10,7 +10,7 @@ from typing import Any, List, NamedTuple, Optional, Tuple
 import pytest
 
 from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, FinMap,
-                     Id, InitialChain, InternalConsistencyError, Sum, element_key,
+                     Id, InitialChain, InternalConsistencyError, PowFin, Sum, element_key,
                      eval_map, eval_obj, initial_chain, parse_functor)
 from wfcoalg import cli
 from wfcoalg.functor import DEFAULT_ENUM_CAP
@@ -207,11 +207,24 @@ ONE_PLUS_X = Sum((Const(Carrier(("*",))), Id()))
 
 @pytest.mark.parametrize("sizes", [(0, 1, 3), (0, 1, 1), (0, 2, 3), (0, 0)])
 def test_a_stage_of_the_wrong_size_is_an_internal_error(sizes):
-    chain = InitialChain(ONE_PLUS_X, sizes, False)
+    chain = InitialChain(ONE_PLUS_X, sizes, None, None)
     with pytest.raises(InternalConsistencyError, match="is not of size"):
         chain.stages
     with pytest.raises(InternalConsistencyError, match="is not of size"):
         chain.maps
+
+
+def test_stabilized_is_read_off_the_stable_index():
+    # the record stores the index only, so it cannot claim a stable chain
+    # without one: index 0 is a stable chain, None refuses mu F
+    assert "__init__" not in vars(InitialChain)
+    assert InitialChain(Const(Carrier(())), (0, 0), 0, None).stabilized
+    chain = InitialChain(PowFin(Id()), (0, 1), None, None)
+    assert not chain.stabilized
+    with pytest.raises(ValueError, match="^chain did not stabilize$"):
+        chain.mu_coalgebra()
+    with pytest.raises(AttributeError):
+        chain.stabilized = True
 
 
 def test_a_non_injective_connecting_map_is_an_internal_error():

@@ -15,10 +15,10 @@ import wfcoalg
 from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra,
                      InternalConsistencyError, Subobject,
                      canonical_graph, element_key, eval_map, hylo, is_wellfounded,
-                     next_time, para_hylo, parse_spec, unfold_to_mu, wf_part)
+                     next_time, para_hylo, parse_spec, preserves_inverse_images,
+                     unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg import functor as functor_module
-from wfcoalg.coalgebra import search_plan
 from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, quicksort, r_coalgebra)
 
@@ -252,11 +252,6 @@ def test_placement_matches_the_reference_plan():
     assert 100 < cyclic < len(graphs) - 100
 
 
-def test_search_plan_is_the_placement():
-    for c in instances():
-        assert search_plan(c) == canonical_graph(c).placement()
-
-
 def self_loop_chain(n: int) -> CanonicalGraph:
     """Vertex i -> {i - 1, i}, the carrier in descending order: every
     placement step after the first stall walks back to the unplaced end."""
@@ -319,7 +314,7 @@ def test_deep_reversed_chain_needs_no_recursion():
     p = para_hylo(c, counts, successor_count)
     assert all(p(a) == a for a in c.carrier)
     unfolded = unfold_to_mu(c)
-    assert unfolded.cycle is None and unfolded.complete
+    assert unfolded.cycle is None and preserves_inverse_images(c.functor)
     assert len(unfolded.mapping) == n + 1
     assert unfolded.nodes[unfolded.as_dict()[0]] == inj(1, const("u0"))
 

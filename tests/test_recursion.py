@@ -6,8 +6,8 @@ import pytest
 from wfcoalg import (Algebra, Carrier, Coalgebra, Const, FinMap, Id,
                      NotWellFounded, PowFin, RFunctor, Sum, eval_map, find_homs, hylo,
                      initial_chain, is_coalgebra_hom, is_wellfounded,
-                     para_hylo, parametric_oracle, recursive_oracle,
-                     unfold_to_mu)
+                     para_hylo, parametric_oracle, preserves_inverse_images,
+                     recursive_oracle, unfold_to_mu)
 from wfcoalg.demos import (UNIT, factorial_scheme, fibonacci_scheme, graph_g,
                            lists_up_to, predecessor, quicksort, r_coalgebra)
 
@@ -132,7 +132,7 @@ class TestUnfold:
     def test_predecessor_unfolds_to_numerals(self):
         coalg = predecessor(2)
         result = unfold_to_mu(coalg)
-        assert result.complete
+        assert preserves_inverse_images(coalg.functor)  # so the report is final
         node = result.as_dict()
         # 2 unfolds to the depth-2 numeral inj0(inj0(inj1(u0))), one node a level
         assert len(result.nodes) == 3
@@ -177,7 +177,7 @@ class TestUnfold:
         chain = initial_chain(r.functor, max_depth=8, cap=10_000)
         result = unfold_to_mu(r)
         assert result.cycle is not None
-        assert not result.complete
+        assert not preserves_inverse_images(r.functor)  # so the report is not final
         homs = find_homs(r, chain.mu_algebra(), cap=1_000_000)
         assert len(homs) == 1
         assert homs[0](0) == homs[0](1)

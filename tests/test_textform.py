@@ -226,6 +226,14 @@ TABLE_ERRORS = [
      "line 1, column 13: carrier element '1a' is not one token other than '->' and '@'"),
     ("carrier A = a @\nfunctor = X\n",
      "line 1, column 15: carrier element '@' is not one token other than '->' and '@'"),
+    # a carrier's name is a name token that the functor grammar reads as a constant
+    ("carrier R = a b\nfunctor = R\n", "line 1, column 9: carrier name 'R' is a functor keyword"),
+    ("carrier X = a\nfunctor = X + X\n",
+     "line 1, column 9: carrier name 'X' is a functor keyword"),
+    ("carrier  P = a\nfunctor = X\n", "line 1, column 10: carrier name 'P' is a functor keyword"),
+    ("carrier 2 = a b c\nfunctor = 2\n", "line 1, column 1: expected 'carrier NAME = elements'"),
+    ("carrier é = a\nfunctor = X\n", "line 1, column 1: expected 'carrier NAME = elements'"),
+    ("carrier 2a = a\nfunctor = X\n", "line 1, column 1: expected 'carrier NAME = elements'"),
     ("  a -> {}\n" + P_DOC, "line 1, column 1: indented line outside a section"),
     (P_DOC + "widget W\n", "line 3, column 1: unknown section 'widget'"),
     ("carrier A = a\n" + P_DOC, "line 2, column 1: duplicate carrier 'A'"),
@@ -293,6 +301,39 @@ class TestSpecDocuments:
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
         assert str(exc.value) == f"carrier 'A': {bad} is not one element of a carrier line"
+
+    def test_a_carrier_name_is_any_name_token_but_a_keyword(self):
+        text = "carrier A' = a\nfunctor = A' + X\ncoalgebra C : A'\n  a -> in1 a\n"
+        doc = parse_spec(text)
+        assert doc.functor == Sum((Const(Carrier(("a",))), Id()))
+        assert render_spec(doc) == text
+
+    @pytest.mark.parametrize("name", ["X", "R", "P", "2", "2a", "é", "A-B", ""])
+    def test_render_spec_refuses_a_carrier_name_the_reader_refuses(self, name):
+        # with the name X this document was written as 'functor = X + X'
+        doc = SpecDocument(Sum((Id(), Const(Carrier(("a",))))), {name: Carrier(("a",))})
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == f"carrier name {name!r} is not a name other than X, R and P"
+
+    @pytest.mark.parametrize("kind", ["coalgebra", "algebra", "paralgebra"])
+    @pytest.mark.parametrize("name", ["G'", "a b", ""])
+    def test_render_spec_refuses_a_table_name_the_reader_refuses(self, kind, name):
+        a = Carrier(("a",))
+        tables = {"coalgebra": Coalgebra(Id(), a, ("a",)),
+                  "algebra": Algebra.from_table(Id(), a, {"a": "a"}),
+                  "paralgebra": ParAlgebra(Id(), a, a, {("a", "a"): "a"})}
+        doc = SpecDocument(Id(), {"A": a}, **{kind + "s": {name: tables[kind]}})
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == f"{kind} name {name!r} is not of word characters"
+
+    def test_render_spec_refuses_an_algebra_without_a_table(self):
+        a = Carrier(("a",))
+        doc = SpecDocument(Id(), {"A": a}, algebras={"E": Algebra(Id(), a, lambda v: "a")})
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == "algebra 'E' has an operation but no table"
 
     @pytest.mark.parametrize("description", [
         "issue #3 fixed", "two\nlines", "a\r\nb", "form\x0cfeed", "line\u2028sep",
