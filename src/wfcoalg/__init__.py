@@ -7,9 +7,9 @@ from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
 from .finset import Carrier, FinMap, Subobject, all_subsets, element_key
 from .functor import (Const, Exp, FunctorExpr, Id, PowFin, Prod, RFunctor, Sum,
                       eval_map, eval_obj, preserves_inverse_images, support)
-from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, ParAlgebra, canonical_graph,
+from .coalgebra import (Algebra, CanonicalGraph, Coalgebra, canonical_graph,
                         enumerate_homs, induced_subcoalgebra, is_cartesian,
-                        is_coalgebra_hom, is_subcoalgebra, next_time, quotient)
+                        is_coalgebra_hom, is_subcoalgebra, next_time, paired, quotient)
 from .wellfounded import WfPartResult, coreflect, is_wellfounded, wf_part
 from .recursion import (InitialChain, OracleVerdict, OracleWitness,
                         UnfoldResult, find_homs, hylo, initial_chain,

@@ -102,7 +102,7 @@ def _cmd_hylo(doc, args, out, parametric: bool) -> int:
     coalg = doc.the_coalgebra(args.coalgebra)
     if parametric:
         par = doc.the_paralgebra(args.paralgebra)
-        h = para_hylo(coalg, par.target, par)
+        h = para_hylo(coalg, par.carrier, par)
     else:
         h = hylo(coalg, doc.the_algebra(args.algebra))
     for a in coalg.carrier:

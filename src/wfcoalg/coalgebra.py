@@ -10,7 +10,7 @@ from ._record import FrozenRecord, Record
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
                      IncompatibleQuotient)
 from .finset import Carrier, FinMap, Subobject, capped_power, check_bounds, element_key
-from .functor import FunctorExpr, check_value, eval_map, eval_obj, size_obj
+from .functor import Const, FunctorExpr, Prod, check_value, eval_map, eval_obj, size_obj
 
 DEFAULT_SEARCH_CAP = 10_000_000  # maps searched: homs, find_homs, oracles, --max-enum
 
@@ -48,6 +48,18 @@ class Coalgebra(FrozenRecord):
 
     def alpha(self, a: Any) -> Any:
         return self._alpha[a]
+
+
+def with_states(functor: FunctorExpr, states: Carrier) -> Prod:
+    """G = F(-) x states: a paralgebra e: F(X) x states -> X is a G-algebra."""
+    return Prod((functor, Const(states)))
+
+
+def paired(coalg: Coalgebra) -> Coalgebra:
+    """<alpha, id>: A -> F(A) x A, whose solutions are alpha's parametric ones
+    (Capretta, Uustalu & Vene 2006); a constant adds no support to alpha's."""
+    return Coalgebra._parsed(with_states(coalg.functor, coalg.carrier), coalg.carrier,
+                             tuple(zip(coalg.structure, coalg.carrier)), coalg.supports)
 
 
 class Algebra(Record):
@@ -88,12 +100,6 @@ class Algebra(Record):
         for v in table:
             check_value(functor, carrier, v)
         return Algebra(functor, carrier, table=dict(table))
-
-
-class ParAlgebra(Record):
-    """A pointwise table for parametric recursion: (F-value, state) -> result."""
-
-    _fields = ("functor", "target", "source", "table")
 
 
 class CanonicalGraph(FrozenRecord):

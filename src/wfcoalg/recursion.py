@@ -1,20 +1,22 @@
 """Certified structured recursion, the initial-algebra chain, and oracles.
 
-``hylo``/``para_hylo`` evaluate the unique coalgebra-to-algebra morphism of a
+``hylo`` evaluates, in one fold, the unique coalgebra-to-algebra morphism of a
 coalgebra whose well-foundedness has been verified (the termination
-certificate).  ``initial_chain`` counts |W_{i+1}| = |F(W_i)|; its stages and
-mu F are built only when read.  ``unfold_to_mu`` interns one node per distinct
-closed term; its cycle report is final iff ``preserves_inverse_images(F)``.
-``recursive_oracle``/``parametric_oracle`` decide the defining universal
-quantification ("every algebra has exactly one solution") for every algebra on
-each carrier up to a size bound: a verdict fails iff it has a witness, a
-conclusive counterexample; a pass is evidence only.  Neither enumerates the
-algebras.  A search over candidate maps (``search_tables``, shared with
-``find_homs``) gives the table entries each candidate forces; every table has
-exactly one solution iff the forced tables are pairwise incompatible and their
-cylinders fill the table space.  Only where that fails is F(n) listed, for a
-descent in lexicographic order to find the first table that does not, which is
-the witness a scan of every table would report.
+certificate).  A paralgebra is an algebra for G = F(-) x A, so ``para_hylo``
+and ``parametric_oracle`` are ``hylo`` and the oracle of ``paired(coalg)``,
+the G-coalgebra <alpha, id>.  ``initial_chain`` counts |W_{i+1}| = |F(W_i)|;
+its stages and mu F are built only when read.  ``unfold_to_mu`` interns one
+node per distinct closed term; its cycle report is final iff
+``preserves_inverse_images(F)``.  ``recursive_oracle`` decides the defining
+universal quantification ("every algebra has exactly one solution") for every
+algebra on each carrier up to a size bound: a verdict fails iff it has a
+witness, a conclusive counterexample; a pass is evidence only.  It does not
+enumerate the algebras.  A search over candidate maps (``search_tables``,
+shared with ``find_homs``) gives the table entries each candidate forces; every
+table has exactly one solution iff the forced tables are pairwise incompatible
+and their cylinders fill the table space.  Only where that fails is F(n)
+listed, for a descent in lexicographic order to find the first table that does
+not, which is the witness a scan of every table would report.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ._record import FrozenRecord
-from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
-                     InternalConsistencyError, NotWellFounded)
+from .errors import (CapExceeded, FunctorMismatch, InternalConsistencyError,
+                     NotWellFounded)
 from .finset import Carrier, FinMap, capped_power, check_bounds, element_key
 from .functor import DEFAULT_ENUM_CAP, FunctorExpr, eval_map, eval_obj, size_obj
-from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, ParAlgebra,
-                        canonical_graph, search_tables, solution_maps)
+from .coalgebra import (DEFAULT_SEARCH_CAP, Algebra, Coalgebra, canonical_graph,
+                        paired, search_tables, solution_maps)
 
 
 # --- certified evaluation -----------------------------------------------------
@@ -40,49 +42,39 @@ def hylo(coalg: Coalgebra, alg: Algebra) -> FinMap:
     if coalg.functor != alg.functor:
         raise FunctorMismatch("coalgebra and algebra are over different functors")
     functor, e = coalg.functor, alg.operation
-    return _evaluate(coalg, alg.carrier, lambda h, v, _a: e(eval_map(functor, h, v)))
-
-
-def para_hylo(coalg: Coalgebra, target: Carrier,
-              e: Union[ParAlgebra, Callable[[Any, Any], Any]]) -> FinMap:
-    """The unique solution of h(a) = e(Fh(alpha(a)), a), for well-founded input."""
-    functor = coalg.functor
-    if not isinstance(e, ParAlgebra):
-        return _evaluate(coalg, target, lambda h, v, a: e(eval_map(functor, h, v), a))
-    if coalg.functor != e.functor:
-        raise FunctorMismatch("coalgebra and paralgebra are over different functors")
-    if target != e.target or not all(a in e.source for a in coalg.carrier):
-        raise CarrierMismatch("the paralgebra is not from the coalgebra's states to the target")
-    table = e.table
-    return _evaluate(coalg, target, lambda h, v, a: table[eval_map(functor, h, v), a])
-
-
-def _evaluate(coalg: Coalgebra, target: Carrier,
-              step: Callable[[Callable, Any, Any], Any]) -> FinMap:
-    h, cycle = _fold(coalg, step)
+    h, cycle = _fold(coalg, e)
     if cycle is not None:
         raise NotWellFounded(
             f"no termination certificate: {cycle[0]!r} lies on a cycle "
             f"of the canonical graph ({' -> '.join(map(repr, cycle))})")
-    result = FinMap(coalg.carrier, target, tuple(h[a] for a in coalg.carrier))
+    result = FinMap(coalg.carrier, alg.carrier, tuple(h[a] for a in coalg.carrier))
     for a in coalg.carrier:  # post-hoc soundness check of the square
-        if result(a) != step(result, coalg.alpha(a), a):
+        if result(a) != e(eval_map(functor, result, coalg.alpha(a))):
             raise InternalConsistencyError(
                 f"the evaluated map does not satisfy its equation at {a!r}")
     return result
 
 
-def _fold(coalg: Coalgebra, step: Callable[[Callable, Any, Any], Any]
+def para_hylo(coalg: Coalgebra, target: Carrier,
+              e: Union[Algebra, Callable[[Any, Any], Any]]) -> FinMap:
+    """h(a) = e(Fh(alpha(a)), a) for well-founded input: ``hylo`` of ``paired(coalg)`` into
+    e, an algebra for F(-) x A on its own carrier, or a callable e(w, a) into ``target``."""
+    pairs = paired(coalg)
+    alg = e if isinstance(e, Algebra) else Algebra(pairs.functor, target, lambda v: e(*v))
+    return hylo(pairs, alg)
+
+
+def _fold(coalg: Coalgebra, e: Callable[[Any], Any]
           ) -> Tuple[Optional[Dict[Any, Any]], Optional[List[Any]]]:
-    """h(a) = step(h, alpha(a), a) for every state, memoized in the
-    successors-first order of the rank pass over the canonical graph; or
-    the graph's cycle witness when some state is unranked."""
+    """h(a) = e(Fh(alpha a)) for every state, memoized in the successors-first
+    order of the rank pass over the canonical graph; or the graph's cycle
+    witness when some state is unranked."""
     graph = canonical_graph(coalg)
     if not graph.is_acyclic():
         return None, graph.find_cycle()
-    h: Dict[Any, Any] = {}
+    functor, h = coalg.functor, {}
     for a in graph.ranking:
-        h[a] = step(h.__getitem__, coalg.alpha(a), a)
+        h[a] = e(eval_map(functor, h.__getitem__, coalg.alpha(a)))
     return h, None
 
 
@@ -175,8 +167,7 @@ def unfold_to_mu(coalg: Coalgebra) -> UnfoldResult:
     """Unfold each state to its closed term when the canonical graph is acyclic.
     By induction on rank, two states get one node iff their terms are equal."""
     ids: Dict[Any, int] = {}
-    h, cycle = _fold(coalg, lambda of, v, _a: ids.setdefault(
-        eval_map(coalg.functor, of, v), len(ids)))
+    h, cycle = _fold(coalg, lambda v: ids.setdefault(v, len(ids)))
     if cycle is not None:
         return UnfoldResult(None, None, tuple(cycle))
     return UnfoldResult(tuple(ids), tuple((a, h[a]) for a in coalg.carrier), None)
@@ -211,14 +202,13 @@ class OracleVerdict(FrozenRecord):
         return self.witness is None
 
 
-def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
-            parametric: bool) -> OracleVerdict:
+def _oracle(coalg: Coalgebra, max_carrier: int, cap: int) -> OracleVerdict:
     """Each candidate h: A -> X forces the algebra-table entries 'h is a
-    solution' needs, keyed by the value w, or (w, a) when parametric; a
-    table's solution count is the number of forced tables it extends.  A
-    size passes when ``_partitioned`` holds of all the forced tables; only
-    a failing size lists F(n), to find the first table whose count is not 1
-    with ``_first_bad_table``."""
+    solution' needs, keyed by the value w = Fh(alpha a); a table's solution
+    count is the number of forced tables it extends.  A size passes when
+    ``_partitioned`` holds of all the forced tables; only a failing size
+    lists F(n), to find the first table whose count is not 1 with
+    ``_first_bad_table``."""
     check_bounds(max_carrier=max_carrier, cap=cap)
     sizes_checked: List[int] = []
     plan = canonical_graph(coalg).placement()
@@ -228,17 +218,12 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
 
     for n in range(max_carrier + 1):
         size = size_obj(coalg.functor, n, cap)  # counted before anything is listed
-        if size > cap:
-            return undecided()
         if not n and size:
-            continue  # no algebra on the empty carrier
-        if capped_power(n, len(coalg.carrier), cap) > cap or (
-                parametric and size * len(coalg.carrier) > cap):
+            continue  # no algebra on the empty carrier: nothing to decide, whatever the cap
+        if size > cap or capped_power(n, len(coalg.carrier), cap) > cap:
             return undecided()
         values = range(n)
-        forced = list(search_tables(coalg, plan, values, lambda a, w: values,
-                                    (lambda a, w: (w, a)) if parametric else
-                                    (lambda a, w: w)))
+        forced = list(search_tables(coalg, plan, values, lambda a, w: values, lambda a, w: w))
         if len(forced) * (len(forced) - 1) // 2 > cap:
             return undecided()
         clash = [(i, j) for i, j in combinations(range(len(forced)), 2)
@@ -248,8 +233,7 @@ def _oracle(coalg: Coalgebra, max_carrier: int, cap: int,
             sizes_checked.append(n)
             continue
         x = Carrier(tuple(values))  # built at the failing size only, for the witness
-        fx = sorted(eval_obj(coalg.functor, x, cap=cap), key=element_key)
-        keys = [(w, a) for w in fx for a in coalg.carrier] if parametric else fx
+        keys = sorted(eval_obj(coalg.functor, x, cap=cap), key=element_key)
         table, count = _first_bad_table(forced, n, keys, live, clash)
         witness = OracleWitness(x, tuple(zip(keys, table)), count)
         return OracleVerdict(witness, tuple(sizes_checked), False)
@@ -293,10 +277,11 @@ def _first_bad_table(forced: List[Dict[Any, Any]], n: int, keys: List[Any],
 def recursive_oracle(coalg: Coalgebra, max_carrier: int,
                      cap: int = DEFAULT_SEARCH_CAP) -> OracleVerdict:
     """Check unique solvability against every algebra on carriers up to the bound."""
-    return _oracle(coalg, max_carrier, cap, parametric=False)
+    return _oracle(coalg, max_carrier, cap)
 
 
 def parametric_oracle(coalg: Coalgebra, max_carrier: int,
                       cap: int = DEFAULT_SEARCH_CAP) -> OracleVerdict:
-    """As recursive_oracle, but the operation also sees the original state."""
-    return _oracle(coalg, max_carrier, cap, parametric=True)
+    """As recursive_oracle, but the operation also sees the state: the oracle of
+    ``paired(coalg)``, via ``_oracle`` so that wrapping both names counts one call."""
+    return _oracle(paired(coalg), max_carrier, cap)

@@ -45,8 +45,8 @@ from ._record import Record
 from .errors import MalformedValue, WfcoalgError
 from .finset import Carrier, element_key
 from .functor import (DEFAULT_ENUM_CAP, Const, Exp, FunctorExpr, Id, PowFin, Prod,
-                      RFunctor, Sum, size_obj)
-from .coalgebra import Algebra, Coalgebra, ParAlgebra
+                      RFunctor, Sum)
+from .coalgebra import Algebra, Coalgebra, with_states
 
 
 class ParseError(WfcoalgError):
@@ -236,7 +236,7 @@ class SpecDocument(Record):
                  carriers: Optional[Dict[str, Carrier]] = None,
                  coalgebras: Optional[Dict[str, Coalgebra]] = None,
                  algebras: Optional[Dict[str, Algebra]] = None,
-                 paralgebras: Optional[Dict[str, ParAlgebra]] = None,
+                 paralgebras: Optional[Dict[str, Algebra]] = None,
                  description: str = ""):
         self.functor = functor
         self.carriers = {} if carriers is None else carriers
@@ -251,7 +251,7 @@ class SpecDocument(Record):
     def the_algebra(self, name: Optional[str]) -> Algebra:
         return _pick(self.algebras, name, "algebra")
 
-    def the_paralgebra(self, name: Optional[str]):
+    def the_paralgebra(self, name: Optional[str]) -> Algebra:
         return _pick(self.paralgebras, name, "paralgebra")
 
 
@@ -361,15 +361,12 @@ def parse_spec(text: str) -> SpecDocument:
             states = target.elements
             doc.coalgebras[name] = Coalgebra._parsed(functor, target, tuple(
                 map(table.__getitem__, states)), tuple(map(supports.__getitem__, states)))
-        elif kind == "algebra":
+        else:  # a paralgebra is an algebra for F(-) x source
+            g = functor if kind == "algebra" else with_states(functor, source)
             try:
-                doc.algebras[name] = Algebra(functor, target, table=table)
+                getattr(doc, kind + "s")[name] = Algebra(g, target, table=table)
             except ValueError as exc:
-                raise ParseError(f"algebra {name!r}: {exc}", lineno, 1) from exc
-        else:  # the rows are distinct in F(target) x source: count up to len(table)
-            if size_obj(functor, len(target), len(table)) * len(source) > len(table):
-                raise ParseError(f"paralgebra {name!r} table is not total", lineno, 1)
-            doc.paralgebras[name] = ParAlgebra(functor, target, source, table)
+                raise ParseError(f"{kind} {name!r}: {exc}", lineno, 1) from exc
 
     return doc
 
@@ -482,13 +479,16 @@ def render_spec(doc: SpecDocument) -> str:
     description that is not one line without '#' or outer spaces, a carrier
     name that a functor cannot read, a carrier label that a carrier line cannot
     hold as one element (no ``str``, or no single token the reader accepts), a
-    table name not of word characters, an algebra with no table, or a table, an
-    exponent alphabet or a non-numeral constant over an unnamed carrier."""
+    table name not of word characters, an algebra with no table, a table over
+    another functor than the document's (F(-) x S for a paralgebra from S), or a
+    table, an exponent alphabet or a non-numeral constant over an unnamed carrier."""
     names = {c: n for n, c in doc.carriers.items()}
 
-    def named(kind: str, name: str, carrier: Carrier) -> str:
+    def named(kind: str, name: str, carrier: Carrier, functor=doc.functor) -> str:
         if not re.fullmatch(r"\w+", name):
             raise ValueError(f"{kind} name {name!r} is not of word characters")
+        if functor != doc.functor:
+            raise ValueError(f"{kind} {name!r} is over a functor other than the document's")
         if carrier not in names:
             raise ValueError(f"{kind} {name!r} is over a carrier the document does not name")
         return names[carrier]
@@ -505,18 +505,25 @@ def render_spec(doc: SpecDocument) -> str:
         out.append(f"carrier {name} = " + " ".join(carrier))
     out.append(f"functor = {render_functor(doc.functor, names)}")
     for name, coalg in doc.coalgebras.items():
-        out.append(f"coalgebra {name} : {named('coalgebra', name, coalg.carrier)}")
+        out.append(f"coalgebra {name} : "
+                   f"{named('coalgebra', name, coalg.carrier, coalg.functor)}")
         for a in coalg.carrier:
             out.append(f"  {a} -> {render_value(doc.functor, coalg.alpha(a))}")
     for name, alg in doc.algebras.items():
         if alg.table is None:
             raise ValueError(f"algebra {name!r} has an operation but no table")
-        out.append(f"algebra {name} : {named('algebra', name, alg.carrier)}")
+        out.append(f"algebra {name} : {named('algebra', name, alg.carrier, alg.functor)}")
         for v in sorted(alg.table, key=element_key):
             out.append(f"  {render_value(doc.functor, v)} -> {alg.table[v]}")
-    for name, par in doc.paralgebras.items():
-        out.append(f"paralgebra {name} : {named('paralgebra', name, par.target)} "
-                   f"@ {named('paralgebra', name, par.source)}")
+    for name, par in doc.paralgebras.items():  # over F(-) x S: S is the source
+        if par.table is None:
+            raise ValueError(f"paralgebra {name!r} has an operation but no table")
+        target = named("paralgebra", name, par.carrier)
+        source = [n for c, n in names.items() if par.functor == with_states(doc.functor, c)]
+        if not source:
+            raise ValueError(f"paralgebra {name!r} is over a functor other than the "
+                             "document's times a carrier it names")
+        out.append(f"paralgebra {name} : {target} @ {source[0]}")
         for (v, a), x in sorted(par.table.items(), key=lambda kv: element_key(kv[0])):
             out.append(f"  {render_value(doc.functor, v)} @ {a} -> {x}")
     return "\n".join(out) + "\n"

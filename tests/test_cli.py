@@ -406,7 +406,8 @@ class TestParalgebraTotality:
 
     def test_one_row_is_not_total(self, tmp_path):
         assert self.check_wf(tmp_path, self.HEAD + "  {} @ a -> b0\n") == (
-            EXIT_USAGE, "parse error: line 6, column 1: paralgebra 'Q' table is not total\n")
+            EXIT_USAGE,
+            "parse error: line 6, column 1: paralgebra 'Q': algebra table is not total\n")
 
     def test_every_row_over_a_large_target_loads(self, tmp_path):
         rows = ("  {" + ", ".join(f"b{i}" for i in range(17) if mask >> i & 1) +
@@ -441,7 +442,51 @@ def test_para_hylo_over_another_source_carrier_is_an_error(tmp_path):
                    "".join(f"  {v} @ {s} -> a\n" for v in ("in0 u0", "in1 a", "in1 b")
                            for s in "xy"))
     assert run("para-hylo", str(doc)) == (
-        EXIT_USAGE, "error: the paralgebra is not from the coalgebra's states to the target\n")
+        EXIT_USAGE, "error: coalgebra and algebra are over different functors\n")
+
+
+def test_para_hylo_refuses_a_source_that_holds_more_than_the_states(tmp_path):
+    # a paralgebra is an algebra for F(-) x S, and the coalgebra <alpha, id>
+    # is one for F(-) x A: S = A is the one source that fits
+    head = "carrier A = a\ncarrier S = a b\nfunctor = 1 + X\ncoalgebra C : A\n  a -> in0 u0\n"
+    for source, states, results in (
+            ("S", "ab", (EXIT_USAGE, "error: coalgebra and algebra are over different functors\n")),
+            ("A", "a", (EXIT_OK, "a -> a\n"))):
+        doc = tmp_path / f"par-{source}.txt"
+        doc.write_text(head + f"paralgebra P : A @ {source}\n" + "".join(
+            f"  {v} @ {s} -> a\n" for v in ("in0 u0", "in1 a") for s in states))
+        assert run("para-hylo", str(doc)) == results
+
+
+def test_a_paralgebra_that_is_not_total_names_its_first_missing_row(tmp_path):
+    doc = tmp_path / "par.txt"
+    doc.write_text("functor = X + 1\ncarrier A = a\ncarrier T = t\ncoalgebra C : A\n"
+                   "  a -> in1 u0\nparalgebra Q : T @ A\n  in1 u0 @ a -> t\n")
+    assert run("para-hylo", str(doc)) == (
+        EXIT_USAGE, "parse error: line 6, column 1: paralgebra 'Q': algebra table is not "
+                    "total; missing (in0 t, a)\n")
+
+
+class TestParametricOracleWitness:
+    """The parametric oracle is the recursive oracle of <alpha, id>, an
+    F(-) x A coalgebra: its witness lists F(n) x A in element_key order."""
+
+    def oracle(self, tmp_path, text):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(text)
+        return run("oracle-parametric", str(doc), "--max-carrier", "2")
+
+    def test_states_come_in_element_key_order(self, tmp_path):
+        text = "functor = P(X)\ncarrier A = b a\ncoalgebra C : A\n  a -> {a}\n  b -> {}\n"
+        assert self.oracle(tmp_path, text) == (EXIT_FAIL, (
+            "fail at carrier size 2: 2 solutions\n"
+            "  {} @ a -> 0\n  {} @ b -> 0\n  {0} @ a -> 0\n  {0} @ b -> 0\n"
+            "  {0, 1} @ a -> 0\n  {0, 1} @ b -> 0\n  {1} @ a -> 1\n  {1} @ b -> 0\n"))
+
+    def test_an_empty_coalgebra_checks_size_0(self, tmp_path):
+        # F(0) x {} is empty, so the empty set carries one paralgebra
+        text = "functor = 1\ncarrier A =\ncoalgebra C : A\n"
+        assert self.oracle(tmp_path, text) == (EXIT_OK, "pass (sizes checked: 0, 1, 2)\n")
 
 
 class TestDeepFunctors:

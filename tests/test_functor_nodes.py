@@ -476,10 +476,10 @@ def test_table_algebras_look_up_fh_in_the_table():
                     for v in values for a in states))
     doc = parse_spec(text)
     coalg, alg, par = doc.the_coalgebra("C"), doc.the_algebra("E"), doc.the_paralgebra("Q")
-    table, par.table = CountingTable(alg.table), CountingTable(par.table)
+    table, par_table = CountingTable(alg.table), CountingTable(par.table)
     h = hylo(coalg, Algebra(f, target, table=table))
-    p = para_hylo(coalg, target, par)
-    assert table.lookups == par.table.lookups == 2 * len(states)
+    p = para_hylo(coalg, target, Algebra(par.functor, target, table=par_table))
+    assert table.lookups == par_table.lookups == 2 * len(states)
     # the same maps through the callable path
     assert h == hylo(coalg, alg) == hylo(coalg, Algebra(f, target, alg.table.__getitem__))
     assert p == para_hylo(coalg, target, lambda v, a: par.table[(v, a)])

@@ -11,7 +11,7 @@ from typing import Any
 import pytest
 
 from wfcoalg import (Algebra, CanonicalGraph, CapExceeded, Carrier, Coalgebra, Const, Exp,
-                     FinMap, Id, InitialChain, OracleVerdict, OracleWitness, ParAlgebra,
+                     FinMap, Id, InitialChain, OracleVerdict, OracleWitness,
                      PowFin, Prod, RFunctor, SpecDocument, Subobject, Sum, UnfoldResult,
                      WfPartResult)
 from wfcoalg._record import Record
@@ -52,8 +52,6 @@ CASES = [
                ("table", Any, field(default=None, repr=False))],
      {"eq": False, "namespace": {"__post_init__": _algebra_post_init}},
      (PX, L, None, TOTAL), (Id(), L, None, {"l": "l"})),
-    (ParAlgebra, ["functor", "target", "source", "table"], {},
-     (PX, L, A, {(frozenset(), "a"): "l"}), (Id(), L, A, {})),
     (CanonicalGraph, ["vertices", "succ"], FROZEN,
      (A, (("a", frozenset()), ("b", frozenset({"a"})))), (L, (("l", frozenset()),))),
     (InitialChain, ["functor", "sizes", "stable_index", "cap_exceeded"], FROZEN,

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from wfcoalg import (Algebra, Carrier, Coalgebra, Const, FinMap, Id,
-                     NotWellFounded, PowFin, RFunctor, Sum, eval_map, find_homs, hylo,
-                     initial_chain, is_coalgebra_hom, is_wellfounded,
-                     para_hylo, parametric_oracle, preserves_inverse_images,
+                     NotWellFounded, PowFin, Prod, RFunctor, Sum, eval_map, eval_obj,
+                     find_homs, hylo, initial_chain, is_coalgebra_hom, is_wellfounded,
+                     paired, para_hylo, parametric_oracle, preserves_inverse_images,
                      recursive_oracle, unfold_to_mu)
+from wfcoalg import recursion
+from wfcoalg.functor import size_obj
 from wfcoalg.demos import (UNIT, factorial_scheme, fibonacci_scheme, graph_g,
                            lists_up_to, predecessor, quicksort, r_coalgebra)
 
@@ -88,6 +90,41 @@ class TestParaHylo:
         r = r_coalgebra()
         with pytest.raises(NotWellFounded):
             para_hylo(r, Carrier((0,)), lambda v, a: 0)
+
+    def test_paired_keeps_each_state_beside_its_value(self):
+        c = predecessor(3)
+        pairs = paired(c)
+        assert pairs.functor == Prod((c.functor, Const(c.carrier)))
+        assert pairs.structure == tuple((c.alpha(a), a) for a in c.carrier)
+        # a constant adds no support: the checked constructor collects alpha's
+        checked = Coalgebra(pairs.functor, c.carrier, pairs.structure)
+        assert checked == pairs and checked.supports == pairs.supports == c.supports
+
+    def test_para_hylo_is_hylo_of_the_paired_coalgebra(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(recursion, "hylo", lambda *args: calls.append(args) or "h")
+        c = predecessor(2)
+        assert para_hylo(c, Carrier((0,)), lambda v, a: 0) == "h"
+        (pairs, alg), = calls
+        assert pairs == paired(c) and alg.functor == pairs.functor
+        assert alg.carrier == Carrier((0,)) and alg.operation(((1, "u0"), 0)) == 0
+
+    def test_a_paralgebra_table_has_the_one_solution_find_homs_finds(self):
+        # para_hylo folds; find_homs searches every map A -> T for a solution
+        # of <alpha, id> into the table, an algebra for F(-) x A
+        rng = random.Random(431)
+        checked = 0
+        for _ in range(300):
+            c = random_instance(rng, depth=rng.randint(1, 2), max_size=4, size_cap=64)
+            target = Carrier(tuple(f"t{i}" for i in range(rng.randint(1, 3))))
+            pairs = paired(c)
+            if not is_wellfounded(c) or size_obj(pairs.functor, len(target), cap=500) > 500:
+                continue
+            par = Algebra.from_table(pairs.functor, target, {
+                k: rng.choice(target.elements) for k in eval_obj(pairs.functor, target)})
+            assert find_homs(pairs, par) == [para_hylo(c, target, par)]
+            checked += 1
+        assert checked > 50
 
 
 class TestInitialChain:

@@ -3,8 +3,8 @@ input that reaches it."""
 
 import pytest
 
-from wfcoalg import (Algebra, CapExceeded, Carrier, CarrierMismatch, Coalgebra, Exp,
-                     FinMap, FunctorMismatch, Id, ParAlgebra, PowFin, Subobject,
+from wfcoalg import (Algebra, CapExceeded, Carrier, CarrierMismatch, Coalgebra, Const, Exp,
+                     FinMap, FunctorMismatch, Id, PowFin, Prod, Subobject,
                      element_key, enumerate_homs, eval_obj, find_homs, hylo, initial_chain,
                      is_coalgebra_hom, next_time, para_hylo, parametric_oracle, quotient,
                      recursive_oracle)
@@ -21,8 +21,8 @@ LOOPS = Coalgebra(P, AB, (frozenset({"a"}), frozenset({"b"})))
 @pytest.mark.parametrize("call, error, message", [
     (lambda: hylo(EMPTY, ON_ID), FunctorMismatch,
      "coalgebra and algebra are over different functors"),
-    (lambda: para_hylo(EMPTY, A, ParAlgebra(Id(), A, A, {("a", "a"): "a"})), FunctorMismatch,
-     "coalgebra and paralgebra are over different functors"),
+    (lambda: para_hylo(EMPTY, A, Algebra(Prod((Id(), Const(A))), A, table={("a", "a"): "a"})),
+     FunctorMismatch, "coalgebra and algebra are over different functors"),
     (lambda: find_homs(EMPTY, ON_ID), FunctorMismatch,
      "coalgebra and algebra are over different functors"),
     (lambda: enumerate_homs(EMPTY, Coalgebra(Id(), A, ("a",))), FunctorMismatch,

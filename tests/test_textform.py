@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, Id, ParAlgebra, ParseError,
+from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, Id, ParseError,
                      PowFin, Prod, RFunctor, SpecDocument, Sum, element_key, eval_map, eval_obj,
                      parse_functor, parse_spec, parse_value, render_functor,
                      render_spec, render_value)
@@ -217,7 +217,7 @@ TABLE_ERRORS = [
     (R_DOC + "paralgebra E : B @ A\n  d @ a -> z\n",
      "line 5, column 1: 'z' is not in the target carrier"),
     (R_DOC + "paralgebra E : B @ A\n  d @ a -> x\n  d @ b -> x\n  (x, y) @ a -> y\n",
-     "line 4, column 1: paralgebra 'E' table is not total"),
+     "line 4, column 1: paralgebra 'E': algebra table is not total; missing ((x, y), b)"),
     ("carrier S = p q\n" + P_DOC.replace("P(X)", "X ^ S") + "coalgebra G : A\n"
      "  a -> [p: a, p: b, q: a]\n", "line 5, column 15: repeated alphabet entry 'p'"),
     ("carrier A = b x-1 c\nfunctor = X\n",
@@ -322,7 +322,7 @@ class TestSpecDocuments:
         a = Carrier(("a",))
         tables = {"coalgebra": Coalgebra(Id(), a, ("a",)),
                   "algebra": Algebra.from_table(Id(), a, {"a": "a"}),
-                  "paralgebra": ParAlgebra(Id(), a, a, {("a", "a"): "a"})}
+                  "paralgebra": Algebra(Prod((Id(), Const(a))), a, table={("a", "a"): "a"})}
         doc = SpecDocument(Id(), {"A": a}, **{kind + "s": {name: tables[kind]}})
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
@@ -334,6 +334,47 @@ class TestSpecDocuments:
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
         assert str(exc.value) == "algebra 'E' has an operation but no table"
+
+    def test_render_spec_refuses_a_paralgebra_without_a_table(self):
+        a = Carrier(("a",))
+        par = Algebra(Prod((Id(), Const(a))), a, lambda v: "a")
+        with pytest.raises(ValueError) as exc:
+            render_spec(SpecDocument(Id(), {"A": a}, paralgebras={"Q": par}))
+        assert str(exc.value) == "paralgebra 'Q' has an operation but no table"
+
+    AB = Carrier(("a", "b"))
+    S = Carrier(("s",))
+
+    @pytest.mark.parametrize("tables, message", [
+        # a table over 1 + X once wrote 'a -> {0, b}', which does not reparse
+        ({"coalgebras": {"C": Coalgebra(Sum((Id(), Const(Carrier(("u0",))))), AB,
+                                        ((0, "b"), (1, "u0")))}},
+         "coalgebra 'C' is over a functor other than the document's"),
+        ({"algebras": {"E": Algebra.from_table(Id(), AB, {"a": "a", "b": "a"})}},
+         "algebra 'E' is over a functor other than the document's"),
+        ({"paralgebras": {"Q": Algebra.from_table(Prod((Id(), Const(AB))), AB, {
+            (x, a): "a" for x in "ab" for a in "ab"})}},
+         "paralgebra 'Q' is over a functor other than the document's times a carrier it names"),
+        ({"paralgebras": {"Q": Algebra.from_table(Prod((PowFin(Id()), Const(S))), AB, {
+            (v, "s"): "a" for v in eval_obj(PowFin(Id()), AB)})}},
+         "paralgebra 'Q' is over a functor other than the document's times a carrier it names"),
+        ({"paralgebras": {"Q": Algebra.from_table(PowFin(Id()), AB, {
+            v: "a" for v in eval_obj(PowFin(Id()), AB)})}},
+         "paralgebra 'Q' is over a functor other than the document's times a carrier it names"),
+    ], ids=["coalgebra", "algebra", "paralgebra", "paralgebra-unnamed-source",
+            "paralgebra-no-source"])
+    def test_render_spec_refuses_a_table_over_another_functor(self, tables, message):
+        doc = SpecDocument(PowFin(Id()), {"A": self.AB}, **tables)
+        with pytest.raises(ValueError) as exc:
+            render_spec(doc)
+        assert str(exc.value) == message
+
+    def test_render_spec_reads_a_paralgebra_source_off_its_functor(self):
+        text = ("carrier A = a b\ncarrier S = s\nfunctor = X\nparalgebra Q : A @ S\n"
+                "  a @ s -> b\n  b @ s -> a\n")
+        doc = parse_spec(text)
+        assert doc.the_paralgebra("Q").functor == Prod((Id(), Const(self.S)))
+        assert render_spec(doc) == text
 
     @pytest.mark.parametrize("description", [
         "issue #3 fixed", "two\nlines", "a\r\nb", "form\x0cfeed", "line\u2028sep",
@@ -350,7 +391,7 @@ class TestSpecDocuments:
         a = Carrier(("a",))
         tables = {"coalgebra": Coalgebra(Id(), a, ("a",)),
                   "algebra": Algebra.from_table(Id(), a, {"a": "a"}),
-                  "paralgebra": ParAlgebra(Id(), a, a, {("a", "a"): "a"})}
+                  "paralgebra": Algebra(Prod((Id(), Const(a))), a, table={("a", "a"): "a"})}
         doc = SpecDocument(Id(), {}, **{kind + "s": {"Z": tables[kind]}})
         with pytest.raises(ValueError) as exc:
             render_spec(doc)
@@ -373,17 +414,18 @@ class TestSpecDocuments:
                 {"C": random_coalgebra(rng, functor, states)},
                 {"E": Algebra.from_table(functor, target,
                                          {v: rng.choice(target.elements) for v in values})},
-                {"Q": ParAlgebra(functor, target, states, {
+                {"Q": Algebra(Prod((functor, Const(states))), target, table={
                     (v, a): rng.choice(target.elements) for v in values for a in states})},
                 " ".join(rng.choices(words, k=rng.randint(1, 4))))
             text = render_spec(doc)
             again = parse_spec(text)
             assert render_spec(again) == text
-            assert (again.functor, again.carriers, again.coalgebras,
-                    again.paralgebras, again.description) == (
-                doc.functor, doc.carriers, doc.coalgebras,
-                doc.paralgebras, doc.description)
+            assert (again.functor, again.carriers, again.coalgebras, again.description) == (
+                doc.functor, doc.carriers, doc.coalgebras, doc.description)
             assert again.the_algebra("E").table == doc.the_algebra("E").table
+            par, par_again = doc.the_paralgebra("Q"), again.the_paralgebra("Q")
+            assert (par_again.functor, par_again.carrier, par_again.table) == (
+                par.functor, par.carrier, par.table)
 
     @pytest.mark.parametrize("doc, message", [
         ("functor = P(X)\n  junk here !!\ncarrier A = a\n  more junk\ncoalgebra C : A\n  a -> {}\n",
