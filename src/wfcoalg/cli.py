@@ -159,10 +159,8 @@ def _cmd_demo(args, out) -> int:
     name = args.name
     if name == "quicksort":
         items = tuple(args.input.split(",")) if args.input else ()
-        coalg, alg = demos.quicksort(tuple(sorted(set(items))) or ("a",),
-                                     max(len(items), 1), cap=args.max_enum)
-        h = hylo(coalg, alg)
-        print(",".join(h(items)), file=out)
+        coalg, alg = demos.quicksort([items], cap=args.max_enum)
+        print(",".join(hylo(coalg, alg)(items)), file=out)
         return EXIT_OK
     if name in ("factorial", "fibonacci"):
         coalg, target, step = (
@@ -264,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=natural, default=5)
     p.add_argument("--a0", type=int, default=0)
     p.add_argument("--a1", type=int, default=1)
-    for option in ORACLE_BOUNDS:
-        p.add_argument(option, **OPTIONS[option])
+    p.add_argument("--max-enum", **dict(OPTIONS["--max-enum"], help="enumeration cap; "
+                   "quicksort: letters of its sublists; factorial, fibonacci: states"))
+    p.add_argument("--max-carrier", **OPTIONS["--max-carrier"])
     return parser
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import (Any, Callable, Collection, Dict, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from ._record import FrozenRecord, Record
 from .errors import (CapExceeded, CarrierMismatch, FunctorMismatch,
@@ -62,14 +62,52 @@ def paired(coalg: Coalgebra) -> Coalgebra:
                              tuple(zip(coalg.structure, coalg.carrier)), coalg.supports)
 
 
+def generated(functor: FunctorExpr, seeds: Iterable[Any], step: Callable[[Any], Any],
+              cap: int = DEFAULT_SEARCH_CAP) -> Coalgebra:
+    """The least subcoalgebra of the coalgebra ``step`` that contains ``seeds``
+    (Rutten 2000), its states in the order reached.  Each state is counted
+    against ``cap`` before it is added, then passed to ``step`` once; F of a
+    collecting element function checks the value's shape and constants, as
+    ``check_value`` does, and gathers its least support."""
+    check_bounds(cap=cap)
+    states, seen, out, structure, supports = [], set(), [], [], []
+
+    def element(e: Any) -> Any:
+        if e not in seen:
+            if len(states) >= cap:
+                raise CapExceeded("states of the generated subcoalgebra", cap)
+            seen.add(e)
+            states.append(e)
+        out.append(e)
+        return e
+
+    for a in seeds:
+        element(a)
+    for a in states:  # grows while it is walked: a queue
+        out.clear()
+        value = step(a)
+        functor.fmap(element, value)
+        structure.append(value)
+        supports.append(frozenset(out))
+    return Coalgebra._parsed(functor, Carrier(tuple(states)), tuple(structure), tuple(supports))
+
+
+class _Table(dict):
+    """An algebra's table: a lookup of a value it lacks names the value."""
+
+    def __missing__(self, v: Any) -> Any:
+        raise ValueError(f"algebra table has no row {self.functor.render(v)}")
+
+
 class Algebra(Record):
     """A carrier together with e: F(carrier) -> carrier.
 
     The operation is either an explicit table over the whole of
     eval_obj(F, carrier), whose lookup it is, or a total callable for carriers
     too large to tabulate.  A table's results lie in the carrier, and its keys,
-    taken to be in F(carrier) (``from_table`` checks them), count |F(carrier)|.
-    Equal only to itself; the repr leaves the table out.
+    taken to be in F(carrier) (``from_table`` checks them), count |F(carrier)|;
+    it is copied, and a lookup of a value it lacks is a ``ValueError`` naming
+    the value.  Equal only to itself; the repr leaves the table out.
     """
 
     _fields = ("functor", "carrier", "operation")
@@ -90,16 +128,18 @@ class Algebra(Record):
                 except CapExceeded:
                     raise ValueError("algebra table is not total") from None
                 raise ValueError(f"algebra table is not total; missing {functor.render(gap)}")
+            table = _Table(table)
+            table.functor = functor
         self.functor, self.carrier, self.table = functor, carrier, table
         self.operation = operation if table is None else table.__getitem__
 
     @staticmethod
     def from_table(functor: FunctorExpr, carrier: Carrier,
                    table: Dict[Any, Any]) -> "Algebra":
-        """The algebra of a copy of ``table``, each key checked in F(carrier)."""
+        """The algebra of ``table``, each key checked in F(carrier)."""
         for v in table:
             check_value(functor, carrier, v)
-        return Algebra(functor, carrier, table=dict(table))
+        return Algebra(functor, carrier, table=table)
 
 
 class CanonicalGraph(FrozenRecord):
@@ -228,10 +268,9 @@ def canonical_graph(coalg: Coalgebra) -> CanonicalGraph:
 
 def induced_subcoalgebra(coalg: Coalgebra, s: Subobject) -> Optional[Coalgebra]:
     """The restriction of the structure to s when s <= next_time(s), else None."""
-    if not s <= next_time(coalg, s):
-        return None
-    sub = s.as_carrier()
-    return Coalgebra(coalg.functor, sub, tuple(coalg.alpha(a) for a in sub))
+    if s <= next_time(coalg, s):
+        return generated(coalg.functor, s.as_carrier(), coalg.alpha)
+    return None
 
 
 def is_subcoalgebra(coalg: Coalgebra, s: Subobject) -> bool:

@@ -2,7 +2,8 @@
 
 Each builder returns plain library objects so tests and the CLI share one
 fixture set: the four-vertex graph G, the pair-or-point counterexample
-coalgebra, Quicksort as a hylomorphism, factorial and Fibonacci as
+coalgebra, Quicksort as a hylomorphism on the subcoalgebra its input lists
+generate (so it builds only their sublists), factorial and Fibonacci as
 parametric recursion, a deterministic automaton, and a labelled
 transition system for the next-time operator.
 """
@@ -17,7 +18,7 @@ from typing import Any, Iterable, Optional, Tuple
 from .errors import CapExceeded
 from .finset import Carrier, Subobject
 from .functor import Const, Exp, Id, PowFin, Prod, RFunctor, Sum
-from .coalgebra import Algebra, Coalgebra
+from .coalgebra import DEFAULT_SEARCH_CAP, Algebra, Coalgebra, generated
 
 UNIT = Const.numeral(1).values
 
@@ -36,39 +37,23 @@ def r_coalgebra() -> Coalgebra:
     return Coalgebra(RFunctor(), carrier, ((0, 1), (0, 1)))
 
 
-def quicksort_functor(alphabet: Carrier):
-    return Sum((Const(UNIT), Prod((Const(alphabet), Id(), Id()))))
-
-
-def lists_up_to(alphabet: Carrier, max_len: int, cap: Optional[int] = None) -> Carrier:
-    """All words of length <= max_len; with a cap, their letters (sum of
-    i * k^i, i <= max_len), which bound both the memory and the number of
-    words, are counted, saturating, before any word is built."""
-    if cap is not None:
-        count, power = 0, 1
-        for i in range(1, max_len + 1):
-            power *= len(alphabet)
-            count += i * power
-            if count > cap:
-                raise CapExceeded(f"lists of length <= {max_len} over "
-                                  f"{len(alphabet)} letters", cap)
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (a,) for w in frontier for a in alphabet]
-        words.extend(frontier)
-    return Carrier(tuple(words))
-
-
-def quicksort(alphabet: Tuple[Any, ...], max_len: int, cap: Optional[int] = None):
-    """The split coalgebra and merge algebra over lists up to a length bound."""
-    alpha_carrier = Carrier(alphabet)
-    functor = quicksort_functor(alpha_carrier)
-    lists = lists_up_to(alpha_carrier, max_len, cap)
+def quicksort(seeds: Iterable[Tuple[Any, ...]], cap: int = DEFAULT_SEARCH_CAP):
+    """The split coalgebra generated by the lists ``seeds`` and the merge algebra
+    on the sorted images of its states.  The states are sublists, so memory is
+    the sum of their lengths: ``split`` adds the letters of its two sublists to
+    a count it checks against ``cap`` before it builds them."""
+    seeds = tuple(seeds)
+    letters = Carrier(tuple(sorted({x for w in seeds for x in w})))
+    functor = Sum((Const(UNIT), Prod((Const(letters), Id(), Id()))))
+    spent = 0
 
     def split(w):
+        nonlocal spent
         if not w:
             return 0, "u0"
+        spent += len(w) - 1
+        if spent > cap:
+            raise CapExceeded("letters of the quicksort sublists", cap)
         head, rest = w[0], w[1:]
         small = tuple(x for x in rest if x <= head)
         large = tuple(x for x in rest if x > head)
@@ -79,12 +64,11 @@ def quicksort(alphabet: Tuple[Any, ...], max_len: int, cap: Optional[int] = None
         if i == 0:
             return ()
         head, left, right = w
-        out = left + (head,) + right
-        return out if out in lists else ()
+        return left + (head,) + right
 
-    coalg = Coalgebra(functor, lists, tuple(split(w) for w in lists))
-    alg = Algebra(functor, lists, merge)
-    return coalg, alg
+    coalg = generated(functor, seeds, split)
+    images = dict.fromkeys(tuple(sorted(w)) for w in coalg.carrier)
+    return coalg, Algebra(functor, Carrier(tuple(images)), merge)
 
 
 def predecessor(n_max: int) -> Coalgebra:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from wfcoalg import (Carrier, Coalgebra, Const, Exp, FinMap, FunctorExpr, Id,
                      PowFin, Prod, RFunctor, Sum, eval_obj)
@@ -67,3 +67,15 @@ def random_instance(rng: random.Random, depth: int = 2, max_size: int = 4,
 
 def random_map(rng: random.Random, dom: Carrier, cod: Carrier) -> FinMap:
     return FinMap(dom, cod, tuple(rng.choice(cod.elements) for _ in dom))
+
+
+def lists_up_to(alphabet: Iterable[Any], max_len: int) -> List[Tuple[Any, ...]]:
+    """Every word of length <= max_len over the alphabet, shortest first: the
+    brute-force reference carrier, which seeds ``demos.quicksort`` to sort
+    every list at once."""
+    letters = tuple(alphabet)
+    words, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (a,) for w in frontier for a in letters]
+        words.extend(frontier)
+    return words

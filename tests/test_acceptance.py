@@ -19,7 +19,7 @@ from wfcoalg import (Carrier, Coalgebra, Const, FinMap, Id, PowFin, RFunctor,
 from wfcoalg.demos import (factorial_scheme, fibonacci_scheme, graph_g,
                            quicksort, r_coalgebra)
 
-from generators import random_instance, random_map
+from generators import lists_up_to, random_instance, random_map
 from setalg import coproduct, direct_image, from_callable, inverse_image, is_injective
 from test_coalgebra import next_time_brute
 from values import POINT
@@ -88,7 +88,7 @@ def test_r_coalgebra_exhibit():
 def test_quicksort_against_reference_sort():
     with report("quicksort hylomorphism vs sorted(), lists of length <= 6 "
                 "over 3 letters", 30.0):
-        coalg, alg = quicksort(("a", "b", "c"), 6)
+        coalg, alg = quicksort(lists_up_to("abc", 6))
         h = hylo(coalg, alg)
         assert len(coalg.carrier) == sum(3 ** k for k in range(7))
         for xs in coalg.carrier:

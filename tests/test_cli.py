@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wfcoalg
-from wfcoalg import Carrier, eval_obj, parse_functor, render_value
+from wfcoalg import Carrier, demos, eval_obj, parse_functor, render_value
 from wfcoalg.cli import (COMMANDS, EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_PIPE,
                          EXIT_USAGE, ORACLE_BOUNDS, build_parser, main)
 from wfcoalg.textform import MAX_NESTING
@@ -306,29 +306,40 @@ class TestSequenceDemos:
         assert run("demo", "fibonacci", "--n", "9", "--max-enum", "10") == (EXIT_OK, "34\n")
         assert run("demo", "factorial", "--n", "10", "--max-enum", "10")[0] == EXIT_CAP
 
-    def test_quicksort_counts_its_lists_before_building_them(self):
-        letters = ",".join("abcdefghijkl")  # sum of 12^i, i <= 12: about 9.7e12 lists
-        assert run("demo", "quicksort", "--input", letters) == (
-            EXIT_CAP, "cap exceeded: lists of length <= 12 over 12 letters: "
-                      "more than 10000000\n")
+    def test_quicksort_sorts_12_distinct_letters(self):
+        # its 13 states, not the 9.7e12 lists of length <= 12 over its letters
+        letters = ",".join("abcdefghijkl")
+        assert run("demo", "quicksort", "--input", letters) == (EXIT_OK, letters + "\n")
 
     def test_quicksort_cap_is_the_letter_count(self):
-        # 3 letters, length <= 3: 40 lists of 1*3 + 2*9 + 3*27 = 102 letters
+        # c,a,b splits into (a, b) and (), then (a, b) into () and (b,): 2 + 1 letters
         assert run("demo", "quicksort", "--input", "c,a,b",
-                   "--max-enum", "102") == (EXIT_OK, "a,b,c\n")
-        assert run("demo", "quicksort", "--input", "c,a,b",
-                   "--max-enum", "101")[0] == EXIT_CAP
-        # one letter, length <= 3: 4 lists of 0 + 1 + 2 + 3 = 6 letters
-        assert run("demo", "quicksort", "--input", "a,a,a",
-                   "--max-enum", "6") == (EXIT_OK, "a,a,a\n")
-        assert run("demo", "quicksort", "--input", "a,a,a",
-                   "--max-enum", "5")[0] == EXIT_CAP
+                   "--max-enum", "3") == (EXIT_OK, "a,b,c\n")
+        assert run("demo", "quicksort", "--input", "c,a,b", "--max-enum", "2") == (
+            EXIT_CAP, "cap exceeded: letters of the quicksort sublists: more than 2\n")
+        # one letter five times: sublists of 4 + 3 + 2 + 1 = 10 letters
+        assert run("demo", "quicksort", "--input", "a,a,a,a,a",
+                   "--max-enum", "10") == (EXIT_OK, "a,a,a,a,a\n")
+        assert run("demo", "quicksort", "--input", "a,a,a,a,a",
+                   "--max-enum", "9")[0] == EXIT_CAP
 
     def test_quicksort_on_one_repeated_letter_is_capped_by_its_letters(self):
-        # 10,001 lists, well under the cap, but 5e7 letters: over 1 GB to build
+        # 10,001 states, but their sublists hold about 5e7 letters: over 400 MB to build
         assert run("demo", "quicksort", "--input", ",".join("a" * 10 ** 4)) == (
-            EXIT_CAP, "cap exceeded: lists of length <= 10000 over 1 letters: "
+            EXIT_CAP, "cap exceeded: letters of the quicksort sublists: "
                       "more than 10000000\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=st.lists(st.text(alphabet="ab1_", min_size=1, max_size=3), max_size=40))
+def test_quicksort_prints_sorted_from_at_most_one_state_per_item_and_the_empty_list(items):
+    built, real_generated = [], demos.generated
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(demos, "generated", lambda *args: built.append(real_generated(*args))
+                      or built[-1])
+        assert run("demo", "quicksort", "--input=" + ",".join(items)) == (
+            EXIT_OK, ",".join(sorted(items)) + "\n")
+    assert len(built[0].carrier) <= len(items) + 1
 
 
 class TestBounds:

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from wfcoalg import (Algebra, Carrier, Coalgebra, Const, Exp, FinMap,
+from wfcoalg import (Algebra, CapExceeded, Carrier, Coalgebra, Const, Exp, FinMap,
                      FunctorMismatch, Id, IncompatibleQuotient, PowFin,
                      Prod, RFunctor, Subobject, Sum,
                      all_subsets, canonical_graph, enumerate_homs,
-                     eval_map, eval_obj, induced_subcoalgebra, is_cartesian,
-                     is_coalgebra_hom, is_subcoalgebra, next_time,
-                     preserves_inverse_images, quotient, support)
+                     eval_map, eval_obj, find_homs, hylo, induced_subcoalgebra, is_cartesian,
+                     is_coalgebra_hom, is_subcoalgebra, is_wellfounded, next_time,
+                     preserves_inverse_images, quotient, support, wf_part)
 from wfcoalg import MalformedValue
+from wfcoalg.coalgebra import generated
 from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg.demos import automaton, graph_g, r_coalgebra, transition_system
 
@@ -170,6 +171,57 @@ class TestSubcoalgebras:
         assert found == {("a", "b"), ("a", "b", "c", "d")}
 
 
+class TestGenerated:
+    """generated(F, seeds, step) against the coalgebra whose structure step is."""
+
+    def test_seeded_with_every_state_it_gives_the_coalgebra_back(self):
+        rng = random.Random(311)
+        for _ in range(150):
+            c = random_instance(rng, max_size=5)
+            sub = generated(c.functor, c.carrier, c.alpha)
+            assert sub == c and sub.supports == c.supports
+
+    def test_one_state_generates_the_least_subcoalgebra_that_holds_it(self):
+        rng = random.Random(312)
+        for _ in range(150):
+            c = random_instance(rng, max_size=5)
+            wf = wf_part(c).part
+            for a in c.carrier:
+                sub = generated(c.functor, [a], c.alpha)
+                assert sub.carrier.elements[0] == a
+                assert is_coalgebra_hom(FinMap.inclusion(sub.carrier, c.carrier), sub, c)
+                least = frozenset(c.carrier)  # the meet of every subcoalgebra that holds a
+                for s in all_subsets(c.carrier):
+                    if a in s.members and is_subcoalgebra(c, s):
+                        least &= s.members
+                assert set(sub.carrier) == least
+                assert (a in wf) == is_wellfounded(sub)
+
+    def test_a_binding_cap_stops_before_a_state_past_it_is_stepped(self):
+        rng = random.Random(313)
+        for _ in range(100):
+            c = random_instance(rng, max_size=5)
+            a = rng.choice(c.carrier.elements)
+            size = len(generated(c.functor, [a], c.alpha).carrier)
+            for cap in range(size):
+                steps = []
+                with pytest.raises(CapExceeded) as exc:
+                    generated(c.functor, [a], lambda b: steps.append(b) or c.alpha(b), cap)
+                assert len(steps) <= cap
+                assert str(exc.value) == f"states of the generated subcoalgebra: more than {cap}"
+            assert len(generated(c.functor, [a], c.alpha, size).carrier) == size
+
+    @pytest.mark.parametrize("functor, value", [
+        (PowFin(Id()), ("s",)),  # not a frozenset
+        (Sum((Id(), Const(Carrier(("u",))))), (1, "v")),  # a foreign constant
+        (Prod((Id(), Id())), ("s",)),  # a tuple of the wrong length
+        (RFunctor(), ("s", "s")),  # an R pair of equal components
+    ])
+    def test_a_malformed_value_from_step_is_refused(self, functor, value):
+        with pytest.raises(MalformedValue):
+            generated(functor, ["s"], lambda a: value)
+
+
 class TestColimits:
     def test_quotient_by_identity(self, g):
         q = quotient(g, FinMap.identity(g.carrier))
@@ -277,6 +329,25 @@ class TestAlgebraTables:
         with pytest.raises(ValueError) as exc:
             Algebra(PowFin(Id()), Carrier(("x",)), table=table)
         assert str(exc.value) == message
+
+    # four keys count |P({x, y})|, but {z} stands in for {x, y}, which the rows lack
+    STAND_IN = {fset(): "x", fset(elem("x")): "x", fset(elem("y")): "x", fset(elem("z")): "x"}
+
+    def test_a_lookup_of_a_value_the_table_lacks_names_it(self):
+        b = Carrier(("x", "y"))
+        alg = Algebra(PowFin(Id()), b, table=self.STAND_IN)
+        assert alg.table == self.STAND_IN and alg.table is not self.STAND_IN  # a copy
+        assert type(alg.table).__getitem__ is dict.__getitem__  # a hit is one C call
+        c = Coalgebra.from_dict(PowFin(Id()), b, {"x": fset(), "y": fset(elem("x"), elem("y"))})
+        with pytest.raises(ValueError) as exc:
+            find_homs(c, alg)
+        assert str(exc.value) == "algebra table has no row {x, y}"
+        alg = Algebra(PowFin(Id()), b, table={**self.STAND_IN, fset(elem("x")): "y"})
+        c = Coalgebra.from_dict(PowFin(Id()), Carrier(("p", "q", "r")), {
+            "p": fset(), "q": fset(elem("p")), "r": fset(elem("p"), elem("q"))})
+        with pytest.raises(ValueError) as exc:
+            hylo(c, alg)  # h(p) = x, h(q) = y, so r looks up {x, y}
+        assert str(exc.value) == "algebra table has no row {x, y}"
 
     def test_past_the_enumeration_cap_no_missing_value_is_named(self):
         b = Carrier(tuple(f"b{i}" for i in range(17)))  # |P(B)| = 131,072

@@ -9,11 +9,12 @@ from wfcoalg import (Algebra, Carrier, Const, Exp, FinMap, Id, MalformedValue, P
                      Prod, RFunctor, Subobject, Sum, eval_map, eval_obj, hylo,
                      para_hylo, parse_functor, parse_spec, preserves_inverse_images,
                      render_value, support)
+from wfcoalg import coalgebra as coalgebra_module
 from wfcoalg.demos import quicksort
 from wfcoalg.finset import capped_power, element_key
 from wfcoalg.functor import check_value, size_obj
 
-from generators import bounded_functor, random_functor, random_map
+from generators import bounded_functor, lists_up_to, random_functor, random_map
 from test_functor import _disorder
 from values import POINT, const, elem, fset, fun, inj, pair, tup
 
@@ -448,8 +449,8 @@ def test_code_of_the_identity_is_injective():
     assert kinds == {"Const", "Id", "Sum", "Prod", "Exp", "PowFin", "RFunctor"}
 
 
-class CountingTable(dict):
-    """A table that counts its lookups."""
+class CountingTable(coalgebra_module._Table):
+    """An algebra's table that counts its lookups."""
 
     lookups = 0
 
@@ -458,7 +459,7 @@ class CountingTable(dict):
         return super().__getitem__(key)
 
 
-def test_table_algebras_look_up_fh_in_the_table():
+def test_table_algebras_look_up_fh_in_the_table(monkeypatch):
     """hylo and para_hylo on table algebras look Fh(alpha a) up in the table,
     once a state in the fold and once in the check of the square, and give
     the maps of the callable path."""
@@ -476,12 +477,14 @@ def test_table_algebras_look_up_fh_in_the_table():
                     for v in values for a in states))
     doc = parse_spec(text)
     coalg, alg, par = doc.the_coalgebra("C"), doc.the_algebra("E"), doc.the_paralgebra("Q")
-    table, par_table = CountingTable(alg.table), CountingTable(par.table)
-    h = hylo(coalg, Algebra(f, target, table=table))
-    p = para_hylo(coalg, target, Algebra(par.functor, target, table=par_table))
-    assert table.lookups == par_table.lookups == 2 * len(states)
+    monkeypatch.setattr(coalgebra_module, "_Table", CountingTable)  # the table an algebra keeps
+    counted, par_counted = Algebra(f, target, table=alg.table), Algebra(par.functor, target,
+                                                                        table=par.table)
+    h = hylo(coalg, counted)
+    p = para_hylo(coalg, target, par_counted)
+    assert counted.table.lookups == par_counted.table.lookups == 2 * len(states)
     # the same maps through the callable path
     assert h == hylo(coalg, alg) == hylo(coalg, Algebra(f, target, alg.table.__getitem__))
     assert p == para_hylo(coalg, target, lambda v, a: par.table[(v, a)])
-    coalg, alg = quicksort(("a", "b", "c"), 4)
+    coalg, alg = quicksort(lists_up_to("abc", 4))
     assert alg.table is None and hylo(coalg, alg)(("c", "a", "b")) == ("a", "b", "c")

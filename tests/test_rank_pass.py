@@ -18,11 +18,12 @@ from wfcoalg import (Algebra, Carrier, CanonicalGraph, Coalgebra,
                      next_time, para_hylo, parse_spec, preserves_inverse_images,
                      unfold_to_mu, wf_part)
 from wfcoalg import coalgebra as coalgebra_module
+from wfcoalg import demos
 from wfcoalg import functor as functor_module
 from wfcoalg.demos import (automaton, fibonacci_coalgebra, graph_g,
                            predecessor, quicksort, r_coalgebra)
 
-from generators import bounded_functor, random_coalgebra, random_instance
+from generators import bounded_functor, lists_up_to, random_coalgebra, random_instance
 from values import POINT, const, elem, inj, pair
 
 
@@ -336,8 +337,9 @@ def test_every_node_of_a_deep_unfolding_hashes_compares_and_prints():
 
 
 def test_hylo_computes_each_support_once(monkeypatch):
-    checks, supports = [], []
+    checks, supports, steps = [], [], []
     real_check, real_support = functor_module.check_value, functor_module.support
+    real_generated = demos.generated
 
     def counting_check(*args):
         checks.append(args[2])
@@ -347,16 +349,23 @@ def test_hylo_computes_each_support_once(monkeypatch):
         supports.append(args[2])
         return real_support(*args)
 
+    def counting_generated(functor, seeds, step, *cap):
+        def counted(a):
+            steps.append(a)
+            return step(a)
+        return real_generated(functor, seeds, counted, *cap)
+
+    monkeypatch.setattr(demos, "generated", counting_generated)
     monkeypatch.setattr(coalgebra_module, "check_value", counting_check)
     for name, module in list(sys.modules.items()):
         if name.startswith("wfcoalg") and getattr(module, "support", None) is real_support:
             monkeypatch.setattr(module, "support", counting_support)
-    coalg, alg = quicksort(("a", "b", "c"), 5)
+    coalg, alg = quicksort(lists_up_to("abc", 5))
     assert len(coalg.carrier) == 364
-    assert checks == list(coalg.structure)  # once per state, as it is built
+    assert steps == list(coalg.carrier)  # once per state, as it is reached
     h = hylo(coalg, alg)
     assert h(("c", "a", "b")) == ("a", "b", "c")
-    assert len(checks) == len(coalg.carrier) and supports == []
+    assert len(steps) == len(coalg.carrier) and checks == [] and supports == []
 
 
 def test_parse_spec_checks_no_coalgebra_row_again(monkeypatch):

@@ -11,15 +11,15 @@ from wfcoalg import (Algebra, Carrier, Coalgebra, Const, FinMap, Id,
 from wfcoalg import recursion
 from wfcoalg.functor import size_obj
 from wfcoalg.demos import (UNIT, factorial_scheme, fibonacci_scheme, graph_g,
-                           lists_up_to, predecessor, quicksort, r_coalgebra)
+                           predecessor, quicksort, r_coalgebra)
 
-from generators import random_instance
+from generators import lists_up_to, random_instance
 from values import POINT, const, elem, fset, inj
 
 
 class TestHylo:
     def test_quicksort_small(self):
-        coalg, alg = quicksort(("a", "b", "c"), 4)
+        coalg, alg = quicksort(lists_up_to("abc", 4))
         h = hylo(coalg, alg)
         for xs in coalg.carrier:
             assert h(xs) == tuple(sorted(xs))
@@ -178,11 +178,11 @@ class TestUnfold:
         assert result.nodes[node[2]] == inj(0, elem(node[1]))
 
     def test_quicksort_collapses_to_its_distinct_terms(self):
-        coalg, _ = quicksort(("a", "b", "c"), 6)
+        coalg, _ = quicksort(lists_up_to("abc", 6))
         assert (len(coalg.carrier), len(unfold_to_mu(coalg).nodes)) == (1093, 371)
 
     def test_states_share_a_node_iff_their_closed_terms_are_equal(self):
-        coalg, _ = quicksort(("a", "b", "c"), 4)
+        coalg, _ = quicksort(lists_up_to("abc", 4))
         result = unfold_to_mu(coalg)
         node = result.as_dict()
         closed = {}
